@@ -27,7 +27,7 @@ constraint forces u = -v, i.e. u0 = -v0 and u1 = -v1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -156,6 +156,15 @@ def gram_matrix(params: AttackParams) -> ComplexMatrix:
     return g
 
 
+def _require_gram_positive(g: ComplexMatrix) -> None:
+    """The one positivity test that validate and realize_ancilla share."""
+    w_min = np.linalg.eigvalsh(g).min()
+    if w_min < GRAM_SLACK:
+        raise GramNotPositiveError(
+            f"Gram eigenvalue {w_min} below the -1e-10 positivity slack"
+        )
+
+
 def validate(params: AttackParams) -> AttackParams:
     """Check every attack invariant; return the params unchanged if valid.
 
@@ -184,11 +193,7 @@ def validate(params: AttackParams) -> AttackParams:
         raise UnitarityConstraintError(
             f"|c00 c10 u + c01 c11 v| = {abs(residual)} exceeds 1e-12"
         )
-    w = np.linalg.eigvalsh(gram_matrix(params))
-    if w.min() < GRAM_SLACK:
-        raise GramNotPositiveError(
-            f"Gram eigenvalue {w.min()} below the -1e-10 positivity slack"
-        )
+    _require_gram_positive(gram_matrix(params))
     return params
 
 
@@ -196,19 +201,17 @@ def realize_ancilla(params: AttackParams) -> np.ndarray:
     """Concrete ancilla kets reproducing the overlaps.
 
     Factorizes the Gram matrix through its eigendecomposition, clamping
-    eigenvalues in [-1e-10, 0) to zero. Returns a (4, 4) array whose rows
-    are the kets (|E00>, |E01>, |E11>, |E10>) in a four-dimensional space.
+    eigenvalues in [-1e-10, 0) to zero and rescaling each ket back to unit
+    norm, which the clamp can move by ~1e-10. Returns a (4, 4) array whose
+    rows are the kets (|E00>, |E01>, |E11>, |E10>) in a four-dimensional
+    space.
     """
     g = gram_matrix(params)
+    _require_gram_positive(g)
     lam, vecs = np.linalg.eigh(g)
-    if lam.min() < GRAM_SLACK:
-        raise GramNotPositiveError(
-            f"Gram eigenvalue {lam.min()} below the -1e-10 positivity slack"
-        )
-    lam = np.clip(lam, 0.0, None)
-    b = vecs * np.sqrt(lam)
-    # rows of conj(b) satisfy <row_i|row_j> = G_ij
-    return np.conjugate(b)
+    b = np.conjugate(vecs * np.sqrt(np.clip(lam, 0.0, None)))
+    # rows of b satisfy <row_i|row_j> = G_ij, whose diagonal is 1
+    return b / np.linalg.norm(b, axis=1, keepdims=True)
 
 
 def branch_vectors(params: AttackParams) -> tuple[Ket, Ket]:
@@ -268,12 +271,7 @@ class ChannelFidelities:
         return 0.5 * (self.fplus + self.fminus)
 
     def to_dict(self) -> dict:
-        return {
-            "f0": self.f0,
-            "f1": self.f1,
-            "fplus": self.fplus,
-            "fminus": self.fminus,
-        }
+        return asdict(self)
 
 
 def forward_fidelities(params: AttackParams) -> ChannelFidelities:

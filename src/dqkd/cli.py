@@ -170,7 +170,6 @@ _CONFIG_FIELDS = {
     "announce_fraction": float,
     "backward_noise": float,
     "seed": int,
-    "permute": bool,
     "abort_slack_z": float,
 }
 
@@ -205,11 +204,8 @@ def _load_config(path: str | None, args: argparse.Namespace) -> ProtocolConfig:
     kwargs = {}
     for name, cast in _CONFIG_FIELDS.items():
         if name in doc:
-            raw = doc[name]
-            if cast is bool and not isinstance(raw, bool):
-                raise ConfigError(f"config field '{name}': expected true/false")
             try:
-                kwargs[name] = cast(raw)
+                kwargs[name] = cast(doc[name])
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"config field '{name}': {exc}") from exc
         flag = getattr(args, name, None)
@@ -320,8 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--announce-fraction", dest="announce_fraction", type=float, default=None)
     p.add_argument("--backward-noise", dest="backward_noise", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--permute", dest="permute", action="store_true", default=None)
-    p.add_argument("--no-permute", dest="permute", action="store_false")
     p.add_argument("--abort-slack-z", dest="abort_slack_z", type=float, default=None)
     p.add_argument("--out", default=None, help="write the JSON results here instead of stdout")
     p.set_defaults(func=cmd_simulate)

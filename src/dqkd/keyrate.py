@@ -142,16 +142,11 @@ class BeSpectrumClosedForm:
 
     delta1: float
     delta2: float
-    lambda4: float
-    lambda5: float
-    lambda6: float
-    lambda7: float
 
     def spectrum(self) -> Spectrum:
         """The four nonzero eigenvalues, sorted descending."""
-        return np.sort(
-            np.array([self.lambda4, self.lambda5, self.lambda6, self.lambda7])
-        )[::-1]
+        d1, d2 = self.delta1, self.delta2
+        return np.array([1 + d1 + d2, 1 + d1 - d2, 1 - d1 + d2, 1 - d1 - d2]) / 4.0
 
     def entropy(self) -> float:
         """Entropy of the spectrum in bits, with 0 log 0 = 0."""
@@ -187,15 +182,7 @@ def be_spectrum_closed_form(params: AttackParams) -> BeSpectrumClosedForm:
     m = c0**2 * params.p - c1**2 * params.q
     d_a = math.sqrt(abs(m) ** 2 + (c0 * c1 * (params.s.imag + params.r.imag)) ** 2)
     d_b = c0 * c1 * abs(params.s.imag - params.r.imag)
-    delta1, delta2 = max(d_a, d_b), min(d_a, d_b)
-    return BeSpectrumClosedForm(
-        delta1=delta1,
-        delta2=delta2,
-        lambda4=(1.0 + delta1 + delta2) / 4.0,
-        lambda5=(1.0 + delta1 - delta2) / 4.0,
-        lambda6=(1.0 - delta1 - delta2) / 4.0,
-        lambda7=(1.0 - delta1 + delta2) / 4.0,
-    )
+    return BeSpectrumClosedForm(delta1=max(d_a, d_b), delta2=min(d_a, d_b))
 
 
 def s_be_numeric(params: AttackParams) -> float:

@@ -12,24 +12,27 @@ the raw key. Estimates feed the asymptotic rate formulas; the abort rule
 compares the estimated xi against 1/2, optionally slacked by a multiple of
 its standard error.
 
-Round outcomes are sampled from exact probabilities: the check-mode
-distribution comes from the reduced qubit state of the attacked probe, and
-the forward decode error probability equals 1 - f for both key bits
-because the flip Y maps each basis state to its complement.
+Rounds are i.i.d., and every estimate is a function of how many rounds
+land in each of 24 cells: the prepared state times {consistent check that
+matches, consistent check that misses, discarded check, announced error,
+announced correct bit, raw key}. One multinomial draw of those counts
+replaces the per-round simulation, so a run costs the same at any n. A
+consistent check matches with the channel fidelity f of its state. Both
+encodings decode wrongly with probability 1 - f, because the flip Y maps
+each basis state to its complement, and the backward flip b folds in as
+e = (1 - f)(1 - b) + f b.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .attack import AttackParams, probe_outcome_probability, validate
-from .keyrate import BOUNDARY_ATOL, KeyRateReport, final_rate
+from .attack import AttackParams, forward_fidelities, validate
+from .keyrate import BOUNDARY_ATOL, BOUNDARY_XI, KeyRateReport, final_rate
 from .qstate import BASIS_OF, COMPLEMENT, STATE_LABELS
-
-BOUNDARY_XI = 0.5
 
 
 class InsufficientDataError(ValueError):
@@ -51,12 +54,12 @@ class ProtocolConfig:
     announce_fraction: float = 0.5
     backward_noise: float = 0.0
     seed: int = 0
-    permute: bool = True
     abort_slack_z: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"n={self.n} must be at least 1")
+        # numpy's multinomial draws n as a signed 64-bit integer
+        if not 1 <= self.n <= 2**63 - 1:
+            raise ValueError(f"n={self.n} outside [1, 2**63 - 1]")
         for name in ("check_fraction", "announce_fraction"):
             val = getattr(self, name)
             if not 0.0 < val < 1.0:
@@ -67,16 +70,7 @@ class ProtocolConfig:
             raise ValueError(f"abort_slack_z={self.abort_slack_z} must be >= 0")
 
     def to_dict(self) -> dict:
-        return {
-            "attack": self.attack.to_dict(),
-            "n": self.n,
-            "check_fraction": self.check_fraction,
-            "announce_fraction": self.announce_fraction,
-            "backward_noise": self.backward_noise,
-            "seed": self.seed,
-            "permute": self.permute,
-            "abort_slack_z": self.abort_slack_z,
-        }
+        return {**asdict(self), "attack": self.attack.to_dict()}
 
 
 @dataclass(frozen=True)
@@ -110,27 +104,7 @@ class ProtocolStats:
     aborted: bool
 
     def to_dict(self) -> dict:
-        return {
-            "counts": dict(self.counts),
-            "n_check_consistent": self.n_check_consistent,
-            "n_check_discarded": self.n_check_discarded,
-            "n_announced": self.n_announced,
-            "m": self.m,
-            "est_f0": self.est_f0,
-            "se_f0": self.se_f0,
-            "est_f1": self.est_f1,
-            "se_f1": self.se_f1,
-            "est_fplus": self.est_fplus,
-            "se_fplus": self.se_fplus,
-            "est_fminus": self.est_fminus,
-            "se_fminus": self.se_fminus,
-            "est_e": self.est_e,
-            "se_e": self.se_e,
-            "est_xi": self.est_xi,
-            "se_xi": self.se_xi,
-            "k_est": self.k_est,
-            "aborted": self.aborted,
-        }
+        return asdict(self)
 
 
 def decode_key_bit(prepared: str, outcome: str) -> int:
@@ -159,82 +133,50 @@ def estimate_with_se(successes: int, trials: int) -> tuple[float, float]:
 def run_protocol(config: ProtocolConfig) -> tuple[ProtocolStats, KeyRateReport]:
     """Simulate one full run and evaluate the asymptotic rate from estimates.
 
-    All randomness comes from one generator seeded with config.seed, so
-    identical configs reproduce identical results bit for bit. The rounds
-    are vectorized; no per-round Python loop.
+    All randomness is one multinomial draw of the 24 cell counts from a
+    generator seeded with config.seed, so identical configs reproduce
+    identical results bit for bit, and no array of size n is built.
 
     Raises:
         InsufficientDataError: n too small for some estimator to see even
             one trial (every fidelity needs consistent-basis checks and
             the error rate needs announced bits).
     """
-    params = validate(config.attack)
-    # exact per-state probability that the attacked probe still matches
-    match_prob = np.array(
-        [probe_outcome_probability(params, lab, lab) for lab in STATE_LABELS]
-    )
-    n = config.n
+    fids = forward_fidelities(validate(config.attack))
+    # validation lets overlaps exceed 1 by float slack, and f with them
+    f = np.clip([fids.f0, fids.f1, fids.fplus, fids.fminus], 0.0, 1.0)
+    b = config.backward_noise
+    e = np.clip((1.0 - f) * (1.0 - b) + f * b, 0.0, 1.0)
+    c = config.check_fraction
+    a = config.announce_fraction
+    # rows follow STATE_LABELS; the columns are hit, miss, discarded,
+    # announced error, announced correct, raw key
+    cells = 0.25 * np.column_stack([
+        0.5 * c * f,
+        0.5 * c * (1.0 - f),
+        np.full(4, 0.5 * c),
+        (1.0 - c) * a * e,
+        (1.0 - c) * a * (1.0 - e),
+        np.full(4, (1.0 - c) * (1.0 - a)),
+    ])
     rng = np.random.default_rng(config.seed)
-
-    preps = rng.integers(0, 4, size=n)
-    is_check = rng.random(n) < config.check_fraction
-    check_basis = rng.integers(0, 2, size=n)  # 0 = Z, 1 = X
-    u_check = rng.random(n)
-    enc_bits = rng.integers(0, 2, size=n)
-    u_decode = rng.random(n)
-    u_back = rng.random(n)
-
-    if config.permute:
-        order = rng.permutation(n)
-        preps = preps[order]
-        is_check = is_check[order]
-        check_basis = check_basis[order]
-        u_check = u_check[order]
-        enc_bits = enc_bits[order]
-        u_decode = u_decode[order]
-        u_back = u_back[order]
-    u_announce = rng.random(n)
-
-    prep_basis = (preps >= 2).astype(np.int64)
-    consistent = is_check & (check_basis == prep_basis)
-    discarded = is_check & ~consistent
-    check_match = u_check < match_prob[preps]
+    tally = rng.multinomial(config.n, cells.ravel()).reshape(4, 6).tolist()
+    hits, misses, discarded, ann_err, ann_ok, raw = zip(*tally)
 
     counts: dict[str, int] = {}
-    trials_f = np.zeros(4, dtype=np.int64)
-    successes_f = np.zeros(4, dtype=np.int64)
-    for k, label in enumerate(STATE_LABELS):
-        here = consistent & (preps == k)
-        hits = int(np.count_nonzero(here & check_match))
-        misses = int(np.count_nonzero(here & ~check_match))
-        trials_f[k] = hits + misses
-        successes_f[k] = hits
+    for label, hit, miss in zip(STATE_LABELS, hits, misses):
         basis = BASIS_OF[label]
-        if hits:
-            counts[f"{label}|{basis}|{label}"] = hits
-        if misses:
-            counts[f"{label}|{basis}|{COMPLEMENT[label]}"] = misses
+        if hit:
+            counts[f"{label}|{basis}|{label}"] = hit
+        if miss:
+            counts[f"{label}|{basis}|{COMPLEMENT[label]}"] = miss
+    est_f, se_f = np.array(
+        [estimate_with_se(hit, hit + miss) for hit, miss in zip(hits, misses)]
+    ).T
 
-    est_f = np.zeros(4)
-    se_f = np.zeros(4)
-    for k in range(4):
-        est_f[k], se_f[k] = estimate_with_se(int(successes_f[k]), int(trials_f[k]))
-
-    # both encodings decode wrongly with probability 1 - f: Y swaps the
-    # basis states, so the flipped branch weight is the same either way
-    forward_err = u_decode < (1.0 - match_prob[preps])
-    back_flip = u_back < config.backward_noise
-    decoded = enc_bits ^ forward_err ^ back_flip
-    bit_err = decoded != enc_bits
-
-    is_enc = ~is_check
-    announced = is_enc & (u_announce < config.announce_fraction)
-    raw_key = is_enc & ~announced
-    m = int(np.count_nonzero(raw_key))
-    est_e, se_e = estimate_with_se(
-        int(np.count_nonzero(announced & bit_err)),
-        int(np.count_nonzero(announced)),
-    )
+    n_announced = sum(ann_err) + sum(ann_ok)
+    m = sum(raw)
+    est_e, se_e = estimate_with_se(sum(ann_err), n_announced)
 
     est_xi = float(0.5 * (est_f[0] + est_f[1]) + 0.5 * (est_f[2] + est_f[3]) - 1.0)
     se_xi = 0.5 * math.sqrt(float(np.sum(se_f**2)))
@@ -248,9 +190,9 @@ def run_protocol(config: ProtocolConfig) -> tuple[ProtocolStats, KeyRateReport]:
 
     stats = ProtocolStats(
         counts=counts,
-        n_check_consistent=int(np.count_nonzero(consistent)),
-        n_check_discarded=int(np.count_nonzero(discarded)),
-        n_announced=int(np.count_nonzero(announced)),
+        n_check_consistent=sum(hits) + sum(misses),
+        n_check_discarded=sum(discarded),
+        n_announced=n_announced,
         m=m,
         est_f0=float(est_f[0]),
         se_f0=float(se_f[0]),

@@ -11,7 +11,7 @@ parts of s and r) are perturbed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -40,13 +40,7 @@ class VerificationCheck:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "trials": self.trials,
-            "max_deviation": self.max_deviation,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

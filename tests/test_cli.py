@@ -154,7 +154,6 @@ def test_simulate_config_file(tmp_path, capsys):
         "announce_fraction": 0.6,
         "backward_noise": 0.0,
         "seed": 1,
-        "permute": True,
     }), encoding="utf-8")
     out = tmp_path / "run.json"
     assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0

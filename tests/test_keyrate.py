@@ -105,7 +105,7 @@ def test_closed_form_real_overlap_slice():
     want = abs(0.8 * 0.5 - 0.2 * 0.9)
     assert closed.delta1 == pytest.approx(want, abs=1e-12)
     assert closed.delta2 == 0.0
-    assert closed.lambda4 == closed.lambda5 == pytest.approx((1 + want) / 4)
+    assert closed.spectrum()[0] == closed.spectrum()[1] == pytest.approx((1 + want) / 4)
 
 
 def test_closed_form_matches_diagonalization():

@@ -87,6 +87,14 @@ def test_maximizer_respects_the_constraint():
     assert abs(f.fpm - c.cppsq) <= c.tolerance
 
 
+def test_maximizer_at_the_gram_slack_is_realizable():
+    # this maximizer's smallest Gram eigenvalue sits within 1e-15 of the
+    # -1e-10 slack, where eigvalsh and eigh land on opposite sides of it
+    c = FidelityConstraint(c0sq=0.7715960402188387, cppsq=0.8132663915296381)
+    result = maximize_s_be(c, budget=20000, seed=0)
+    assert abs(s_be_numeric(result.best_params) - result.best_entropy) <= 1e-10
+
+
 def test_infeasible_constraint_raises():
     # xi = 0.70 - 0.25 = 0.45 < 1/2: the protocol would have aborted
     with pytest.raises(BoundaryViolationError):
