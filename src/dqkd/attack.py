@@ -36,6 +36,7 @@ from .qstate import (
     Ket,
     KET_0,
     KET_1,
+    PSD_SLACK,
     STATE_KETS,
     kron,
     outer,
@@ -46,7 +47,8 @@ from .qstate import (
 AMPLITUDE_ATOL = 1e-12
 OVERLAP_ATOL = 1e-12
 UNITARITY_ATOL = 1e-12
-GRAM_SLACK = -1e-10
+# amplitudes this close count as symmetric, the closed-form spectrum regime
+SYMMETRY_ATOL = 1e-9
 
 OVERLAP_NAMES = ("s", "u", "p", "r", "v", "q")
 NAMED_ATTACKS = ("identity", "measure_z", "measure_x", "symmetric")
@@ -80,6 +82,9 @@ class SamplingBudgetError(RuntimeError):
 class AttackParams:
     """Amplitudes and ancilla overlaps of a collective forward attack.
 
+    Construction runs validate, so every instance is a physical attack; an
+    invalid or NaN parameter raises its AttackValidationError subclass.
+
     Attributes:
         c00: amplitude of the undisturbed branch for an incoming |0>.
         c01: amplitude of the flipped branch for an incoming |0>.
@@ -104,6 +109,9 @@ class AttackParams:
     v: complex = 0j
     q: complex = 0j
 
+    def __post_init__(self) -> None:
+        validate(self)
+
     @property
     def overlaps(self) -> dict[str, complex]:
         return {name: complex(getattr(self, name)) for name in OVERLAP_NAMES}
@@ -111,7 +119,7 @@ class AttackParams:
     @property
     def symmetric(self) -> bool:
         """True when both undisturbed amplitudes coincide."""
-        return abs(self.c00 - self.c11) <= 1e-9
+        return abs(self.c00 - self.c11) <= SYMMETRY_ATOL
 
     def to_dict(self) -> dict:
         """Flat document: the four amplitudes plus a list of named overlaps."""
@@ -156,17 +164,10 @@ def gram_matrix(params: AttackParams) -> ComplexMatrix:
     return g
 
 
-def _require_gram_positive(g: ComplexMatrix) -> None:
-    """The one positivity test that validate and realize_ancilla share."""
-    w_min = np.linalg.eigvalsh(g).min()
-    if w_min < GRAM_SLACK:
-        raise GramNotPositiveError(
-            f"Gram eigenvalue {w_min} below the -1e-10 positivity slack"
-        )
-
-
 def validate(params: AttackParams) -> AttackParams:
     """Check every attack invariant; return the params unchanged if valid.
+
+    Each bound is tested as "not within", so a NaN parameter fails it.
 
     Raises:
         AmplitudeNormalizationError: amplitudes negative or not normalized.
@@ -175,40 +176,44 @@ def validate(params: AttackParams) -> AttackParams:
         GramNotPositiveError: overlap Gram matrix not PSD.
     """
     amps = (params.c00, params.c01, params.c11, params.c10)
-    if min(amps) < -AMPLITUDE_ATOL or max(amps) > 1.0 + AMPLITUDE_ATOL:
-        raise AmplitudeNormalizationError(f"amplitudes {amps} outside [0, 1]")
-    if abs(params.c00**2 + params.c01**2 - 1.0) > AMPLITUDE_ATOL:
+    for a in amps:
+        if not -AMPLITUDE_ATOL <= a <= 1.0 + AMPLITUDE_ATOL:
+            raise AmplitudeNormalizationError(f"amplitudes {amps} outside [0, 1]")
+    if not abs(params.c00**2 + params.c01**2 - 1.0) <= AMPLITUDE_ATOL:
         raise AmplitudeNormalizationError(
             f"c00^2 + c01^2 = {params.c00**2 + params.c01**2} is not 1"
         )
-    if abs(params.c11**2 + params.c10**2 - 1.0) > AMPLITUDE_ATOL:
+    if not abs(params.c11**2 + params.c10**2 - 1.0) <= AMPLITUDE_ATOL:
         raise AmplitudeNormalizationError(
             f"c11^2 + c10^2 = {params.c11**2 + params.c10**2} is not 1"
         )
     for name, val in params.overlaps.items():
-        if abs(val) > 1.0 + OVERLAP_ATOL:
+        if not abs(val) <= 1.0 + OVERLAP_ATOL:
             raise OverlapMagnitudeError(f"|{name}| = {abs(val)} exceeds 1")
     residual = params.c00 * params.c10 * params.u + params.c01 * params.c11 * params.v
-    if abs(residual) > UNITARITY_ATOL:
+    if not abs(residual) <= UNITARITY_ATOL:
         raise UnitarityConstraintError(
             f"|c00 c10 u + c01 c11 v| = {abs(residual)} exceeds 1e-12"
         )
-    _require_gram_positive(gram_matrix(params))
+    w_min = np.linalg.eigvalsh(gram_matrix(params)).min()
+    if not w_min >= PSD_SLACK:
+        raise GramNotPositiveError(
+            f"Gram eigenvalue {w_min} below the -1e-10 positivity slack"
+        )
     return params
 
 
 def realize_ancilla(params: AttackParams) -> np.ndarray:
     """Concrete ancilla kets reproducing the overlaps.
 
-    Factorizes the Gram matrix through its eigendecomposition, clamping
-    eigenvalues in [-1e-10, 0) to zero and rescaling each ket back to unit
+    Factorizes the Gram matrix through its eigendecomposition. The params
+    were validated on construction, so negative eigenvalues lie within the
+    -1e-10 slack; they are clamped to zero and each ket rescaled back to unit
     norm, which the clamp can move by ~1e-10. Returns a (4, 4) array whose
     rows are the kets (|E00>, |E01>, |E11>, |E10>) in a four-dimensional
     space.
     """
-    g = gram_matrix(params)
-    _require_gram_positive(g)
-    lam, vecs = np.linalg.eigh(g)
+    lam, vecs = np.linalg.eigh(gram_matrix(params))
     b = np.conjugate(vecs * np.sqrt(np.clip(lam, 0.0, None)))
     # rows of b satisfy <row_i|row_j> = G_ij, whose diagonal is 1
     return b / np.linalg.norm(b, axis=1, keepdims=True)
@@ -327,7 +332,7 @@ def named_attack(name: str, e: float | None = None) -> AttackParams:
         e: disturbance parameter in [0, 1/2], required for "symmetric".
 
     Returns:
-        A validated AttackParams.
+        The named AttackParams.
     """
     if name == "identity":
         params = AttackParams(
@@ -355,7 +360,7 @@ def named_attack(name: str, e: float | None = None) -> AttackParams:
         )
     else:
         raise ValueError(f"unknown attack name {name!r}; expected one of {NAMED_ATTACKS}")
-    return validate(params)
+    return params
 
 
 def _unit_vector(rng: np.random.Generator, dim: int) -> Ket:
@@ -401,7 +406,7 @@ def sample_valid(
         if norm < 1e-6:
             continue
         e10 = u * e00 + np.sqrt(1.0 - abs(u) ** 2) * (w / norm)
-        params = AttackParams(
+        return AttackParams(
             c00=float(c00),
             c01=float(c01),
             c11=float(c11),
@@ -413,5 +418,4 @@ def sample_valid(
             v=v,
             q=complex(np.vdot(e01, e10)),
         )
-        return validate(params)
     raise SamplingBudgetError(f"no valid draw within {max_iterations} iterations")

@@ -15,7 +15,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .attack import AttackParams, NAMED_ATTACKS, named_attack, validate
+from .attack import AttackParams, NAMED_ATTACKS, named_attack
 from .keyrate import KeyRateReport, final_rate
 from .optimizer import FidelityConstraint, maximize_s_be
 from .protosim import ProtocolConfig, run_protocol
@@ -160,16 +160,25 @@ def _attack_from_value(value) -> AttackParams:
     if isinstance(value, dict):
         if "name" in value:
             return named_attack(value["name"], value.get("e"))
-        return validate(AttackParams.from_dict(value))
+        return AttackParams.from_dict(value)
     raise ConfigError(f"config field 'attack': expected name or object, got {value!r}")
 
 
+def _integer(value) -> int:
+    """A JSON integer, or a float with an integral value; never a bool."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 _CONFIG_FIELDS = {
-    "n": int,
+    "n": _integer,
     "check_fraction": float,
     "announce_fraction": float,
     "backward_noise": float,
-    "seed": int,
+    "seed": _integer,
     "abort_slack_z": float,
 }
 

@@ -32,9 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attack import AttackParams, ChannelFidelities, branch_vectors, validate
+from .attack import AttackParams, ChannelFidelities, branch_vectors
 from .qstate import (
     DensityMatrix,
+    ENTROPY_CUTOFF,
     KET_0,
     KET_1,
     Spectrum,
@@ -48,7 +49,6 @@ from .qstate import (
     von_neumann_entropy,
 )
 
-SYMMETRY_ATOL = 1e-9
 BOUNDARY_XI = 0.5
 # float slack on boundary comparisons, matching the domain checks below
 BOUNDARY_ATOL = 1e-12
@@ -80,7 +80,7 @@ class JointStateBundle:
 
 
 def build_rho_abe(params: AttackParams) -> JointStateBundle:
-    """Assemble the joint key-qubit-ancilla state for a validated attack.
+    """Assemble the joint key-qubit-ancilla state of an attack.
 
     The forward channel turns the maximally mixed qubit into an equal
     mixture of the two attacked branch vectors; the key-1 branch is that
@@ -88,12 +88,11 @@ def build_rho_abe(params: AttackParams) -> JointStateBundle:
     kept as an explicit 2-dimensional factor in front.
 
     Args:
-        params: attack parameters; validated on entry.
+        params: attack parameters.
 
     Returns:
         JointStateBundle with all four states as validated density matrices.
     """
-    validate(params)
     phi0, phi1 = branch_vectors(params)
     be0 = 0.5 * (outer(phi0) + outer(phi1))
     y_qubit = kron(Y_GATE, np.eye(4, dtype=complex))
@@ -151,7 +150,7 @@ class BeSpectrumClosedForm:
     def entropy(self) -> float:
         """Entropy of the spectrum in bits, with 0 log 0 = 0."""
         lams = self.spectrum()
-        lams = lams[lams > 1e-12]
+        lams = lams[lams > ENTROPY_CUTOFF]
         return float(-np.sum(lams * np.log2(lams)))
 
 
@@ -159,7 +158,7 @@ def be_spectrum_closed_form(params: AttackParams) -> BeSpectrumClosedForm:
     """Closed-form spectrum for symmetric attacks.
 
     Args:
-        params: validated attack with c00 = c11; the undisturbed amplitude
+        params: attack with c00 = c11; the undisturbed amplitude
             is c0 and the flip amplitude c1 = sqrt(1 - c0^2).
 
     Returns:
@@ -171,8 +170,7 @@ def be_spectrum_closed_form(params: AttackParams) -> BeSpectrumClosedForm:
             average the observed fidelities and use the rate formulas
             directly instead.
     """
-    validate(params)
-    if abs(params.c00 - params.c11) > SYMMETRY_ATOL:
+    if not params.symmetric:
         raise ClosedFormNotApplicableError(
             f"closed form needs c00 = c11, got {params.c00} vs {params.c11}; "
             "average the fidelities and evaluate the rate from xi instead"

@@ -15,20 +15,17 @@ value 0. The result is compared against the closed-form maximum 1 + h(xi).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .attack import AttackParams, AttackValidationError, forward_fidelities
-from .keyrate import (
-    SYMMETRY_ATOL,
-    be_spectrum_closed_form,
-    s_be_max,
-    s_be_numeric,
-)
+from .keyrate import be_spectrum_closed_form, s_be_max, s_be_numeric
 
 GAP_TOLERANCE = 1e-5
+# how closely the returned maximizer must reproduce the observed fidelities
+CONSTRAINT_TOLERANCE = 1e-9
 # below this flip probability the q0 term cannot compensate anything and p0 is pinned
 PINNED_C1SQ = 1e-9
 
@@ -44,12 +41,10 @@ class FidelityConstraint:
     Attributes:
         c0sq: computational-basis fidelity f01 (undisturbed probability).
         cppsq: diagonal-basis fidelity fpm.
-        tolerance: how closely the returned maximizer must reproduce them.
     """
 
     c0sq: float
     cppsq: float
-    tolerance: float = 1e-9
 
     def __post_init__(self) -> None:
         for name, val in (("c0sq", self.c0sq), ("cppsq", self.cppsq)):
@@ -86,14 +81,7 @@ class OptResult:
     converged: bool
 
     def to_dict(self) -> dict:
-        return {
-            "best_entropy": self.best_entropy,
-            "closed_form_entropy": self.closed_form_entropy,
-            "gap": self.gap,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "best_params": self.best_params.to_dict(),
-        }
+        return {**asdict(self), "best_params": self.best_params.to_dict()}
 
 
 def entropy_objective(params: AttackParams) -> float:
@@ -103,7 +91,7 @@ def entropy_objective(params: AttackParams) -> float:
     to brute-force diagonalization otherwise; the two routes agree within
     1e-10 wherever both apply.
     """
-    if abs(params.c00 - params.c11) <= SYMMETRY_ATOL:
+    if params.symmetric:
         return be_spectrum_closed_form(params).entropy()
     return s_be_numeric(params)
 
@@ -165,13 +153,13 @@ def maximize_s_be(
     def neg_entropy(x: np.ndarray) -> float:
         nonlocal evals
         evals += 1
-        params = params_at(x)
-        if params is None:
-            return np.inf
         try:
-            return -entropy_objective(params)
+            params = params_at(x)
         except AttackValidationError:
             return np.inf
+        if params is None:
+            return np.inf
+        return -entropy_objective(params)
 
     if c1sq > PINNED_C1SQ:
         lo = max(-1.0, (pinned - c1sq) / c0sq)
@@ -239,8 +227,8 @@ def maximize_s_be(
 
     fids = forward_fidelities(best_params)
     if (
-        abs(fids.f01 - c0sq) > constraint.tolerance
-        or abs(fids.fpm - cppsq) > constraint.tolerance
+        abs(fids.f01 - c0sq) > CONSTRAINT_TOLERANCE
+        or abs(fids.fpm - cppsq) > CONSTRAINT_TOLERANCE
     ):
         raise InfeasibleConstraintError(
             f"maximizer violates the fidelity constraint: {fids.to_dict()}"

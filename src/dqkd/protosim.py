@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .attack import AttackParams, forward_fidelities, validate
+from .attack import AttackParams, forward_fidelities
 from .keyrate import BOUNDARY_ATOL, BOUNDARY_XI, KeyRateReport, final_rate
 from .qstate import BASIS_OF, COMPLEMENT, STATE_LABELS
 
@@ -66,8 +66,8 @@ class ProtocolConfig:
                 raise ValueError(f"{name}={val} outside the open interval (0, 1)")
         if not 0.0 <= self.backward_noise <= 0.5:
             raise ValueError(f"backward_noise={self.backward_noise} outside [0, 1/2]")
-        if self.abort_slack_z < 0.0:
-            raise ValueError(f"abort_slack_z={self.abort_slack_z} must be >= 0")
+        if not 0.0 <= self.abort_slack_z < math.inf:
+            raise ValueError(f"abort_slack_z={self.abort_slack_z} must be finite and >= 0")
 
     def to_dict(self) -> dict:
         return {**asdict(self), "attack": self.attack.to_dict()}
@@ -142,7 +142,7 @@ def run_protocol(config: ProtocolConfig) -> tuple[ProtocolStats, KeyRateReport]:
             one trial (every fidelity needs consistent-basis checks and
             the error rate needs announced bits).
     """
-    fids = forward_fidelities(validate(config.attack))
+    fids = forward_fidelities(config.attack)
     # validation lets overlaps exceed 1 by float slack, and f with them
     f = np.clip([fids.f0, fids.f1, fids.fplus, fids.fminus], 0.0, 1.0)
     b = config.backward_noise

@@ -162,7 +162,7 @@ def von_neumann_entropy(rho: DensityMatrix | ComplexMatrix) -> float:
 def binary_entropy(x: float) -> float:
     """h(x) = -x log2 x - (1-x) log2(1-x), with h(0) = h(1) = 0."""
     x = float(x)
-    if x < -1e-12 or x > 1.0 + 1e-12:
+    if not -1e-12 <= x <= 1.0 + 1e-12:
         raise ValueError(f"binary_entropy argument {x} outside [0, 1]")
     x = min(max(x, 0.0), 1.0)
     if x == 0.0 or x == 1.0:

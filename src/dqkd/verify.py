@@ -11,7 +11,7 @@ parts of s and r) are perturbed.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from .attack import (
     AttackValidationError,
     forward_fidelities,
     sample_valid,
-    validate,
 )
 from .keyrate import backward_indistinguishability, be_spectrum_closed_form, build_rho_abe
 from .qstate import eig_hermitian, von_neumann_entropy
@@ -74,9 +73,8 @@ def _perturbed_insensitive(
     def try_shrinking(name: str, make) -> None:
         delta = 0.05
         for _ in range(14):
-            candidate = make(delta)
             try:
-                validate(candidate)
+                candidate = make(delta)
             except AttackValidationError:
                 delta /= 2.0
                 continue
@@ -88,22 +86,13 @@ def _perturbed_insensitive(
 
         def move_u(delta: float) -> AttackParams:
             u = params.u + delta * phase
-            return AttackParams(
-                c00=params.c00, c01=params.c01, c11=params.c11, c10=params.c10,
-                s=params.s, u=u, p=params.p, r=params.r, v=ratio * u, q=params.q,
-            )
+            return replace(params, u=u, v=ratio * u)
 
         try_shrinking("u-and-v", move_u)
 
     def move_real(name: str):
         def make(delta: float) -> AttackParams:
-            fields = dict(
-                c00=params.c00, c01=params.c01, c11=params.c11, c10=params.c10,
-                s=params.s, u=params.u, p=params.p, r=params.r, v=params.v,
-                q=params.q,
-            )
-            fields[name] = complex(getattr(params, name)) + delta
-            return AttackParams(**fields)
+            return replace(params, **{name: complex(getattr(params, name)) + delta})
 
         return make
 

@@ -91,10 +91,10 @@ def _perturb_insensitive(params: AttackParams, rng: np.random.Generator):
     for _ in range(20):
         u = params.u if pinned else params.u + step_u
         v = params.v if pinned else -(params.c00 * params.c10 * u) / (params.c01 * params.c11)
-        candidate = replace(
-            params, u=u, v=v, s=params.s + step_s, r=params.r + step_r
-        )
         try:
+            candidate = replace(
+                params, u=u, v=v, s=params.s + step_s, r=params.r + step_r
+            )
             return validate(candidate), abs(step_s)
         except AttackValidationError:
             step_u *= 0.5

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -51,12 +53,58 @@ def test_unitarity_constraint_error():
 def test_gram_not_positive_error():
     # s = 1 makes E01 = E00, so q = <E01|E10> must equal u; q = 1 with
     # u = -1 is inconsistent and the Gram matrix goes indefinite
-    bad = AttackParams(
-        c00=0.8, c01=0.6, c11=0.8, c10=0.6,
-        s=1 + 0j, u=-1 + 0j, v=1 + 0j, q=1 + 0j,
-    )
     with pytest.raises(GramNotPositiveError):
+        bad = AttackParams(
+            c00=0.8, c01=0.6, c11=0.8, c10=0.6,
+            s=1 + 0j, u=-1 + 0j, v=1 + 0j, q=1 + 0j,
+        )
         validate(bad)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "error, fields",
+    [
+        pytest.param(AmplitudeNormalizationError, dict(c00=1.0, c01=0.5, c11=1.0, c10=0.0),
+                     id="not-normalized"),
+        pytest.param(AmplitudeNormalizationError, dict(c00=-0.6, c01=0.8, c11=1.0, c10=0.0),
+                     id="negative-amplitude"),
+        pytest.param(AmplitudeNormalizationError, dict(c00=NAN, c01=0.0, c11=1.0, c10=0.0),
+                     id="nan-c00"),
+        pytest.param(AmplitudeNormalizationError, dict(c00=1.0, c01=0.0, c11=1.0, c10=NAN),
+                     id="nan-c10"),
+        pytest.param(OverlapMagnitudeError, dict(c00=1.0, c01=0.0, c11=1.0, c10=0.0, p=1.5 + 0j),
+                     id="overlap-outside-disc"),
+        pytest.param(OverlapMagnitudeError,
+                     dict(c00=1.0, c01=0.0, c11=1.0, c10=0.0, s=complex(NAN, 0.0)),
+                     id="nan-overlap-real"),
+        pytest.param(OverlapMagnitudeError,
+                     dict(c00=1.0, c01=0.0, c11=1.0, c10=0.0, s=complex(0.0, NAN)),
+                     id="nan-overlap-imag"),
+        pytest.param(UnitarityConstraintError,
+                     dict(c00=0.8, c01=0.6, c11=0.8, c10=0.6, u=0.5 + 0j, v=0.5 + 0j),
+                     id="branches-not-orthogonal"),
+        pytest.param(GramNotPositiveError,
+                     dict(c00=0.8, c01=0.6, c11=0.8, c10=0.6,
+                          s=1 + 0j, u=-1 + 0j, v=1 + 0j, q=1 + 0j),
+                     id="gram-indefinite"),
+    ],
+)
+def test_invalid_attack_cannot_be_constructed(error, fields):
+    with pytest.raises(error):
+        AttackParams(**fields)
+
+
+def test_replace_to_an_invalid_point_raises():
+    params = named_attack("symmetric", e=0.1)
+    with pytest.raises(OverlapMagnitudeError):
+        replace(params, q=complex(NAN, 0.0))
+    with pytest.raises(AmplitudeNormalizationError):
+        replace(params, c00=1.0)
+    with pytest.raises(GramNotPositiveError):
+        replace(params, s=1 + 0j, q=-1 + 0j)
 
 
 def test_serialization_round_trip():

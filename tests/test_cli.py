@@ -187,6 +187,42 @@ def test_simulate_config_errors(tmp_path, capsys):
     bad.write_text(json.dumps({"attack": "symmetric", "n": 100}), encoding="utf-8")
     assert main(["simulate", "--config", str(bad)]) == 1
     capsys.readouterr()
+    # integer fields take integers only: no truncation, no bools
+    for field, value in (("n", 5000.9), ("seed", 2.7), ("n", True), ("seed", False)):
+        doc = {"attack": "identity", "n": 5000, field: value}
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["simulate", "--config", str(bad)]) == 1
+        assert f"config field '{field}'" in capsys.readouterr().err
+
+
+def test_simulate_config_rejects_nan_overlap(tmp_path, capsys):
+    from dqkd.attack import named_attack
+
+    doc = named_attack("symmetric", e=0.1).to_dict()
+    doc["overlaps"][0]["re"] = float("nan")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"attack": doc, "n": 20000}), encoding="utf-8")
+    assert main(["simulate", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "|s| = nan exceeds 1" in err
+
+
+def test_simulate_rejects_nan_abort_slack(capsys):
+    args = ["simulate", "--attack", "symmetric", "--attack-e", "0.3", "--n", "100000"]
+    assert main(args + ["--abort-slack-z", "nan"]) == 1
+    assert "abort_slack_z" in capsys.readouterr().err
+
+
+def test_integral_float_config_fields_are_accepted(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"attack": "identity", "n": 1e4, "seed": 2.0}),
+                      encoding="utf-8")
+    out = tmp_path / "run.json"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    doc = json.loads(out.read_text(encoding="utf-8"))["config"]
+    assert (doc["n"], doc["seed"]) == (10000, 2)
+    capsys.readouterr()
 
 
 def test_simulate_accepts_full_attack_document(tmp_path, capsys):

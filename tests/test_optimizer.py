@@ -79,12 +79,13 @@ def test_search_is_deterministic():
 
 def test_maximizer_respects_the_constraint():
     from dqkd.attack import forward_fidelities
+    from dqkd.optimizer import CONSTRAINT_TOLERANCE
 
     c = FidelityConstraint(c0sq=0.85, cppsq=0.9)
     result = maximize_s_be(c)
     f = forward_fidelities(result.best_params)
-    assert abs(f.f01 - c.c0sq) <= c.tolerance
-    assert abs(f.fpm - c.cppsq) <= c.tolerance
+    assert abs(f.f01 - c.c0sq) <= CONSTRAINT_TOLERANCE
+    assert abs(f.fpm - c.cppsq) <= CONSTRAINT_TOLERANCE
 
 
 def test_maximizer_at_the_gram_slack_is_realizable():

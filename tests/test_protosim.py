@@ -42,6 +42,10 @@ def test_config_validation():
         ProtocolConfig(attack=attack, n=100, announce_fraction=-0.1)
     with pytest.raises(ValueError):
         ProtocolConfig(attack=attack, n=100, backward_noise=0.6)
+    # a NaN slack would make the abort comparison False and never abort
+    for z in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            ProtocolConfig(attack=attack, n=100, abort_slack_z=z)
 
 
 def test_untouched_channel_is_perfect():

@@ -178,6 +178,8 @@ def test_binary_entropy():
         binary_entropy(-0.01)
     with pytest.raises(ValueError):
         binary_entropy(1.01)
+    with pytest.raises(ValueError):
+        binary_entropy(float("nan"))
 
 
 def test_trace_distance():
