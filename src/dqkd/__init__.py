@@ -23,7 +23,6 @@ from .attack import (
 from .keyrate import (
     BeSpectrumClosedForm,
     BoundaryViolationError,
-    ClosedFormNotApplicableError,
     JointStateBundle,
     KeyRateReport,
     backward_indistinguishability,
@@ -61,7 +60,6 @@ __all__ = [
     "BeSpectrumClosedForm",
     "BoundaryViolationError",
     "ChannelFidelities",
-    "ClosedFormNotApplicableError",
     "DensityMatrix",
     "FidelityConstraint",
     "JointStateBundle",

@@ -47,7 +47,7 @@ from .qstate import (
 AMPLITUDE_ATOL = 1e-12
 OVERLAP_ATOL = 1e-12
 UNITARITY_ATOL = 1e-12
-# amplitudes this close count as symmetric, the closed-form spectrum regime
+# amplitudes this close count as symmetric (c00 = c11, hence c01 = c10)
 SYMMETRY_ATOL = 1e-9
 
 OVERLAP_NAMES = ("s", "u", "p", "r", "v", "q")
@@ -382,7 +382,7 @@ def sample_valid(
 
     Args:
         seed: seed for the deterministic generator.
-        symmetric: force c00 = c11 (the closed-form spectrum regime).
+        symmetric: force c00 = c11, hence c01 = c10.
         max_iterations: rejection bound before giving up.
     """
     rng = np.random.default_rng(seed)

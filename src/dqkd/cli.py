@@ -173,13 +173,20 @@ def _integer(value) -> int:
     return value
 
 
+def _real(value) -> float:
+    """A JSON number, integer or not; never a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 _CONFIG_FIELDS = {
     "n": _integer,
-    "check_fraction": float,
-    "announce_fraction": float,
-    "backward_noise": float,
+    "check_fraction": _real,
+    "announce_fraction": _real,
+    "backward_noise": _real,
     "seed": _integer,
-    "abort_slack_z": float,
+    "abort_slack_z": _real,
 }
 
 
@@ -215,7 +222,7 @@ def _load_config(path: str | None, args: argparse.Namespace) -> ProtocolConfig:
         if name in doc:
             try:
                 kwargs[name] = cast(doc[name])
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"config field '{name}': {exc}") from exc
         flag = getattr(args, name, None)
         if flag is not None:

@@ -10,19 +10,21 @@ key ox qubit ox ancilla whose entropy is exactly 2 bits for every valid
 attack; the eavesdropper's uncertainty about the key is therefore governed
 entirely by the entropy of the reduced qubit-ancilla state.
 
-For symmetric attacks (equal undisturbed amplitudes) that reduced state has
-a closed-form spectrum: the four nonzero eigenvalues are (1 +/- D1 +/- D2)/4
-with
+That reduced state is 1/4 sum_i |v_i><v_i| over v = (phi0, phi1, Y phi0,
+Y phi1), phi0 and phi1 being the orthonormal attacked branches, so its four
+nonzero eigenvalues are those of the Gram matrix 1/4 [[I, B], [B^+, I]]:
+(1 +/- sigma_k)/4 with sigma_k the singular values of the 2x2 block
 
-    D1 = sqrt((c0^2 p0 - c1^2 q0)^2 + (c0^2 p1 - c1^2 q1)^2
-              + c0^2 c1^2 (s1 + r1)^2)
-    D2 = c0 c1 |s1 - r1|
+    B = <phi_i|Y|phi_j> = [[2i a, m], [-conj(m), -2i b]]
+    m = c00 c11 p - c01 c10 q,  a = c00 c01 Im s,  b = c10 c11 Im r
 
-in the overlap notation of the attack module. Maximizing the resulting
-entropy over the unobserved overlaps, with the observed fidelities pinning
-c0^2 p0 + c1^2 q0, gives 1 + h(xi) where xi = fpm + f01 - 1 and h is the
-binary entropy; the privacy-amplification rate is then 2 - (1 + h(xi)) =
-1 - h(xi), positive only above the abort boundary xi >= 1/2.
+in the overlap notation of the attack module. For every valid attack they
+are (1 +/- D1 +/- D2)/4 with D1 >= D2 the values sqrt(|m|^2 + (a + b)^2)
+and |a - b|. Maximizing the entropy over the unobserved overlaps, with the
+observed fidelities pinning c00 c11 p0 + c01 c10 q0, gives 1 + h(xi) where
+xi = fpm + f01 - 1 and h is the binary entropy; the privacy-amplification
+rate is then 2 - (1 + h(xi)) = 1 - h(xi), positive only above the abort
+boundary xi >= 1/2.
 """
 
 from __future__ import annotations
@@ -35,13 +37,13 @@ import numpy as np
 from .attack import AttackParams, ChannelFidelities, branch_vectors
 from .qstate import (
     DensityMatrix,
-    ENTROPY_CUTOFF,
     KET_0,
     KET_1,
     Spectrum,
     Y_GATE,
     binary_entropy,
     density,
+    entropy_bits,
     kron,
     outer,
     partial_trace,
@@ -52,10 +54,6 @@ from .qstate import (
 BOUNDARY_XI = 0.5
 # float slack on boundary comparisons, matching the domain checks below
 BOUNDARY_ATOL = 1e-12
-
-
-class ClosedFormNotApplicableError(ValueError):
-    """Closed-form spectrum requested for asymmetric amplitudes."""
 
 
 class BoundaryViolationError(ValueError):
@@ -149,37 +147,25 @@ class BeSpectrumClosedForm:
 
     def entropy(self) -> float:
         """Entropy of the spectrum in bits, with 0 log 0 = 0."""
-        lams = self.spectrum()
-        lams = lams[lams > ENTROPY_CUTOFF]
-        return float(-np.sum(lams * np.log2(lams)))
+        return entropy_bits(self.spectrum())
 
 
 def be_spectrum_closed_form(params: AttackParams) -> BeSpectrumClosedForm:
-    """Closed-form spectrum for symmetric attacks.
+    """Closed-form spectrum of the averaged qubit-ancilla state.
 
     Args:
-        params: attack with c00 = c11; the undisturbed amplitude
-            is c0 and the flip amplitude c1 = sqrt(1 - c0^2).
+        params: any valid attack, symmetric or not; the module docstring
+            derives delta1 and delta2 from the 2x2 block B.
 
     Returns:
         BeSpectrumClosedForm whose eigenvalues match brute-force
         diagonalization of the built state within 1e-10.
-
-    Raises:
-        ClosedFormNotApplicableError: amplitudes differ by more than 1e-9;
-            average the observed fidelities and use the rate formulas
-            directly instead.
     """
-    if not params.symmetric:
-        raise ClosedFormNotApplicableError(
-            f"closed form needs c00 = c11, got {params.c00} vs {params.c11}; "
-            "average the fidelities and evaluate the rate from xi instead"
-        )
-    c0 = params.c00
-    c1 = params.c01
-    m = c0**2 * params.p - c1**2 * params.q
-    d_a = math.sqrt(abs(m) ** 2 + (c0 * c1 * (params.s.imag + params.r.imag)) ** 2)
-    d_b = c0 * c1 * abs(params.s.imag - params.r.imag)
+    m = params.c00 * params.c11 * params.p - params.c01 * params.c10 * params.q
+    a = params.c00 * params.c01 * params.s.imag
+    b = params.c10 * params.c11 * params.r.imag
+    d_a = math.sqrt(abs(m) ** 2 + (a + b) ** 2)
+    d_b = abs(a - b)
     return BeSpectrumClosedForm(delta1=max(d_a, d_b), delta2=min(d_a, d_b))
 
 

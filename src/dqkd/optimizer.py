@@ -21,13 +21,15 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .attack import AttackParams, AttackValidationError, forward_fidelities
-from .keyrate import be_spectrum_closed_form, s_be_max, s_be_numeric
+from .keyrate import be_spectrum_closed_form, s_be_max
 
 GAP_TOLERANCE = 1e-5
 # how closely the returned maximizer must reproduce the observed fidelities
 CONSTRAINT_TOLERANCE = 1e-9
 # below this flip probability the q0 term cannot compensate anything and p0 is pinned
 PINNED_C1SQ = 1e-9
+# two grid points, then per start its start point and a 5-d simplex's 6 vertices
+MIN_BUDGET = 2 + 3 * (1 + 6)
 
 
 class InfeasibleConstraintError(ValueError):
@@ -87,13 +89,10 @@ class OptResult:
 def entropy_objective(params: AttackParams) -> float:
     """Entropy of the averaged qubit-ancilla state, in bits.
 
-    Uses the closed-form spectrum for symmetric amplitudes and falls back
-    to brute-force diagonalization otherwise; the two routes agree within
-    1e-10 wherever both apply.
+    Evaluates the closed-form spectrum, which holds at any amplitudes and
+    matches brute-force diagonalization (s_be_numeric) within 1e-10.
     """
-    if params.symmetric:
-        return be_spectrum_closed_form(params).entropy()
-    return s_be_numeric(params)
+    return be_spectrum_closed_form(params).entropy()
 
 
 def maximize_s_be(
@@ -105,7 +104,7 @@ def maximize_s_be(
 
     Args:
         constraint: observed f01 and fpm the attack must reproduce.
-        budget: cap on objective evaluations across all search stages.
+        budget: cap on objective evaluations over all stages, >= MIN_BUDGET.
         seed: seed for the start-point jitter; fixed (constraint, budget,
             seed) triples give identical results.
 
@@ -114,9 +113,12 @@ def maximize_s_be(
         closed-form maximum.
 
     Raises:
+        ValueError: budget below MIN_BUDGET.
         BoundaryViolationError: constraint lies below the xi >= 1/2 region.
         InfeasibleConstraintError: no overlap assignment can meet it.
     """
+    if budget < MIN_BUDGET:
+        raise ValueError(f"budget={budget} is below the minimum {MIN_BUDGET}")
     c0sq = constraint.c0sq
     c1sq = constraint.c1sq
     cppsq = constraint.cppsq
@@ -187,7 +189,7 @@ def maximize_s_be(
         np.array([best_grid_p0, 0.0, 0.0, 0.0, 0.0]),
         np.array([best_grid_p0, *jitter]),
     ]
-    per_start = max(200, (budget - evals) // len(starts))
+    per_start = (budget - evals) // len(starts)
 
     candidates: list[tuple[float, np.ndarray]] = []
     for x0 in starts:
@@ -201,7 +203,7 @@ def maximize_s_be(
                 x0,
                 method="Nelder-Mead",
                 options={
-                    "maxfev": per_start,
+                    "maxfev": per_start - 1,  # x0 was scored above
                     "xatol": 1e-9,
                     "fatol": 1e-12,
                 },

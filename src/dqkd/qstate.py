@@ -87,13 +87,13 @@ class DensityMatrix:
             raise NotDensityMatrixError(
                 f"shape {m.shape} does not match dims {self.dims}"
             )
-        if np.max(np.abs(m - dagger(m))) > HERMITIAN_ATOL:
+        if not np.max(np.abs(m - dagger(m))) <= HERMITIAN_ATOL:
             raise NotHermitianError("density matrix is not Hermitian within 1e-12")
         tr = np.trace(m).real
-        if abs(tr - 1.0) > TRACE_ATOL:
+        if not abs(tr - 1.0) <= TRACE_ATOL:
             raise NotDensityMatrixError(f"trace {tr} is not 1 within 1e-12")
         w = np.linalg.eigvalsh(m)
-        if w.min() < PSD_SLACK:
+        if not w.min() >= PSD_SLACK:
             raise NotDensityMatrixError(
                 f"eigenvalue {w.min()} below the -1e-10 positivity slack"
             )
@@ -139,7 +139,7 @@ def partial_trace(rho: DensityMatrix, keep: tuple[int, ...]) -> DensityMatrix:
 def eig_hermitian(m: ComplexMatrix) -> Spectrum:
     """Eigenvalues of a Hermitian matrix, sorted descending."""
     m = np.asarray(m, dtype=complex)
-    if np.max(np.abs(m - dagger(m))) > 1e-10:
+    if not np.max(np.abs(m - dagger(m))) <= 1e-10:
         raise NotHermitianError("matrix is not Hermitian within 1e-10")
     return np.sort(np.linalg.eigvalsh(m))[::-1]
 
@@ -147,14 +147,17 @@ def eig_hermitian(m: ComplexMatrix) -> Spectrum:
 def von_neumann_entropy(rho: DensityMatrix | ComplexMatrix) -> float:
     """S(rho) = -sum_i w_i log2 w_i with eigenvalues below 1e-12 dropped.
 
-    Eigenvalues in [-1e-10, 0) are clamped to zero; anything lower raises.
+    A plain matrix is validated as a DensityMatrix first, so one that is not
+    a density matrix (a NaN entry included) raises; eigenvalues in
+    [-1e-10, 0) count as zero.
     """
-    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    w = np.linalg.eigvalsh(m)
-    if w.min() < PSD_SLACK:
-        raise NotDensityMatrixError(
-            f"eigenvalue {w.min()} below the -1e-10 positivity slack"
-        )
+    if not isinstance(rho, DensityMatrix):
+        rho = DensityMatrix(rho, dims=(len(rho),))
+    return entropy_bits(np.linalg.eigvalsh(rho.matrix))
+
+
+def entropy_bits(w: Spectrum) -> float:
+    """-sum w log2 w over the weights above 1e-12, so 0 log 0 = 0."""
     w = w[w > ENTROPY_CUTOFF]
     return float(-np.sum(w * np.log2(w)))
 

@@ -61,21 +61,23 @@ def test_joint_entropy_is_exactly_two_bits():
 
 
 def test_closed_form_spectrum_matches_diagonalization():
-    # 1000 symmetric attacks; the four closed-form eigenvalues (plus four
-    # exact zeros) must match brute-force diagonalization within 1e-10
+    # 1000 symmetric and 1000 asymmetric attacks; the four closed-form
+    # eigenvalues (plus four exact zeros) must match brute-force
+    # diagonalization within 1e-10
     t0 = time.perf_counter()
     worst = 0.0
     for seed in range(1000):
-        params = sample_valid(seed=seed, symmetric=True)
-        closed = np.concatenate([be_spectrum_closed_form(params).spectrum(), np.zeros(4)])
-        brute = eig_hermitian(build_rho_abe(params).rho_be.matrix)
-        worst = max(worst, float(np.max(np.abs(np.sort(closed)[::-1] - brute))))
+        for symmetric in (True, False):
+            params = sample_valid(seed=seed, symmetric=symmetric)
+            closed = np.concatenate([be_spectrum_closed_form(params).spectrum(), np.zeros(4)])
+            brute = eig_hermitian(build_rho_abe(params).rho_be.matrix)
+            worst = max(worst, float(np.max(np.abs(np.sort(closed)[::-1] - brute))))
     dt = time.perf_counter() - t0
     ok = worst <= 1e-10 and dt < 10.0
     _report(
         "closed-form spectrum oracle",
         ok,
-        f"max eigenvalue deviation = {worst:.3e} over 1000 draws in {dt:.1f}s",
+        f"max eigenvalue deviation = {worst:.3e} over 2000 draws in {dt:.1f}s",
     )
     assert worst <= 1e-10
     assert dt < 10.0

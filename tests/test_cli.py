@@ -120,6 +120,12 @@ def test_optimize_infeasible_constraint(capsys):
     assert "boundary" in capsys.readouterr().err
 
 
+def test_optimize_rejects_a_budget_below_the_minimum(capsys):
+    for budget in ("10", "-5"):
+        assert main(["optimize", "--f01", "0.9", "--fpm", "0.9", "--budget", budget]) == 1
+        assert capsys.readouterr().err.startswith("error: budget")
+
+
 def test_simulate_with_flags(tmp_path, capsys):
     out = tmp_path / "run.json"
     code = main([
@@ -188,7 +194,12 @@ def test_simulate_config_errors(tmp_path, capsys):
     assert main(["simulate", "--config", str(bad)]) == 1
     capsys.readouterr()
     # integer fields take integers only: no truncation, no bools
-    for field, value in (("n", 5000.9), ("seed", 2.7), ("n", True), ("seed", False)):
+    # and real fields take numbers only: no bools, no strings
+    for field, value in (
+        ("n", 5000.9), ("seed", 2.7), ("n", True), ("seed", False),
+        ("abort_slack_z", True), ("backward_noise", False), ("check_fraction", "0.5"),
+        ("backward_noise", 10**400),  # too large for a float
+    ):
         doc = {"attack": "identity", "n": 5000, field: value}
         bad.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["simulate", "--config", str(bad)]) == 1
@@ -216,12 +227,14 @@ def test_simulate_rejects_nan_abort_slack(capsys):
 
 def test_integral_float_config_fields_are_accepted(tmp_path, capsys):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"attack": "identity", "n": 1e4, "seed": 2.0}),
-                      encoding="utf-8")
+    config.write_text(
+        json.dumps({"attack": "identity", "n": 1e4, "seed": 2.0, "abort_slack_z": 3}),
+        encoding="utf-8",
+    )
     out = tmp_path / "run.json"
     assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
     doc = json.loads(out.read_text(encoding="utf-8"))["config"]
-    assert (doc["n"], doc["seed"]) == (10000, 2)
+    assert (doc["n"], doc["seed"], doc["abort_slack_z"]) == (10000, 2, 3.0)
     capsys.readouterr()
 
 

@@ -1,4 +1,4 @@
-"""The demo scripts are the public API's only callers outside the tests."""
+"""Callers of the public API outside the tests: the demos and the benchmark."""
 
 import os
 import subprocess
@@ -29,3 +29,18 @@ def test_demo_runs(script, tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
+
+
+def test_benchmark_workloads_import():
+    # the benchmark imports public names from dqkd; renaming or deleting one
+    # must fail here rather than only when the benchmark runs
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])}
+    done = subprocess.run(
+        [sys.executable, "-c", "import workloads"],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

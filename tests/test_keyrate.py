@@ -13,7 +13,6 @@ from dqkd.attack import (
 )
 from dqkd.keyrate import (
     BoundaryViolationError,
-    ClosedFormNotApplicableError,
     backward_indistinguishability,
     be_spectrum_closed_form,
     build_rho_abe,
@@ -110,19 +109,30 @@ def test_closed_form_real_overlap_slice():
 
 def test_closed_form_matches_diagonalization():
     for seed in range(300):
-        params = sample_valid(seed=seed, symmetric=True)
-        closed = be_spectrum_closed_form(params)
-        full = np.concatenate([closed.spectrum(), np.zeros(4)])
-        brute = eig_hermitian(build_rho_abe(params).rho_be.matrix)
-        assert np.max(np.abs(np.sort(full)[::-1] - brute)) <= 1e-10
-        assert abs(closed.entropy() - s_be_numeric(params)) <= 1e-9
+        for symmetric in (True, False):
+            params = sample_valid(seed=seed, symmetric=symmetric)
+            closed = be_spectrum_closed_form(params)
+            full = np.concatenate([closed.spectrum(), np.zeros(4)])
+            brute = eig_hermitian(build_rho_abe(params).rho_be.matrix)
+            assert np.max(np.abs(np.sort(full)[::-1] - brute)) <= 1e-10
+            assert abs(closed.entropy() - s_be_numeric(params)) <= 1e-9
 
 
-def test_closed_form_rejects_asymmetric():
-    params = sample_valid(seed=3)
-    assert abs(params.c00 - params.c11) > 1e-9  # genuinely asymmetric draw
-    with pytest.raises(ClosedFormNotApplicableError):
-        be_spectrum_closed_form(params)
+def test_closed_form_asymmetric_real_slice():
+    # with s = r = 0 the block B is off-diagonal: delta1 = |c00 c11 p - c01 c10 q|
+    params = AttackParams(
+        c00=math.sqrt(0.8), c01=math.sqrt(0.2),
+        c11=math.sqrt(0.6), c10=math.sqrt(0.4),
+        p=0.5 + 0.3j, q=0.9 + 0j,
+    )
+    assert not params.symmetric
+    closed = be_spectrum_closed_form(params)
+    want = abs(math.sqrt(0.48) * (0.5 + 0.3j) - math.sqrt(0.08) * 0.9)
+    assert closed.delta1 == pytest.approx(want, abs=1e-12)
+    assert closed.delta2 == 0.0
+    brute = eig_hermitian(build_rho_abe(params).rho_be.matrix)
+    want_spectrum = [(1 + want) / 4] * 2 + [(1 - want) / 4] * 2 + [0.0] * 4
+    assert np.max(np.abs(brute - want_spectrum)) <= 1e-10
 
 
 def test_entropy_ceiling():

@@ -4,6 +4,7 @@ import pytest
 from dqkd.attack import named_attack, sample_valid
 from dqkd.keyrate import BoundaryViolationError, s_be_max, s_be_numeric
 from dqkd.optimizer import (
+    MIN_BUDGET,
     FidelityConstraint,
     entropy_objective,
     maximize_s_be,
@@ -20,12 +21,11 @@ def test_entropy_objective_special_attacks():
 
 
 def test_entropy_objective_routes_agree():
-    # closed-form route for symmetric draws, diagonalization for the rest
+    # the closed form against diagonalization, symmetric or not
     for seed in range(30):
-        params = sample_valid(seed=seed, symmetric=True)
-        assert abs(entropy_objective(params) - s_be_numeric(params)) <= 1e-10
-    params = sample_valid(seed=3)  # asymmetric draw
-    assert entropy_objective(params) == s_be_numeric(params)
+        for symmetric in (True, False):
+            params = sample_valid(seed=seed, symmetric=symmetric)
+            assert abs(entropy_objective(params) - s_be_numeric(params)) <= 1e-10
 
 
 def test_constraint_validation():
@@ -75,6 +75,17 @@ def test_search_is_deterministic():
     b = maximize_s_be(c, budget=5000, seed=11)
     assert a == b
     assert a.iterations <= 5000
+
+
+def test_budget_caps_every_evaluation():
+    # each start's share pays for its start point too, so a binding
+    # budget is never overspent
+    c = FidelityConstraint(c0sq=0.9, cppsq=0.9)
+    for budget in (MIN_BUDGET, 1000):
+        assert maximize_s_be(c, budget=budget).iterations <= budget
+    for budget in (10, -5, MIN_BUDGET - 1):
+        with pytest.raises(ValueError, match="budget"):
+            maximize_s_be(c, budget=budget)
 
 
 def test_maximizer_respects_the_constraint():

@@ -61,6 +61,8 @@ def test_density_matrix_validates():
         density(np.diag([1.5, -0.5]).astype(complex), dims=(2,))  # negative eig
     with pytest.raises(NotDensityMatrixError):
         density(0.25 * np.eye(4, dtype=complex), dims=(2,))  # dims mismatch
+    with pytest.raises((NotHermitianError, NotDensityMatrixError)):
+        density(np.full((2, 2), np.nan, dtype=complex), dims=(2,))
 
 
 def test_partial_trace_bell_state():
@@ -152,6 +154,13 @@ def test_eig_hermitian():
 def test_von_neumann_entropy():
     assert von_neumann_entropy(density(0.5 * np.eye(2, dtype=complex), dims=(2,))) == pytest.approx(1.0)
     assert von_neumann_entropy(density(outer(KET_PLUS), dims=(2,))) == pytest.approx(0.0, abs=1e-12)
+    # eigvalsh maps a NaN diagonal entry to finite eigenvalues (entropy -0.0)
+    nan_diagonal = np.diag([np.nan, 0.5]).astype(complex)
+    for bad in (np.full((2, 2), np.nan, dtype=complex), nan_diagonal):
+        with pytest.raises((NotHermitianError, NotDensityMatrixError)):
+            von_neumann_entropy(bad)
+    with pytest.raises(NotDensityMatrixError):
+        von_neumann_entropy(np.diag([1.5, -0.5]).astype(complex))  # negative eig
 
 
 def test_entropy_is_basis_independent():
