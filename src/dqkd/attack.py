@@ -136,16 +136,24 @@ class AttackParams:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "AttackParams":
-        try:
-            amps = {k: float(doc[k]) for k in ("c00", "c01", "c11", "c10")}
-        except KeyError as exc:
-            raise ValueError(f"attack document is missing amplitude key {exc}") from exc
+        """Inverse of to_dict; a malformed document raises ValueError naming the key."""
+
+        def number(entry: dict, key: str) -> float:
+            try:
+                return float(entry[key])
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"attack document key '{key}': missing or not a float") from exc
+
+        amps = {k: number(doc, k) for k in ("c00", "c01", "c11", "c10")}
         ov = {name: 0j for name in OVERLAP_NAMES}
-        for entry in doc.get("overlaps", []):
+        entries = doc.get("overlaps", [])
+        if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+            raise ValueError("attack document key 'overlaps': expected a list of objects")
+        for entry in entries:
             name = entry.get("name")
             if name not in OVERLAP_NAMES:
                 raise ValueError(f"unknown overlap name {name!r}")
-            ov[name] = complex(float(entry["re"]), float(entry["im"]))
+            ov[name] = complex(number(entry, "re"), number(entry, "im"))
         return cls(**amps, **ov)
 
 

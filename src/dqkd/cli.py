@@ -134,7 +134,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     constraint = FidelityConstraint(c0sq=args.f01, cppsq=args.fpm)
-    result = maximize_s_be(constraint, budget=args.budget, seed=args.seed)
+    result = maximize_s_be(constraint, budget=args.budget)
     for key in ("best_entropy", "closed_form_entropy", "gap"):
         print(f"{key:<20} = {_fmt(getattr(result, key))}")
     print(f"{'iterations':<20} = {result.iterations}")
@@ -319,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f01", type=float, required=True, help="computational-basis fidelity")
     p.add_argument("--fpm", type=float, required=True, help="diagonal-basis fidelity")
     p.add_argument("--budget", type=int, default=20000, help="objective evaluation cap")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="write the JSON result here instead of stdout")
     p.set_defaults(func=cmd_optimize)
 

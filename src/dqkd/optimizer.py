@@ -6,7 +6,8 @@ the real overlap parts. Everything else about the attack is free, so the
 worst case is the attack maximizing the entropy of the averaged
 qubit-ancilla state under that single equality constraint. The search
 eliminates q0 exactly, grids the remaining real direction p0, and refines
-with a derivative-free simplex over (p0, p1, q1, s1, r1); overlaps that
+with a derivative-free simplex over (p0, p1, q1, s1, r1) from two starts,
+the analytic candidate q0 = 1 and the best grid point; overlaps that
 provably cancel from the spectrum (u and v, linked by the orthogonality
 constraint, and the real parts of s and r) are held at the tie-break
 value 0. The result is compared against the closed-form maximum 1 + h(xi).
@@ -18,7 +19,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .attack import AttackParams, AttackValidationError, forward_fidelities
 from .keyrate import be_spectrum_closed_form, s_be_max
@@ -28,8 +28,8 @@ GAP_TOLERANCE = 1e-5
 CONSTRAINT_TOLERANCE = 1e-9
 # below this flip probability the q0 term cannot compensate anything and p0 is pinned
 PINNED_C1SQ = 1e-9
-# two grid points, then per start its start point and a 5-d simplex's 6 vertices
-MIN_BUDGET = 2 + 3 * (1 + 6)
+# two grid points, then for each of 2 starts its start point and a 5-d simplex's 6 vertices
+MIN_BUDGET = 2 + 2 * (1 + 6)
 
 
 class InfeasibleConstraintError(ValueError):
@@ -95,18 +95,13 @@ def entropy_objective(params: AttackParams) -> float:
     return be_spectrum_closed_form(params).entropy()
 
 
-def maximize_s_be(
-    constraint: FidelityConstraint,
-    budget: int = 20000,
-    seed: int = 0,
-) -> OptResult:
+def maximize_s_be(constraint: FidelityConstraint, budget: int = 20000) -> OptResult:
     """Maximize the eavesdropper entropy under a fidelity constraint.
 
     Args:
         constraint: observed f01 and fpm the attack must reproduce.
-        budget: cap on objective evaluations over all stages, >= MIN_BUDGET.
-        seed: seed for the start-point jitter; fixed (constraint, budget,
-            seed) triples give identical results.
+        budget: cap on objective evaluations over all stages, >= MIN_BUDGET;
+            the search is deterministic in (constraint, budget).
 
     Returns:
         OptResult with the best attack, its entropy, and the gap to the
@@ -117,6 +112,9 @@ def maximize_s_be(
         BoundaryViolationError: constraint lies below the xi >= 1/2 region.
         InfeasibleConstraintError: no overlap assignment can meet it.
     """
+    # not at module level: scipy.optimize is most of a cold start of the CLI
+    from scipy.optimize import minimize
+
     if budget < MIN_BUDGET:
         raise ValueError(f"budget={budget} is below the minimum {MIN_BUDGET}")
     c0sq = constraint.c0sq
@@ -179,16 +177,9 @@ def maximize_s_be(
     grid_scores = [neg_entropy(np.array([p0, 0.0, 0.0, 0.0, 0.0])) for p0 in grid]
     best_grid_p0 = float(grid[int(np.argmin(grid_scores))])
 
-    # stage 2: simplex refinement from the analytic candidate (q0 = 1),
-    # the best grid point, and one jittered start
-    analytic_p0 = min(1.0, max(-1.0, (pinned - c1sq) / c0sq)) if c1sq > PINNED_C1SQ else lo
-    rng = np.random.default_rng(seed)
-    jitter = 0.02 * rng.standard_normal(4)
-    starts = [
-        np.array([analytic_p0, 0.0, 0.0, 0.0, 0.0]),
-        np.array([best_grid_p0, 0.0, 0.0, 0.0, 0.0]),
-        np.array([best_grid_p0, *jitter]),
-    ]
+    # stage 2: simplex refinement from the analytic candidate q0 = 1, which
+    # is p0 = lo, and from the best grid point
+    starts = [np.array([p0, 0.0, 0.0, 0.0, 0.0]) for p0 in (lo, best_grid_p0)]
     per_start = (budget - evals) // len(starts)
 
     candidates: list[tuple[float, np.ndarray]] = []

@@ -1,11 +1,17 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from dqkd.cli import main
 from dqkd.keyrate import final_rate
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_keyrate_table(capsys):
@@ -126,6 +132,31 @@ def test_optimize_rejects_a_budget_below_the_minimum(capsys):
         assert capsys.readouterr().err.startswith("error: budget")
 
 
+def test_optimize_takes_no_seed(capsys):
+    # the search is deterministic, so there is no seed to set
+    with pytest.raises(SystemExit) as exc:
+        main(["optimize", "--f01", "0.9", "--fpm", "0.9", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_commands_that_do_not_optimize_leave_scipy_unloaded():
+    # scipy.optimize is most of a cold start; only the optimize command needs it
+    script = (
+        "import dqkd.cli, sys; assert 'scipy.optimize' not in sys.modules; "
+        "assert dqkd.cli.main(['keyrate', '--xi', '0.9', '--e', '0.01']) == 0; "
+        "assert 'scipy.optimize' not in sys.modules"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+
+
 def test_simulate_with_flags(tmp_path, capsys):
     out = tmp_path / "run.json"
     code = main([
@@ -204,6 +235,17 @@ def test_simulate_config_errors(tmp_path, capsys):
         bad.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["simulate", "--config", str(bad)]) == 1
         assert f"config field '{field}'" in capsys.readouterr().err
+    # a malformed attack document is an input error naming its key, not a traceback
+    attack = {"c00": 1.0, "c01": 0.0, "c11": 1.0, "c10": 0.0}
+    for doc, key in (
+        ({**attack, "c00": 10**400}, "c00"),  # too large for a float
+        ({**attack, "overlaps": [{"name": "s", "im": 0.0}]}, "re"),
+        ({**attack, "overlaps": [3]}, "overlaps"),
+    ):
+        bad.write_text(json.dumps({"attack": doc, "n": 5000}), encoding="utf-8")
+        assert main(["simulate", "--config", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"'{key}'" in err
 
 
 def test_simulate_config_rejects_nan_overlap(tmp_path, capsys):

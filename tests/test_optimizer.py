@@ -70,11 +70,22 @@ def test_search_is_sound_and_complete():
 
 
 def test_search_is_deterministic():
+    # nothing in the search is random: a constraint and a budget fix the result
     c = FidelityConstraint(c0sq=0.9, cppsq=0.92)
-    a = maximize_s_be(c, budget=5000, seed=11)
-    b = maximize_s_be(c, budget=5000, seed=11)
+    a = maximize_s_be(c, budget=5000)
+    b = maximize_s_be(c, budget=5000)
     assert a == b
     assert a.iterations <= 5000
+
+
+def test_no_start_exhausts_its_share():
+    # each of the two simplex starts gets about half the budget; both
+    # converge long before spending it, so a larger budget changes nothing
+    for c0sq, cppsq in ((0.9, 0.9), (0.8, 0.85), (1.0, 0.75)):
+        c = FidelityConstraint(c0sq=c0sq, cppsq=cppsq)
+        result = maximize_s_be(c, budget=20000)
+        assert result.iterations < 20000 // 2
+        assert maximize_s_be(c, budget=40000) == result
 
 
 def test_budget_caps_every_evaluation():
@@ -103,7 +114,7 @@ def test_maximizer_at_the_gram_slack_is_realizable():
     # this maximizer's smallest Gram eigenvalue sits within 1e-15 of the
     # -1e-10 slack, where eigvalsh and eigh land on opposite sides of it
     c = FidelityConstraint(c0sq=0.7715960402188387, cppsq=0.8132663915296381)
-    result = maximize_s_be(c, budget=20000, seed=0)
+    result = maximize_s_be(c, budget=20000)
     assert abs(s_be_numeric(result.best_params) - result.best_entropy) <= 1e-10
 
 
