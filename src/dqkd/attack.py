@@ -140,9 +140,9 @@ class AttackParams:
 
         def number(entry: dict, key: str) -> float:
             try:
-                return float(entry[key])
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise ValueError(f"attack document key '{key}': missing or not a float") from exc
+                return real_number(entry[key])
+            except (KeyError, TypeError, OverflowError) as exc:
+                raise ValueError(f"attack document key '{key}': missing or not a number") from exc
 
         amps = {k: number(doc, k) for k in ("c00", "c01", "c11", "c10")}
         ov = {name: 0j for name in OVERLAP_NAMES}
@@ -157,10 +157,25 @@ class AttackParams:
         return cls(**amps, **ov)
 
 
+def real_number(value) -> float:
+    """A JSON number, integer or not, as a float; never a bool or a string.
+
+    Raises:
+        TypeError: value is not an int or a float (a bool included).
+        OverflowError: an integer too large for a float.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def gram_matrix(params: AttackParams) -> ComplexMatrix:
     """Gram matrix of (|E00>, |E01>, |E11>, |E10>) with unit diagonal."""
-    s, u, p, r, v, q = (params.s, params.u, params.p, params.r, params.v, params.q)
-    g = np.array(
+    return _gram(params.s, params.u, params.p, params.r, params.v, params.q)
+
+
+def _gram(s: complex, u: complex, p: complex, r: complex, v: complex, q: complex) -> ComplexMatrix:
+    return np.array(
         [
             [1.0, s, p, u],
             [np.conjugate(s), 1.0, v, q],
@@ -169,19 +184,19 @@ def gram_matrix(params: AttackParams) -> ComplexMatrix:
         ],
         dtype=complex,
     )
-    return g
 
 
 def validate(params: AttackParams) -> AttackParams:
     """Check every attack invariant; return the params unchanged if valid.
 
-    Each bound is tested as "not within", so a NaN parameter fails it.
+    Each bound is tested as "not within", so a NaN parameter fails it. The
+    checks run in the order listed; the first that fails raises.
 
     Raises:
         AmplitudeNormalizationError: amplitudes negative or not normalized.
         OverlapMagnitudeError: an overlap leaves the unit disc.
-        UnitarityConstraintError: branch vectors not orthogonal.
         GramNotPositiveError: overlap Gram matrix not PSD.
+        UnitarityConstraintError: branch vectors not orthogonal.
     """
     amps = (params.c00, params.c01, params.c11, params.c10)
     for a in amps:
@@ -195,20 +210,36 @@ def validate(params: AttackParams) -> AttackParams:
         raise AmplitudeNormalizationError(
             f"c11^2 + c10^2 = {params.c11**2 + params.c10**2} is not 1"
         )
-    for name, val in params.overlaps.items():
-        if not abs(val) <= 1.0 + OVERLAP_ATOL:
-            raise OverlapMagnitudeError(f"|{name}| = {abs(val)} exceeds 1")
+    fault = overlap_fault(params.s, params.u, params.p, params.r, params.v, params.q)
+    if fault is not None:
+        raise fault
     residual = params.c00 * params.c10 * params.u + params.c01 * params.c11 * params.v
     if not abs(residual) <= UNITARITY_ATOL:
         raise UnitarityConstraintError(
             f"|c00 c10 u + c01 c11 v| = {abs(residual)} exceeds 1e-12"
         )
-    w_min = np.linalg.eigvalsh(gram_matrix(params)).min()
+    return params
+
+
+def overlap_fault(
+    s: complex, u: complex, p: complex, r: complex, v: complex, q: complex
+) -> OverlapMagnitudeError | GramNotPositiveError | None:
+    """The first overlap invariant that raw overlaps break, or None.
+
+    validate raises what this reports; a search over overlaps at fixed,
+    already validated amplitudes can score a point with it without
+    constructing an AttackParams. Each bound is tested as "not within", so
+    a NaN overlap is reported.
+    """
+    for name, val in zip(OVERLAP_NAMES, (s, u, p, r, v, q)):
+        if not abs(val) <= 1.0 + OVERLAP_ATOL:
+            return OverlapMagnitudeError(f"|{name}| = {abs(val)} exceeds 1")
+    w_min = np.linalg.eigvalsh(_gram(s, u, p, r, v, q)).min()
     if not w_min >= PSD_SLACK:
-        raise GramNotPositiveError(
+        return GramNotPositiveError(
             f"Gram eigenvalue {w_min} below the -1e-10 positivity slack"
         )
-    return params
+    return None
 
 
 def realize_ancilla(params: AttackParams) -> np.ndarray:

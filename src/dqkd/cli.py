@@ -15,7 +15,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .attack import AttackParams, NAMED_ATTACKS, named_attack
+from .attack import AttackParams, NAMED_ATTACKS, named_attack, real_number
 from .keyrate import KeyRateReport, final_rate
 from .optimizer import FidelityConstraint, maximize_s_be
 from .protosim import ProtocolConfig, run_protocol
@@ -173,20 +173,13 @@ def _integer(value) -> int:
     return value
 
 
-def _real(value) -> float:
-    """A JSON number, integer or not; never a bool or a string."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
-
-
 _CONFIG_FIELDS = {
     "n": _integer,
-    "check_fraction": _real,
-    "announce_fraction": _real,
-    "backward_noise": _real,
+    "check_fraction": real_number,
+    "announce_fraction": real_number,
+    "backward_noise": real_number,
     "seed": _integer,
-    "abort_slack_z": _real,
+    "abort_slack_z": real_number,
 }
 
 

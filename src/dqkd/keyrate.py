@@ -140,6 +140,13 @@ class BeSpectrumClosedForm:
     delta1: float
     delta2: float
 
+    @classmethod
+    def from_block(cls, m: complex, a: float, b: float) -> "BeSpectrumClosedForm":
+        """The spectrum of the block B = [[2i a, m], [-conj(m), -2i b]]."""
+        d_a = math.sqrt(abs(m) ** 2 + (a + b) ** 2)
+        d_b = abs(a - b)
+        return cls(delta1=max(d_a, d_b), delta2=min(d_a, d_b))
+
     def spectrum(self) -> Spectrum:
         """The four nonzero eigenvalues, sorted descending."""
         d1, d2 = self.delta1, self.delta2
@@ -164,9 +171,7 @@ def be_spectrum_closed_form(params: AttackParams) -> BeSpectrumClosedForm:
     m = params.c00 * params.c11 * params.p - params.c01 * params.c10 * params.q
     a = params.c00 * params.c01 * params.s.imag
     b = params.c10 * params.c11 * params.r.imag
-    d_a = math.sqrt(abs(m) ** 2 + (a + b) ** 2)
-    d_b = abs(a - b)
-    return BeSpectrumClosedForm(delta1=max(d_a, d_b), delta2=min(d_a, d_b))
+    return BeSpectrumClosedForm.from_block(m, a, b)
 
 
 def s_be_numeric(params: AttackParams) -> float:

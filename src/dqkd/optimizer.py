@@ -6,11 +6,14 @@ the real overlap parts. Everything else about the attack is free, so the
 worst case is the attack maximizing the entropy of the averaged
 qubit-ancilla state under that single equality constraint. The search
 eliminates q0 exactly, grids the remaining real direction p0, and refines
-with a derivative-free simplex over (p0, p1, q1, s1, r1) from two starts,
-the analytic candidate q0 = 1 and the best grid point; overlaps that
-provably cancel from the spectrum (u and v, linked by the orthogonality
-constraint, and the real parts of s and r) are held at the tie-break
-value 0. The result is compared against the closed-form maximum 1 + h(xi).
+with a derivative-free simplex over (p0, p1, q1, s1, r1) from the analytic
+candidate q0 = 1 and from the best grid point, one run when the two
+coincide; overlaps that provably cancel from the spectrum (u and v, linked
+by the orthogonality constraint, and the real parts of s and r) are held at
+the tie-break value 0. Points of this slice are scored from the raw
+overlaps, with the validity test and closed form an AttackParams would use;
+only the maximizer is built as one. The result is compared against the
+closed-form maximum 1 + h(xi).
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .attack import AttackParams, AttackValidationError, forward_fidelities
-from .keyrate import be_spectrum_closed_form, s_be_max
+from .attack import AttackParams, forward_fidelities, overlap_fault
+from .keyrate import BeSpectrumClosedForm, be_spectrum_closed_form, s_be_max
 
 GAP_TOLERANCE = 1e-5
 # how closely the returned maximizer must reproduce the observed fidelities
@@ -95,8 +98,72 @@ def entropy_objective(params: AttackParams) -> float:
     return be_spectrum_closed_form(params).entropy()
 
 
+class _Slice:
+    """The search space x = (p0, p1, q1, s1, r1) of one constraint.
+
+    The amplitudes are c00 = c11 = sqrt(f01) and c01 = c10 = sqrt(1 - f01);
+    q0 is solved from the boundary identity, and u = v = 0 and Re s =
+    Re r = 0 (the tie-break value of directions that cancel from the
+    spectrum). The amplitudes are validated once, here; u = v = 0 keeps the
+    branches orthogonal, so only the overlaps vary from point to point.
+    """
+
+    def __init__(self, constraint: FidelityConstraint) -> None:
+        self.c0sq = constraint.c0sq
+        self.c1sq = constraint.c1sq
+        self.c0 = math.sqrt(self.c0sq)
+        self.c1 = math.sqrt(self.c1sq)
+        self.pinned = 2.0 * constraint.cppsq - 1.0
+        AttackParams(c00=self.c0, c01=self.c1, c11=self.c0, c10=self.c1)
+
+    def overlaps(self, x: np.ndarray) -> tuple[complex, complex, complex, complex] | None:
+        """(s, p, r, q) at x, or None when p0 or q0 leaves [-1, 1]."""
+        p0, p1, q1, s1, r1 = (float(t) for t in x)
+        if self.c1sq > PINNED_C1SQ:
+            q0 = (self.pinned - self.c0sq * p0) / self.c1sq
+        else:
+            # no flip amplitude: p0 is not a free direction, project it
+            p0 = self.pinned / self.c0sq
+            q0 = 1.0
+        if abs(p0) > 1.0 or abs(q0) > 1.0:
+            return None
+        return complex(0.0, s1), complex(p0, p1), complex(0.0, r1), complex(q0, q1)
+
+    def params(self, x: np.ndarray) -> AttackParams | None:
+        """The attack at x, None outside the box; raises AttackValidationError."""
+        ov = self.overlaps(x)
+        if ov is None:
+            return None
+        s, p, r, q = ov
+        c0, c1 = self.c0, self.c1
+        return AttackParams(c00=c0, c01=c1, c11=c0, c10=c1, s=s, u=0j, p=p, r=r, v=0j, q=q)
+
+    def neg_entropy(self, x: np.ndarray) -> float:
+        """-entropy_objective(params(x)), or inf where params(x) is None or raises.
+
+        Decides validity with attack.overlap_fault and scores with
+        BeSpectrumClosedForm.from_block, the routes AttackParams and
+        be_spectrum_closed_form take, so the value is the same bits.
+        """
+        ov = self.overlaps(x)
+        if ov is None:
+            return math.inf
+        s, p, r, q = ov
+        if overlap_fault(s, 0j, p, r, 0j, q) is not None:
+            return math.inf
+        c0, c1 = self.c0, self.c1
+        m = c0 * c0 * p - c1 * c1 * q
+        return -BeSpectrumClosedForm.from_block(m, c0 * c1 * s.imag, c1 * c0 * r.imag).entropy()
+
+
 def maximize_s_be(constraint: FidelityConstraint, budget: int = 20000) -> OptResult:
     """Maximize the eavesdropper entropy under a fidelity constraint.
+
+    A grid along p0, then Nelder-Mead from p0 = lo (q0 = 1) and from the
+    best grid point, or from lo alone when that is the best grid point;
+    each run may spend half the budget left after the grid. Evaluations
+    score the slice directly (_Slice.neg_entropy); the maximizer is built
+    and validated as an AttackParams.
 
     Args:
         constraint: observed f01 and fpm the attack must reproduce.
@@ -121,45 +188,15 @@ def maximize_s_be(constraint: FidelityConstraint, budget: int = 20000) -> OptRes
     c1sq = constraint.c1sq
     cppsq = constraint.cppsq
     closed_form = s_be_max(c0sq, c1sq, cppsq)
-    c0 = math.sqrt(c0sq)
-    c1 = math.sqrt(c1sq)
-    pinned = 2.0 * cppsq - 1.0
+    space = _Slice(constraint)
+    pinned = space.pinned
 
     evals = 0
-
-    def params_at(x: np.ndarray) -> AttackParams | None:
-        p0, p1, q1, s1, r1 = (float(t) for t in x)
-        if c1sq > PINNED_C1SQ:
-            q0 = (pinned - c0sq * p0) / c1sq
-        else:
-            # no flip amplitude: p0 is not a free direction, project it
-            p0 = pinned / c0sq
-            q0 = 1.0
-        if abs(p0) > 1.0 or abs(q0) > 1.0:
-            return None
-        return AttackParams(
-            c00=c0,
-            c01=c1,
-            c11=c0,
-            c10=c1,
-            s=complex(0.0, s1),
-            u=0j,
-            p=complex(p0, p1),
-            r=complex(0.0, r1),
-            v=0j,
-            q=complex(q0, q1),
-        )
 
     def neg_entropy(x: np.ndarray) -> float:
         nonlocal evals
         evals += 1
-        try:
-            params = params_at(x)
-        except AttackValidationError:
-            return np.inf
-        if params is None:
-            return np.inf
-        return -entropy_objective(params)
+        return space.neg_entropy(x)
 
     if c1sq > PINNED_C1SQ:
         lo = max(-1.0, (pinned - c1sq) / c0sq)
@@ -178,9 +215,13 @@ def maximize_s_be(constraint: FidelityConstraint, budget: int = 20000) -> OptRes
     best_grid_p0 = float(grid[int(np.argmin(grid_scores))])
 
     # stage 2: simplex refinement from the analytic candidate q0 = 1, which
-    # is p0 = lo, and from the best grid point
-    starts = [np.array([p0, 0.0, 0.0, 0.0, 0.0]) for p0 in (lo, best_grid_p0)]
-    per_start = (budget - evals) // len(starts)
+    # is p0 = lo, and from the best grid point unless that is lo too (a
+    # second run would repeat the first). A lone start still gets half the
+    # remaining budget, so whether the starts coincide never changes where
+    # a start stops.
+    start_p0s = (lo,) if best_grid_p0 == lo else (lo, best_grid_p0)
+    starts = [np.array([p0, 0.0, 0.0, 0.0, 0.0]) for p0 in start_p0s]
+    per_start = (budget - evals) // 2
 
     candidates: list[tuple[float, np.ndarray]] = []
     for x0 in starts:
@@ -213,7 +254,7 @@ def maximize_s_be(constraint: FidelityConstraint, budget: int = 20000) -> OptRes
         return (round(score / 1e-12) * 1e-12, float(np.hypot(x[2], x[1])))
 
     _, best_x = min(candidates, key=tie_break)
-    best_params = params_at(best_x)
+    best_params = space.params(best_x)
     if best_params is None:
         raise InfeasibleConstraintError("refinement left the feasible region")
     best_entropy = entropy_objective(best_params)

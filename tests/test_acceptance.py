@@ -155,10 +155,12 @@ def test_spectrum_ignores_the_cancelled_overlap_components():
 def test_entropy_maximum_certification():
     # on a 10x10 grid of feasible fidelities the search must land on the
     # ceiling 1 + h(xi) within 1e-5, with the four cancelled overlap
-    # components of the maximizer at zero
+    # components of the maximizer at zero; the evaluation count is a
+    # host-independent guard on its cost
     t0 = time.perf_counter()
     worst_gap = 0.0
     worst_component = 0.0
+    evals = 0
     for c0sq in np.linspace(0.75, 1.0, 10):
         for cppsq in np.linspace(1.5 - c0sq + 0.02, 1.0, 10):
             result = maximize_s_be(
@@ -166,6 +168,7 @@ def test_entropy_maximum_certification():
                 budget=20000,
             )
             worst_gap = max(worst_gap, abs(result.gap))
+            evals += result.iterations
             best = result.best_params
             worst_component = max(
                 worst_component,
@@ -174,16 +177,18 @@ def test_entropy_maximum_certification():
             )
             assert result.converged
     dt = time.perf_counter() - t0
-    ok = worst_gap <= 1e-5 and worst_component <= 1e-3 and dt < 120.0
+    ok = worst_gap <= 1e-5 and worst_component <= 1e-3 and dt < 120.0 and evals <= 61192
     _report(
         "entropy maximum certification",
         ok,
         f"max |gap| = {worst_gap:.3e}, max stray component = "
-        f"{worst_component:.3e} over 100 constraints in {dt:.1f}s",
+        f"{worst_component:.3e} over 100 constraints in {dt:.1f}s, "
+        f"{evals} evaluations",
     )
     assert worst_gap <= 1e-5
     assert worst_component <= 1e-3
     assert dt < 120.0
+    assert evals <= 61192
 
 
 def test_special_attack_rates():

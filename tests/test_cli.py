@@ -235,17 +235,27 @@ def test_simulate_config_errors(tmp_path, capsys):
         bad.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["simulate", "--config", str(bad)]) == 1
         assert f"config field '{field}'" in capsys.readouterr().err
-    # a malformed attack document is an input error naming its key, not a traceback
-    attack = {"c00": 1.0, "c01": 0.0, "c11": 1.0, "c10": 0.0}
+    # a malformed attack document is an input error naming its key, not a
+    # traceback; its numbers follow the real fields' rule: no bools, no strings
+    attack = {"c00": 1.0, "c01": 0.0, "c11": 1.0, "c10": 0}
     for doc, key in (
         ({**attack, "c00": 10**400}, "c00"),  # too large for a float
         ({**attack, "overlaps": [{"name": "s", "im": 0.0}]}, "re"),
         ({**attack, "overlaps": [3]}, "overlaps"),
+        ({**attack, "c00": "1.0"}, "c00"),
+        ({**attack, "c01": False}, "c01"),
+        ({**attack, "c11": True}, "c11"),
+        ({**attack, "overlaps": [{"name": "s", "re": True, "im": 0.0}]}, "re"),
+        ({**attack, "overlaps": [{"name": "p", "re": 1.0, "im": "0"}]}, "im"),
     ):
         bad.write_text(json.dumps({"attack": doc, "n": 5000}), encoding="utf-8")
         assert main(["simulate", "--config", str(bad)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"'{key}'" in err
+    # an integer is a number
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"attack": attack, "n": 5000}), encoding="utf-8")
+    assert main(["simulate", "--config", str(good)]) == 0
 
 
 def test_simulate_config_rejects_nan_overlap(tmp_path, capsys):

@@ -1,11 +1,20 @@
+import math
+
 import numpy as np
 import pytest
 
-from dqkd.attack import named_attack, sample_valid
+from dqkd.attack import (
+    AttackValidationError,
+    GramNotPositiveError,
+    OverlapMagnitudeError,
+    named_attack,
+    sample_valid,
+)
 from dqkd.keyrate import BoundaryViolationError, s_be_max, s_be_numeric
 from dqkd.optimizer import (
     MIN_BUDGET,
     FidelityConstraint,
+    _Slice,
     entropy_objective,
     maximize_s_be,
 )
@@ -86,6 +95,87 @@ def test_no_start_exhausts_its_share():
         result = maximize_s_be(c, budget=20000)
         assert result.iterations < 20000 // 2
         assert maximize_s_be(c, budget=40000) == result
+
+
+@pytest.mark.parametrize(
+    "c0sq, cppsq, entropy_hex, max_iterations",
+    [
+        (0.9, 0.9, "0x1.b8d047959ad49p+0", 611),
+        (0.8, 0.85, "0x1.ef1f158613782p+0", 594),
+        (1.0, 0.75, "0x1.cfafec54831f2p+0", 205),
+        (0.9, 0.92, "0x1.ae19877e29cb4p+0", 569),
+        (0.7715960402188387, 0.8132663915296381, "0x1.faa794139a2d0p+0", 2341),
+    ],
+)
+def test_pinned_results(c0sq, cppsq, entropy_hex, max_iterations):
+    # the maximum found, to the last bit, and an upper bound on its cost:
+    # one simplex run where the best grid point is the analytic candidate
+    result = maximize_s_be(FidelityConstraint(c0sq=c0sq, cppsq=cppsq))
+    assert result.best_entropy.hex() == entropy_hex
+    assert result.iterations <= max_iterations
+
+
+def _constructed_score(space: _Slice, x: np.ndarray) -> tuple[float, type | None]:
+    # the scorer's reference: build and validate an AttackParams at x
+    try:
+        params = space.params(x)
+    except AttackValidationError as exc:
+        return math.inf, type(exc)
+    if params is None:
+        return math.inf, None
+    return -entropy_objective(params), None
+
+
+def _slice_cloud(space: _Slice, rng: np.random.Generator) -> list[np.ndarray]:
+    """Feasible points, points off the p0/q0 box, and points next to the
+    overlap-magnitude and Gram-positivity thresholds."""
+    c0sq, c1sq, pinned = space.c0sq, space.c1sq, space.pinned
+    lo = max(-1.0, (pinned - c1sq) / c0sq)
+    hi = min(1.0, (pinned + c1sq) / c0sq)
+    cloud = []
+    for _ in range(40):
+        cloud.append(np.array([rng.uniform(lo, hi), *rng.uniform(-0.2, 0.2, 4)]))
+        cloud.append(np.array([rng.uniform(-1.5, 1.5), *rng.uniform(-0.2, 0.2, 4)]))
+        # |p| or |q| a few 1e-13 either side of 1 + OVERLAP_ATOL
+        p0 = rng.uniform(lo, hi)
+        ov = space.overlaps(np.array([p0, 0.0, 0.0, 0.0, 0.0]))
+        q0 = ov[3].real if ov is not None else 0.0
+        radius = 1.0 + 1e-12 + rng.uniform(-5e-13, 5e-13)
+        if rng.random() < 0.5:
+            cloud.append(np.array([p0, math.sqrt(radius**2 - p0**2), 0.0, 0.0, 0.0]))
+        else:
+            cloud.append(np.array([p0, 0.0, math.sqrt(radius**2 - q0**2), 0.0, 0.0]))
+    for _ in range(15):
+        # bisect along a random ray to where construction starts to fail,
+        # then sample within ~1e-12 of that point
+        base = np.array([rng.uniform(lo, hi), 0.0, 0.0, 0.0, 0.0])
+        ray = np.concatenate([[0.0], rng.standard_normal(4)])
+        ray /= np.linalg.norm(ray)
+        inside, outside = 0.0, 2.0
+        for _ in range(60):
+            mid = 0.5 * (inside + outside)
+            if math.isfinite(_constructed_score(space, base + mid * ray)[0]):
+                inside = mid
+            else:
+                outside = mid
+        cloud.extend(base + (inside + d) * ray for d in rng.uniform(-1e-12, 1e-12, 6))
+    return cloud
+
+
+def test_slice_scorer_matches_constructed_attacks():
+    # scoring raw (p0, p1, q1, s1, r1) must decide validity as AttackParams
+    # does and return the same bits as entropy_objective on the attack
+    rng = np.random.default_rng(11)
+    seen = set()
+    for c0sq, cppsq in ((0.9, 0.9), (0.8, 0.85), (1.0, 0.75),
+                        (0.7715960402188387, 0.8132663915296381)):
+        space = _Slice(FidelityConstraint(c0sq=c0sq, cppsq=cppsq))
+        for x in _slice_cloud(space, rng):
+            expected, error = _constructed_score(space, x)
+            assert space.neg_entropy(x).hex() == expected.hex(), (c0sq, cppsq, x)
+            seen.add(error if math.isinf(expected) else "valid")
+    # the cloud reaches every outcome: valid, off the box, and each overlap fault
+    assert seen == {"valid", None, OverlapMagnitudeError, GramNotPositiveError}
 
 
 def test_budget_caps_every_evaluation():
