@@ -12,7 +12,6 @@ from .attack import (
     AttackValidationError,
     ChannelFidelities,
     branch_vectors,
-    build_unitary,
     forward_fidelities,
     gram_matrix,
     named_attack,
@@ -44,9 +43,6 @@ from .protosim import (
 from .qstate import (
     DensityMatrix,
     binary_entropy,
-    density,
-    eig_hermitian,
-    kron,
     partial_trace,
     trace_distance,
     von_neumann_entropy,
@@ -72,16 +68,12 @@ __all__ = [
     "binary_entropy",
     "branch_vectors",
     "build_rho_abe",
-    "build_unitary",
     "decode_key_bit",
-    "density",
-    "eig_hermitian",
     "entropy_objective",
     "estimate_with_se",
     "final_rate",
     "forward_fidelities",
     "gram_matrix",
-    "kron",
     "maximize_s_be",
     "named_attack",
     "partial_trace",

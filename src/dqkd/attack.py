@@ -31,18 +31,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .qstate import (
-    ComplexMatrix,
-    Ket,
-    KET_0,
-    KET_1,
-    PSD_SLACK,
-    STATE_KETS,
-    kron,
-    outer,
-    partial_trace,
-    density,
-)
+from .qstate import KET_0, KET_1, PSD_SLACK, ComplexMatrix, Ket
 
 AMPLITUDE_ATOL = 1e-12
 OVERLAP_ATOL = 1e-12
@@ -264,31 +253,9 @@ def branch_vectors(params: AttackParams) -> tuple[Ket, Ket]:
     Returns (U(|0> ox |E>), U(|1> ox |E>)) built from realized ancillas.
     """
     e00, e01, e11, e10 = realize_ancilla(params)
-    phi0 = params.c00 * kron(KET_0, e00) + params.c01 * kron(KET_1, e01)
-    phi1 = params.c11 * kron(KET_1, e11) + params.c10 * kron(KET_0, e10)
+    phi0 = params.c00 * np.kron(KET_0, e00) + params.c01 * np.kron(KET_1, e01)
+    phi1 = params.c11 * np.kron(KET_1, e11) + params.c10 * np.kron(KET_0, e10)
     return phi0, phi1
-
-
-def build_unitary(params: AttackParams) -> ComplexMatrix:
-    """8x8 unitary realizing the attack on qubit ox ancilla.
-
-    The columns for inputs |0> ox |E> and |1> ox |E> (ancilla reference ket
-    = first basis vector) are exactly the two branch vectors; the remaining
-    columns are an orthonormal completion of the complement.
-    """
-    phi0, phi1 = branch_vectors(params)
-    u = np.zeros((8, 8), dtype=complex)
-    u[:, 0] = phi0
-    u[:, 4] = phi1
-    # orthonormal basis of the complement via the projector's eigenvectors
-    proj = np.eye(8, dtype=complex) - outer(phi0) - outer(phi1)
-    lam, vecs = np.linalg.eigh(proj)
-    complement = vecs[:, lam > 0.5]
-    if complement.shape[1] != 6:
-        raise AttackValidationError("branch vectors do not span a 2-dim subspace")
-    for col, idx in zip(complement.T, (1, 2, 3, 5, 6, 7)):
-        u[:, idx] = col
-    return u
 
 
 @dataclass(frozen=True)
@@ -344,23 +311,6 @@ def forward_fidelities(params: AttackParams) -> ChannelFidelities:
         fplus=fplus,
         fminus=fminus,
     )
-
-
-def probe_outcome_probability(params: AttackParams, prepared: str, outcome: str) -> float:
-    """P(measuring the attacked probe as `outcome`), by direct simulation.
-
-    Sends the prepared state through a realized attack, traces out the
-    ancilla, and projects the reduced qubit state onto the outcome state.
-    With outcome == prepared this is the channel fidelity; it provides the
-    simulation-route counterpart to the Gram-based forward_fidelities.
-    """
-    phi0, phi1 = branch_vectors(params)
-    prep = STATE_KETS[prepared]
-    attacked = prep[0] * phi0 + prep[1] * phi1
-    rho = density(outer(attacked), dims=(2, 4))
-    reduced = partial_trace(rho, keep=(0,))
-    out = STATE_KETS[outcome]
-    return float(np.real(np.conjugate(out) @ reduced.matrix @ out))
 
 
 def named_attack(name: str, e: float | None = None) -> AttackParams:

@@ -77,7 +77,8 @@ class SweepSpec:
         if self.steps < 2:
             raise ValueError(f"steps={self.steps} must be at least 2")
 
-    def rows(self) -> list[KeyRateReport]:
+    def rows(self) -> list[tuple[float, KeyRateReport]]:
+        """(grid value, report) for each of the evenly spaced grid points."""
         out = []
         for i in range(self.steps):
             v = self.start + (self.stop - self.start) * i / (self.steps - 1)
@@ -87,7 +88,7 @@ class SweepSpec:
             else:
                 xi = v
                 e = self.fixed_e
-            out.append(final_rate(xi, e))
+            out.append((v, final_rate(xi, e)))
         return out
 
 
@@ -109,12 +110,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         fixed_e=args.e,
         symmetric=args.symmetric,
     )
-    reports = spec.rows()
+    rows = spec.rows()
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SWEEP_HEADER)
-        for i, report in enumerate(reports):
-            v = spec.start + (spec.stop - spec.start) * i / (spec.steps - 1)
+        for v, report in rows:
             writer.writerow(
                 [
                     spec.variable,
@@ -128,7 +128,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     _fmt_bool(report.aborted),
                 ]
             )
-    print(f"wrote {len(reports)} rows to {args.out}")
+    print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
 
@@ -159,7 +159,18 @@ def _attack_from_value(value) -> AttackParams:
         return named_attack(value)
     if isinstance(value, dict):
         if "name" in value:
-            return named_attack(value["name"], value.get("e"))
+            unknown = set(value) - {"name", "e"}
+            if unknown:
+                raise ConfigError(
+                    f"attack document key '{sorted(unknown)[0]}': unknown key for a named attack"
+                )
+            e = value.get("e")
+            if e is not None:
+                try:
+                    e = real_number(e)
+                except (TypeError, OverflowError) as exc:
+                    raise ConfigError(f"attack document key 'e': {exc}") from exc
+            return named_attack(value["name"], e)
         return AttackParams.from_dict(value)
     raise ConfigError(f"config field 'attack': expected name or object, got {value!r}")
 

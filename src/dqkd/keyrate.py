@@ -10,6 +10,12 @@ key ox qubit ox ancilla whose entropy is exactly 2 bits for every valid
 attack; the eavesdropper's uncertainty about the key is therefore governed
 entirely by the entropy of the reduced qubit-ancilla state.
 
+The joint state is assembled block by block: the key bit is its most
+significant factor, so it is block diagonal with the two halved branches on
+the diagonal, and the key-1 branch is the key-0 branch with its qubit
+blocks [[A, B], [C, D]] rearranged to [[D, -C], [-B, A]]. Only the joint
+state and its qubit-ancilla reduction are validated as density matrices.
+
 That reduced state is 1/4 sum_i |v_i><v_i| over v = (phi0, phi1, Y phi0,
 Y phi1), phi0 and phi1 being the orthonormal attacked branches, so its four
 nonzero eigenvalues are those of the Gram matrix 1/4 [[I, B], [B^+, I]]:
@@ -37,14 +43,10 @@ import numpy as np
 from .attack import AttackParams, ChannelFidelities, branch_vectors
 from .qstate import (
     DensityMatrix,
-    KET_0,
-    KET_1,
     Spectrum,
     Y_GATE,
     binary_entropy,
-    density,
     entropy_bits,
-    kron,
     outer,
     partial_trace,
     trace_distance,
@@ -65,67 +67,60 @@ class JointStateBundle:
     """The joint states produced by one forward attack.
 
     Attributes:
-        rho_abe: classical key bit ox qubit ox ancilla, dims (2, 2, 4).
-        rho_be: qubit ox ancilla after averaging the key bit, dims (2, 4).
-        rho_be_0: qubit ox ancilla branch for key bit 0 (encoding I).
-        rho_be_1: qubit ox ancilla branch for key bit 1 (encoding Y).
+        rho_abe: classical key bit ox qubit ox ancilla, dims (2, 2, 4); block
+            diagonal in the key bit, each block half of that key's branch.
+        rho_be: qubit ox ancilla after tracing out the key bit, dims (2, 4).
     """
 
     rho_abe: DensityMatrix
     rho_be: DensityMatrix
-    rho_be_0: DensityMatrix
-    rho_be_1: DensityMatrix
 
 
 def build_rho_abe(params: AttackParams) -> JointStateBundle:
     """Assemble the joint key-qubit-ancilla state of an attack.
 
-    The forward channel turns the maximally mixed qubit into an equal
-    mixture of the two attacked branch vectors; the key-1 branch is that
-    state conjugated by Y on the qubit factor. The classical key bit is
-    kept as an explicit 2-dimensional factor in front.
+    The forward channel turns the maximally mixed qubit into the key-0
+    branch be0, an equal mixture of the two attacked branch vectors. The
+    key-1 branch is be0 conjugated by Y on the qubit factor: with be0 split
+    into qubit blocks [[A, B], [C, D]] of 4x4 ancilla blocks, that is
+    [[D, -C], [-B, A]], filled in by slicing. The classical key bit is the
+    most significant factor, so the two branches, halved, are the diagonal
+    blocks of rho_abe.
+
+    Only the two returned states are validated as density matrices:
+    rho_abe on construction and rho_be by the partial trace.
 
     Args:
         params: attack parameters.
 
     Returns:
-        JointStateBundle with all four states as validated density matrices.
+        JointStateBundle with both states as validated density matrices.
     """
     phi0, phi1 = branch_vectors(params)
     be0 = 0.5 * (outer(phi0) + outer(phi1))
-    y_qubit = kron(Y_GATE, np.eye(4, dtype=complex))
-    be1 = y_qubit @ be0 @ y_qubit.conj().T
-    rho_be_0 = density(be0, dims=(2, 4))
-    rho_be_1 = density(be1, dims=(2, 4))
-    abe = 0.5 * kron(outer(KET_0), be0) + 0.5 * kron(outer(KET_1), be1)
-    rho_abe = density(abe, dims=(2, 2, 4))
-    rho_be = partial_trace(rho_abe, keep=(1, 2))
-    return JointStateBundle(
-        rho_abe=rho_abe, rho_be=rho_be, rho_be_0=rho_be_0, rho_be_1=rho_be_1
-    )
+    abe = np.zeros((16, 16), dtype=complex)
+    abe[:8, :8] = 0.5 * be0
+    # key 1 from key 0: qubit blocks [[A, B], [C, D]] -> [[D, -C], [-B, A]]
+    abe[8:12, 8:12] = abe[4:8, 4:8]
+    abe[8:12, 12:] = -abe[4:8, :4]
+    abe[12:, 8:12] = -abe[:4, 4:8]
+    abe[12:, 12:] = abe[:4, :4]
+    rho_abe = DensityMatrix(abe, dims=(2, 2, 4))
+    return JointStateBundle(rho_abe=rho_abe, rho_be=partial_trace(rho_abe, keep=(1, 2)))
 
 
-def backward_indistinguishability(params: AttackParams | None = None) -> float:
-    """Distinguishability of the two encodings as seen on the channel.
+def backward_indistinguishability() -> float:
+    """Distinguishability of the two encodings on the return path alone.
 
-    With no forward attack the returning qubit alone is examined: encoding
-    I or Y on the maximally mixed state gives identical states, so the
-    trace distance is 0 and a backward-only eavesdropper learns nothing.
-    With a forward attack the comparison is made on the joint
-    qubit-ancilla branches, which generally do differ.
-
-    Args:
-        params: optional forward attack; None means untouched channel.
+    With no forward attack the returning qubit is maximally mixed, and
+    encoding I or Y on it gives identical states, so the trace distance
+    is 0 and a backward-only eavesdropper learns nothing.
 
     Returns:
-        Trace distance between the key-0 and key-1 states.
+        Trace distance between the key-0 and key-1 states of the qubit.
     """
-    if params is None:
-        rho = 0.5 * np.eye(2, dtype=complex)
-        encoded = Y_GATE @ rho @ Y_GATE.conj().T
-        return trace_distance(rho, encoded)
-    bundle = build_rho_abe(params)
-    return trace_distance(bundle.rho_be_0.matrix, bundle.rho_be_1.matrix)
+    rho = 0.5 * np.eye(2, dtype=complex)
+    return trace_distance(rho, Y_GATE @ rho @ Y_GATE.conj().T)
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,8 @@ Conventions used everywhere:
 
 * kets are 1-d complex numpy arrays, matrices are 2-d complex numpy arrays
   (the ``Ket`` / ``ComplexMatrix`` aliases below),
-* composite systems are ordered big-endian, so ``kron(a, b)`` puts system
-  ``a`` on the most significant index,
+* composite systems are ordered big-endian, so ``np.kron(a, b)`` puts
+  system ``a`` on the most significant index,
 * spectra are returned sorted in descending order.
 """
 
@@ -26,20 +26,14 @@ TRACE_ATOL = 1e-12
 PSD_SLACK = -1e-10
 ENTROPY_CUTOFF = 1e-12
 
-I_GATE = np.eye(2, dtype=complex)
-X_GATE = np.array([[0, 1], [1, 0]], dtype=complex)
-Z_GATE = np.array([[1, 0], [0, -1]], dtype=complex)
 # Encoding flip |0><1| - |1><0|. Real antisymmetric; differs from the Pauli Y
 # by a global phase, so conjugating a state with it is the same operation.
 Y_GATE = np.array([[0, 1], [-1, 0]], dtype=complex)
 
 KET_0 = np.array([1, 0], dtype=complex)
 KET_1 = np.array([0, 1], dtype=complex)
-KET_PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2.0)
-KET_MINUS = np.array([1, -1], dtype=complex) / np.sqrt(2.0)
 
 STATE_LABELS = ("0", "1", "+", "-")
-STATE_KETS = {"0": KET_0, "1": KET_1, "+": KET_PLUS, "-": KET_MINUS}
 BASIS_OF = {"0": "Z", "1": "Z", "+": "X", "-": "X"}
 COMPLEMENT = {"0": "1", "1": "0", "+": "-", "-": "+"}
 
@@ -50,11 +44,6 @@ class NotHermitianError(ValueError):
 
 class NotDensityMatrixError(ValueError):
     """Matrix fails a density-matrix invariant (trace or positivity)."""
-
-
-def kron(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
-    """Kronecker product, big-endian subsystem order."""
-    return np.kron(a, b)
 
 
 def dagger(m: ComplexMatrix) -> ComplexMatrix:
@@ -98,18 +87,9 @@ class DensityMatrix:
                 f"eigenvalue {w.min()} below the -1e-10 positivity slack"
             )
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
     def spectrum(self) -> Spectrum:
         """Eigenvalues, descending."""
         return np.sort(np.linalg.eigvalsh(self.matrix))[::-1]
-
-
-def density(matrix: ComplexMatrix, dims: tuple[int, ...]) -> DensityMatrix:
-    """Shorthand constructor for a validated DensityMatrix."""
-    return DensityMatrix(matrix=matrix, dims=dims)
 
 
 def partial_trace(rho: DensityMatrix, keep: tuple[int, ...]) -> DensityMatrix:
@@ -134,14 +114,6 @@ def partial_trace(rho: DensityMatrix, keep: tuple[int, ...]) -> DensityMatrix:
     kept_dims = tuple(dims[k] for k in keep)
     d = int(np.prod(kept_dims)) if kept_dims else 1
     return DensityMatrix(matrix=t.reshape(d, d), dims=kept_dims)
-
-
-def eig_hermitian(m: ComplexMatrix) -> Spectrum:
-    """Eigenvalues of a Hermitian matrix, sorted descending."""
-    m = np.asarray(m, dtype=complex)
-    if not np.max(np.abs(m - dagger(m))) <= 1e-10:
-        raise NotHermitianError("matrix is not Hermitian within 1e-10")
-    return np.sort(np.linalg.eigvalsh(m))[::-1]
 
 
 def von_neumann_entropy(rho: DensityMatrix | ComplexMatrix) -> float:

@@ -22,7 +22,7 @@ from .attack import (
     sample_valid,
 )
 from .keyrate import backward_indistinguishability, be_spectrum_closed_form, build_rho_abe
-from .qstate import eig_hermitian, von_neumann_entropy
+from .qstate import von_neumann_entropy
 
 JOINT_ENTROPY_ATOL = 1e-9
 SPECTRUM_ATOL = 1e-10
@@ -60,7 +60,7 @@ def _child_seeds(seed: int, count: int) -> list[int]:
 
 
 def _be_spectrum(params: AttackParams) -> np.ndarray:
-    return eig_hermitian(build_rho_abe(params).rho_be.matrix)
+    return build_rho_abe(params).rho_be.spectrum()
 
 
 def _perturbed_insensitive(
@@ -168,7 +168,7 @@ def run_verification(trials: int = 200, seed: int = 0) -> VerificationReport:
     )
 
     # backward-only eavesdropping sees identical encodings
-    dev = backward_indistinguishability(None)
+    dev = backward_indistinguishability()
     checks.append(
         VerificationCheck(
             name="backward-indistinguishability",

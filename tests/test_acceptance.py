@@ -28,7 +28,7 @@ from dqkd.keyrate import (
 )
 from dqkd.optimizer import FidelityConstraint, maximize_s_be
 from dqkd.protosim import ProtocolConfig, run_protocol
-from dqkd.qstate import binary_entropy, eig_hermitian, von_neumann_entropy
+from dqkd.qstate import binary_entropy, von_neumann_entropy
 
 H_005 = 0.2863969571159561  # h(0.05)
 H_01 = 0.4689955935892812  # h(0.1)
@@ -70,7 +70,7 @@ def test_closed_form_spectrum_matches_diagonalization():
         for symmetric in (True, False):
             params = sample_valid(seed=seed, symmetric=symmetric)
             closed = np.concatenate([be_spectrum_closed_form(params).spectrum(), np.zeros(4)])
-            brute = eig_hermitian(build_rho_abe(params).rho_be.matrix)
+            brute = build_rho_abe(params).rho_be.spectrum()
             worst = max(worst, float(np.max(np.abs(np.sort(closed)[::-1] - brute))))
     dt = time.perf_counter() - t0
     ok = worst <= 1e-10 and dt < 10.0
@@ -118,8 +118,8 @@ def test_spectrum_ignores_the_cancelled_overlap_components():
         if perturbed is None:
             continue
         biggest_step = max(biggest_step, step)
-        before = eig_hermitian(build_rho_abe(params).rho_be.matrix)
-        after = eig_hermitian(build_rho_abe(perturbed).rho_be.matrix)
+        before = build_rho_abe(params).rho_be.spectrum()
+        after = build_rho_abe(perturbed).rho_be.spectrum()
         worst = max(worst, float(np.max(np.abs(before - after))))
 
     # positive control: an interior attack whose spectrum must move when
@@ -135,8 +135,8 @@ def test_spectrum_ignores_the_cancelled_overlap_components():
     control = float(
         np.max(
             np.abs(
-                eig_hermitian(build_rho_abe(base).rho_be.matrix)
-                - eig_hermitian(build_rho_abe(moved).rho_be.matrix)
+                build_rho_abe(base).rho_be.spectrum()
+                - build_rho_abe(moved).rho_be.spectrum()
             )
         )
     )
@@ -266,7 +266,7 @@ def test_rate_curve_comparison():
 
 def test_backward_only_attack_is_futile():
     # the two encodings of the maximally mixed qubit are the same state
-    dist = backward_indistinguishability(None)
+    dist = backward_indistinguishability()
     ok = dist <= 1e-12
     _report("backward-only futility", ok, f"trace distance = {dist:.3e}")
     assert dist <= 1e-12

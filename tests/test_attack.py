@@ -11,15 +11,14 @@ from dqkd.attack import (
     SamplingBudgetError,
     UnitarityConstraintError,
     branch_vectors,
-    build_unitary,
     forward_fidelities,
     gram_matrix,
     named_attack,
-    probe_outcome_probability,
     realize_ancilla,
     sample_valid,
     validate,
 )
+from oracles import build_unitary, probe_outcome_probability
 
 
 def test_identity_attack_is_valid():

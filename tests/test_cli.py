@@ -247,6 +247,9 @@ def test_simulate_config_errors(tmp_path, capsys):
         ({**attack, "c11": True}, "c11"),
         ({**attack, "overlaps": [{"name": "s", "re": True, "im": 0.0}]}, "re"),
         ({**attack, "overlaps": [{"name": "p", "re": 1.0, "im": "0"}]}, "im"),
+        ({"name": "symmetric", "e": False}, "e"),
+        ({"name": "symmetric", "e": "0.1"}, "e"),
+        ({"name": "symmetric", "e": 0.1, "c00": 1}, "c00"),
     ):
         bad.write_text(json.dumps({"attack": doc, "n": 5000}), encoding="utf-8")
         assert main(["simulate", "--config", str(bad)]) == 1

@@ -1,4 +1,4 @@
-"""Callers of the public API outside the tests: the demos and the benchmark."""
+"""Callers of the public API outside the tests: the demos, the benchmark and star imports."""
 
 import os
 import subprocess
@@ -44,3 +44,12 @@ def test_benchmark_workloads_import():
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_package_all_resolves():
+    # a stale entry in __all__ breaks `from dqkd import *` and nothing else
+    import dqkd
+
+    assert len(dqkd.__all__) == len(set(dqkd.__all__))
+    for name in dqkd.__all__:
+        assert hasattr(dqkd, name), name

@@ -6,6 +6,7 @@ import pytest
 from dqkd.attack import (
     AttackParams,
     ChannelFidelities,
+    branch_vectors,
     forward_fidelities,
     named_attack,
     sample_valid,
@@ -21,7 +22,7 @@ from dqkd.keyrate import (
     s_be_numeric,
     xi_from_fidelities,
 )
-from dqkd.qstate import binary_entropy, eig_hermitian, von_neumann_entropy
+from dqkd.qstate import Y_GATE, binary_entropy, outer, trace_distance, von_neumann_entropy
 
 # precomputed with 30-digit arithmetic
 H_01 = 0.4689955935892812
@@ -32,17 +33,23 @@ R_FINAL_09_005 = 0.2446074492947626  # 1 - h(0.9) - h(0.05)
 
 
 def test_bundle_structure():
-    for seed in range(20):
-        bundle = build_rho_abe(sample_valid(seed=seed))
+    # the block-sliced state equals the kron route (Y ox I) be0 (Y ox I)^+ bit for bit
+    y_qubit = np.kron(Y_GATE, np.eye(4))
+    attacks = [sample_valid(seed=seed) for seed in range(20)]
+    attacks += [named_attack(name) for name in ("identity", "measure_z", "measure_x")]
+    attacks.append(named_attack("symmetric", e=0.1))
+    for params in attacks:
+        phi0, phi1 = branch_vectors(params)
+        be0 = 0.5 * (outer(phi0) + outer(phi1))
+        be1 = y_qubit @ be0 @ y_qubit.conj().T
+        bundle = build_rho_abe(params)
         abe = bundle.rho_abe.matrix
         # block diagonal in the key bit: halves of the two branches
-        assert np.max(np.abs(abe[:8, :8] - 0.5 * bundle.rho_be_0.matrix)) <= 1e-12
-        assert np.max(np.abs(abe[8:, 8:] - 0.5 * bundle.rho_be_1.matrix)) <= 1e-12
-        assert np.max(np.abs(abe[:8, 8:])) <= 1e-12
-        assert np.max(np.abs(abe[8:, :8])) <= 1e-12
+        assert np.array_equal(abe[:8, :8], 0.5 * be0)
+        assert np.array_equal(abe[8:, 8:], 0.5 * be1)
+        assert not abe[:8, 8:].any() and not abe[8:, :8].any()
         # tracing the key bit averages the branches
-        avg = 0.5 * (bundle.rho_be_0.matrix + bundle.rho_be_1.matrix)
-        assert np.max(np.abs(bundle.rho_be.matrix - avg)) <= 1e-12
+        assert np.max(np.abs(bundle.rho_be.matrix - 0.5 * (be0 + be1))) <= 1e-12
 
 
 def test_joint_entropy_is_two_bits():
@@ -54,12 +61,15 @@ def test_joint_entropy_is_two_bits():
 
 def test_backward_channel_carries_nothing():
     # without a forward probe the two encodings give the same mixed state
-    assert backward_indistinguishability(None) <= 1e-12
-    assert backward_indistinguishability(named_attack("identity")) <= 1e-12
+    assert backward_indistinguishability() <= 1e-12
+
+    def key_block_distance(name: str) -> float:
+        abe = build_rho_abe(named_attack(name)).rho_abe.matrix
+        return trace_distance(2.0 * abe[:8, :8], 2.0 * abe[8:, 8:])
+
+    assert key_block_distance("identity") <= 1e-12
     # a forward measurement makes the encodings perfectly distinguishable
-    assert backward_indistinguishability(named_attack("measure_z")) == pytest.approx(
-        1.0, abs=1e-12
-    )
+    assert key_block_distance("measure_z") == pytest.approx(1.0, abs=1e-12)
 
 
 def test_closed_form_identity_attack():
@@ -113,7 +123,7 @@ def test_closed_form_matches_diagonalization():
             params = sample_valid(seed=seed, symmetric=symmetric)
             closed = be_spectrum_closed_form(params)
             full = np.concatenate([closed.spectrum(), np.zeros(4)])
-            brute = eig_hermitian(build_rho_abe(params).rho_be.matrix)
+            brute = build_rho_abe(params).rho_be.spectrum()
             assert np.max(np.abs(np.sort(full)[::-1] - brute)) <= 1e-10
             assert abs(closed.entropy() - s_be_numeric(params)) <= 1e-9
 
@@ -130,7 +140,7 @@ def test_closed_form_asymmetric_real_slice():
     want = abs(math.sqrt(0.48) * (0.5 + 0.3j) - math.sqrt(0.08) * 0.9)
     assert closed.delta1 == pytest.approx(want, abs=1e-12)
     assert closed.delta2 == 0.0
-    brute = eig_hermitian(build_rho_abe(params).rho_be.matrix)
+    brute = build_rho_abe(params).rho_be.spectrum()
     want_spectrum = [(1 + want) / 4] * 2 + [(1 - want) / 4] * 2 + [0.0] * 4
     assert np.max(np.abs(brute - want_spectrum)) <= 1e-10
 
