@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .qstate import KET_0, KET_1, PSD_SLACK, ComplexMatrix, Ket
+from .qstate import PSD_SLACK, ComplexMatrix, Ket
 
 AMPLITUDE_ATOL = 1e-12
 OVERLAP_ATOL = 1e-12
@@ -250,11 +250,12 @@ def realize_ancilla(params: AttackParams) -> np.ndarray:
 def branch_vectors(params: AttackParams) -> tuple[Ket, Ket]:
     """The two attacked transmission branches as 8-dim qubit-ancilla kets.
 
-    Returns (U(|0> ox |E>), U(|1> ox |E>)) built from realized ancillas.
+    Returns (U(|0> ox |E>), U(|1> ox |E>)) built from realized ancillas,
+    the qubit's |0> component in the first four entries, its |1> in the last.
     """
     e00, e01, e11, e10 = realize_ancilla(params)
-    phi0 = params.c00 * np.kron(KET_0, e00) + params.c01 * np.kron(KET_1, e01)
-    phi1 = params.c11 * np.kron(KET_1, e11) + params.c10 * np.kron(KET_0, e10)
+    phi0 = np.concatenate((params.c00 * e00, params.c01 * e01))
+    phi1 = np.concatenate((params.c10 * e10, params.c11 * e11))
     return phi0, phi1
 
 
@@ -318,11 +319,13 @@ def named_attack(name: str, e: float | None = None) -> AttackParams:
 
     Args:
         name: one of "identity", "measure_z", "measure_x", "symmetric".
-        e: disturbance parameter in [0, 1/2], required for "symmetric".
+        e: disturbance in [0, 1/2], required for "symmetric", None otherwise.
 
     Returns:
         The named AttackParams.
     """
+    if e is not None and name != "symmetric" and name in NAMED_ATTACKS:
+        raise ValueError(f"the {name} attack takes no disturbance e, got e={e}")
     if name == "identity":
         params = AttackParams(
             c00=1.0, c01=0.0, c11=1.0, c10=0.0,

@@ -212,12 +212,7 @@ def _load_config(path: str | None, args: argparse.Namespace) -> ProtocolConfig:
     if "attack" in doc:
         attack = _attack_from_value(doc["attack"])
     if args.attack is not None:
-        if args.attack == "symmetric":
-            if args.attack_e is None:
-                raise ConfigError("--attack symmetric needs --attack-e")
-            attack = named_attack("symmetric", args.attack_e)
-        else:
-            attack = named_attack(args.attack)
+        attack = named_attack(args.attack, args.attack_e)
     if attack is None:
         raise ConfigError("config field 'attack': missing (no --attack either)")
 

@@ -36,7 +36,7 @@ boundary xi >= 1/2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -227,7 +227,6 @@ class KeyRateReport:
             when xi < 0 leaves it undefined.
         r_bb84: comparator rate 1 - 2 h(e).
         boundary_ok: xi >= 1/2.
-        aborted: the protocol outcome; always the negation of boundary_ok.
     """
 
     xi: float
@@ -237,20 +236,17 @@ class KeyRateReport:
     r_final_raw: float
     r_bb84: float
     boundary_ok: bool
-    aborted: bool
+
+    @property
+    def aborted(self) -> bool:
+        """The protocol outcome: the negation of boundary_ok."""
+        return not self.boundary_ok
 
     def to_dict(self) -> dict:
         raw = self.r_final_raw
-        return {
-            "xi": self.xi,
-            "e": self.e,
-            "r_pa": self.r_pa,
-            "r_final": self.r_final,
-            "r_final_raw": raw if math.isfinite(raw) else None,
-            "r_bb84": self.r_bb84,
-            "boundary_ok": self.boundary_ok,
-            "aborted": self.aborted,
-        }
+        # replacing r_final_raw keeps its place among the field keys
+        return {**asdict(self), "r_final_raw": raw if math.isfinite(raw) else None,
+                "aborted": self.aborted}
 
 
 def final_rate(xi: float, e: float) -> KeyRateReport:
@@ -292,5 +288,4 @@ def final_rate(xi: float, e: float) -> KeyRateReport:
         r_final_raw=r_final_raw,
         r_bb84=r_bb84,
         boundary_ok=boundary_ok,
-        aborted=not boundary_ok,
     )

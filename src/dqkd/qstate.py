@@ -11,7 +11,7 @@ Conventions used everywhere:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,9 +29,6 @@ ENTROPY_CUTOFF = 1e-12
 # Encoding flip |0><1| - |1><0|. Real antisymmetric; differs from the Pauli Y
 # by a global phase, so conjugating a state with it is the same operation.
 Y_GATE = np.array([[0, 1], [-1, 0]], dtype=complex)
-
-KET_0 = np.array([1, 0], dtype=complex)
-KET_1 = np.array([0, 1], dtype=complex)
 
 STATE_LABELS = ("0", "1", "+", "-")
 BASIS_OF = {"0": "Z", "1": "Z", "+": "X", "-": "X"}
@@ -62,10 +59,12 @@ class DensityMatrix:
 
     Invariants checked on construction: square shape matching prod(dims),
     Hermitian within 1e-12, unit trace within 1e-12, eigenvalues >= -1e-10.
+    The validated spectrum is kept (ascending, read-only) for later reads.
     """
 
     matrix: ComplexMatrix
     dims: tuple[int, ...]
+    _ascending: Spectrum = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=complex)
@@ -86,10 +85,12 @@ class DensityMatrix:
             raise NotDensityMatrixError(
                 f"eigenvalue {w.min()} below the -1e-10 positivity slack"
             )
+        w.flags.writeable = False
+        object.__setattr__(self, "_ascending", w)
 
     def spectrum(self) -> Spectrum:
-        """Eigenvalues, descending."""
-        return np.sort(np.linalg.eigvalsh(self.matrix))[::-1]
+        """Eigenvalues, descending: a read-only view of the validated ones."""
+        return self._ascending[::-1]
 
 
 def partial_trace(rho: DensityMatrix, keep: tuple[int, ...]) -> DensityMatrix:
@@ -125,7 +126,7 @@ def von_neumann_entropy(rho: DensityMatrix | ComplexMatrix) -> float:
     """
     if not isinstance(rho, DensityMatrix):
         rho = DensityMatrix(rho, dims=(len(rho),))
-    return entropy_bits(np.linalg.eigvalsh(rho.matrix))
+    return entropy_bits(rho._ascending)
 
 
 def entropy_bits(w: Spectrum) -> float:

@@ -36,10 +36,13 @@ class VerificationCheck:
     trials: int
     max_deviation: float
     tolerance: float
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.max_deviation <= self.tolerance
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {**asdict(self), "passed": self.passed}
 
 
 @dataclass(frozen=True)
@@ -124,7 +127,6 @@ def run_verification(trials: int = 200, seed: int = 0) -> VerificationReport:
             trials=trials,
             max_deviation=dev,
             tolerance=JOINT_ENTROPY_ATOL,
-            passed=dev <= JOINT_ENTROPY_ATOL,
         )
     )
 
@@ -142,7 +144,6 @@ def run_verification(trials: int = 200, seed: int = 0) -> VerificationReport:
             trials=trials,
             max_deviation=dev,
             tolerance=SPECTRUM_ATOL,
-            passed=dev <= SPECTRUM_ATOL,
         )
     )
 
@@ -163,7 +164,6 @@ def run_verification(trials: int = 200, seed: int = 0) -> VerificationReport:
             trials=trials,
             max_deviation=dev,
             tolerance=IDENTITY_ATOL,
-            passed=dev <= IDENTITY_ATOL,
         )
     )
 
@@ -175,7 +175,6 @@ def run_verification(trials: int = 200, seed: int = 0) -> VerificationReport:
             trials=1,
             max_deviation=dev,
             tolerance=BACKWARD_ATOL,
-            passed=dev <= BACKWARD_ATOL,
         )
     )
 
@@ -193,7 +192,6 @@ def run_verification(trials: int = 200, seed: int = 0) -> VerificationReport:
             trials=trials,
             max_deviation=dev,
             tolerance=SPECTRUM_ATOL,
-            passed=dev <= SPECTRUM_ATOL,
         )
     )
 

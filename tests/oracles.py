@@ -3,18 +3,30 @@
 The library computes channel fidelities from the Gram matrix of the ancilla
 kets alone. The oracle here takes the simulation route instead: it realizes
 the attack as an explicit 8x8 unitary on qubit ox ancilla, sends a probe
-state through it and measures the reduced qubit. Tests import it with
+state through it and measures the reduced qubit. The library places each
+branch ket's qubit components by slicing; the oracle builds the same kets
+from Kronecker products with the qubit basis. Tests import these with
 ``from oracles import ...``.
 """
 
 import numpy as np
 
-from dqkd.attack import AttackParams, AttackValidationError, branch_vectors
-from dqkd.qstate import KET_0, KET_1, ComplexMatrix, DensityMatrix, outer, partial_trace
+from dqkd.attack import AttackParams, AttackValidationError, branch_vectors, realize_ancilla
+from dqkd.qstate import ComplexMatrix, DensityMatrix, Ket, outer, partial_trace
 
+KET_0 = np.array([1, 0], dtype=complex)
+KET_1 = np.array([0, 1], dtype=complex)
 KET_PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2.0)
 KET_MINUS = np.array([1, -1], dtype=complex) / np.sqrt(2.0)
 STATE_KETS = {"0": KET_0, "1": KET_1, "+": KET_PLUS, "-": KET_MINUS}
+
+
+def kron_branch_vectors(params: AttackParams) -> tuple[Ket, Ket]:
+    """U(|0> ox |E>) and U(|1> ox |E>) as sums of qubit ox ancilla products."""
+    e00, e01, e11, e10 = realize_ancilla(params)
+    phi0 = params.c00 * np.kron(KET_0, e00) + params.c01 * np.kron(KET_1, e01)
+    phi1 = params.c11 * np.kron(KET_1, e11) + params.c10 * np.kron(KET_0, e10)
+    return phi0, phi1
 
 
 def build_unitary(params: AttackParams) -> ComplexMatrix:

@@ -18,7 +18,7 @@ from dqkd.attack import (
     sample_valid,
     validate,
 )
-from oracles import build_unitary, probe_outcome_probability
+from oracles import build_unitary, kron_branch_vectors, probe_outcome_probability
 
 
 def test_identity_attack_is_valid():
@@ -173,6 +173,16 @@ def test_branch_vectors_are_orthonormal():
         assert abs(np.vdot(phi0, phi1)) <= 1e-10
 
 
+def test_branch_vectors_match_kron_route():
+    # slicing places each qubit component where np.kron(|0> or |1>, .) puts it
+    attacks = [sample_valid(seed=seed, symmetric=bool(seed % 2)) for seed in range(200)]
+    attacks += [named_attack(name) for name in ("identity", "measure_z", "measure_x")]
+    attacks.append(named_attack("symmetric", e=0.1))
+    for params in attacks:
+        for got, want in zip(branch_vectors(params), kron_branch_vectors(params)):
+            assert np.array_equal(got, want)
+
+
 def test_build_unitary_is_unitary():
     for seed in range(100):
         u = build_unitary(sample_valid(seed=seed))
@@ -237,3 +247,8 @@ def test_named_attack_errors():
         named_attack("symmetric", e=0.6)
     with pytest.raises(ValueError):
         named_attack("bogus")
+    for name in ("identity", "measure_z", "measure_x"):
+        with pytest.raises(ValueError, match="takes no disturbance"):
+            named_attack(name, e=0.3)
+        with pytest.raises(ValueError, match="takes no disturbance"):
+            named_attack(name, e=0.0)

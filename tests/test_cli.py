@@ -224,6 +224,14 @@ def test_simulate_config_errors(tmp_path, capsys):
     bad.write_text(json.dumps({"attack": "symmetric", "n": 100}), encoding="utf-8")
     assert main(["simulate", "--config", str(bad)]) == 1
     capsys.readouterr()
+    # a disturbance given to an attack that takes none is an error, not dropped
+    bad.write_text(json.dumps({"attack": {"name": "identity", "e": 0.3}, "n": 5000}),
+                   encoding="utf-8")
+    assert main(["simulate", "--config", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    args = ["simulate", "--attack", "identity", "--attack-e", "0.3", "--n", "5000", "--seed", "1"]
+    assert main(args) == 1
+    assert capsys.readouterr().err.startswith("error:")
     # integer fields take integers only: no truncation, no bools
     # and real fields take numbers only: no bools, no strings
     for field, value in (

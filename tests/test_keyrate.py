@@ -22,7 +22,15 @@ from dqkd.keyrate import (
     s_be_numeric,
     xi_from_fidelities,
 )
-from dqkd.qstate import Y_GATE, binary_entropy, outer, trace_distance, von_neumann_entropy
+from dqkd.qstate import (
+    Y_GATE,
+    binary_entropy,
+    entropy_bits,
+    outer,
+    trace_distance,
+    von_neumann_entropy,
+)
+from dqkd.verify import run_verification
 
 # precomputed with 30-digit arithmetic
 H_01 = 0.4689955935892812
@@ -50,6 +58,40 @@ def test_bundle_structure():
         assert not abe[:8, 8:].any() and not abe[8:, :8].any()
         # tracing the key bit averages the branches
         assert np.max(np.abs(bundle.rho_be.matrix - 0.5 * (be0 + be1))) <= 1e-12
+
+
+def test_each_state_is_diagonalized_once(monkeypatch):
+    # rho_abe and rho_be are diagonalized when validated; the spectrum and
+    # the entropy reuse those eigenvalues
+    params = sample_valid(seed=3)
+    calls = [0]
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(m):
+        calls[0] += 1
+        return eigvalsh(m)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    s_be_numeric(params)
+    assert calls[0] == 2
+    calls[0] = 0
+    build_rho_abe(params).rho_be.spectrum()
+    assert calls[0] == 2
+    calls[0] = 0
+    run_verification(trials=16, seed=0)
+    assert calls[0] == 310
+
+
+def test_stored_spectrum_matches_fresh_diagonalization():
+    attacks = [sample_valid(seed=seed, symmetric=bool(seed % 2)) for seed in range(200)]
+    attacks += [named_attack(name) for name in ("identity", "measure_z", "measure_x")]
+    attacks.append(named_attack("symmetric", e=0.1))
+    for params in attacks:
+        bundle = build_rho_abe(params)
+        for rho in (bundle.rho_be, bundle.rho_abe):
+            w = np.linalg.eigvalsh(rho.matrix)
+            assert rho.spectrum().tobytes() == np.sort(w)[::-1].tobytes()
+            assert von_neumann_entropy(rho) == entropy_bits(w)
 
 
 def test_joint_entropy_is_two_bits():

@@ -3,8 +3,6 @@ import pytest
 
 from dqkd.qstate import (
     DensityMatrix,
-    KET_0,
-    KET_1,
     NotDensityMatrixError,
     NotHermitianError,
     Y_GATE,
@@ -14,7 +12,7 @@ from dqkd.qstate import (
     trace_distance,
     von_neumann_entropy,
 )
-from oracles import KET_MINUS, KET_PLUS
+from oracles import KET_0, KET_1, KET_MINUS, KET_PLUS
 
 # precomputed with 30-digit arithmetic
 H_005 = 0.2863969571159561
@@ -140,6 +138,15 @@ def test_density_matrix_spectrum():
         w = DensityMatrix(m / np.trace(m), dims=(2, 4)).spectrum()
         assert np.all(np.diff(w) <= 0)
         assert abs(np.sum(w) - 1.0) <= 1e-10
+
+
+def test_stored_spectrum_is_read_only():
+    rho = DensityMatrix(np.diag([0.75, 0.25]).astype(complex), dims=(2,))
+    w = rho.spectrum()
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+    assert np.array_equal(rho.spectrum(), [0.75, 0.25])
+    assert von_neumann_entropy(rho) == binary_entropy(0.25)
 
 
 def test_von_neumann_entropy():

@@ -17,12 +17,10 @@ def test_all_checks_pass():
 
 
 def test_report_flags_failures():
-    good = VerificationCheck(
-        name="a", trials=1, max_deviation=0.0, tolerance=1e-9, passed=True
-    )
-    bad = VerificationCheck(
-        name="b", trials=1, max_deviation=1.0, tolerance=1e-9, passed=False
-    )
+    good = VerificationCheck(name="a", trials=1, max_deviation=0.0, tolerance=1e-9)
+    bad = VerificationCheck(name="b", trials=1, max_deviation=1.0, tolerance=1e-9)
+    assert good.passed and not bad.passed
+    assert bad.to_dict()["passed"] is False
     assert VerificationReport(checks=(good,)).ok
     assert not VerificationReport(checks=(good, bad)).ok
 
