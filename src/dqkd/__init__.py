@@ -36,7 +36,6 @@ from .optimizer import FidelityConstraint, OptResult, entropy_objective, maximiz
 from .protosim import (
     ProtocolConfig,
     ProtocolStats,
-    decode_key_bit,
     estimate_with_se,
     run_protocol,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "binary_entropy",
     "branch_vectors",
     "build_rho_abe",
-    "decode_key_bit",
     "entropy_objective",
     "estimate_with_se",
     "final_rate",

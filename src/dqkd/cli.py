@@ -13,7 +13,6 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 from .attack import AttackParams, NAMED_ATTACKS, named_attack, real_number
 from .keyrate import KeyRateReport, final_rate
@@ -57,41 +56,6 @@ def cmd_keyrate(args: argparse.Namespace) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """One-variable sweep: which knob moves, over what grid, what is fixed."""
-
-    variable: str
-    start: float
-    stop: float
-    steps: int
-    fixed_xi: float | None = None
-    fixed_e: float = 0.0
-    symmetric: bool = False
-
-    def __post_init__(self) -> None:
-        if self.variable not in ("e", "xi", "backward_noise"):
-            raise ValueError(f"unknown sweep variable {self.variable!r}")
-        if not self.start < self.stop:
-            raise ValueError(f"start={self.start} must be below stop={self.stop}")
-        if self.steps < 2:
-            raise ValueError(f"steps={self.steps} must be at least 2")
-
-    def rows(self) -> list[tuple[float, KeyRateReport]]:
-        """(grid value, report) for each of the evenly spaced grid points."""
-        out = []
-        for i in range(self.steps):
-            v = self.start + (self.stop - self.start) * i / (self.steps - 1)
-            if self.variable in ("e", "backward_noise"):
-                e = v
-                xi = 1.0 - 2.0 * e if self.symmetric else self.fixed_xi
-            else:
-                xi = v
-                e = self.fixed_e
-            out.append((v, final_rate(xi, e)))
-        return out
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.var in ("e", "backward_noise"):
         if args.symmetric and args.xi is not None:
@@ -101,34 +65,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 args.xi = 1.0  # clean forward channel unless stated otherwise
             else:
                 raise ValueError("sweeping e needs either --xi or --symmetric")
-    spec = SweepSpec(
-        variable=args.var,
-        start=args.start,
-        stop=args.stop,
-        steps=args.steps,
-        fixed_xi=args.xi,
-        fixed_e=args.e,
-        symmetric=args.symmetric,
-    )
-    rows = spec.rows()
+    if not args.start < args.stop:
+        raise ValueError(f"start={args.start} must be below stop={args.stop}")
+    if args.steps < 2:
+        raise ValueError(f"steps={args.steps} must be at least 2")
+    grid = [args.start + (args.stop - args.start) * i / (args.steps - 1) for i in range(args.steps)]
+    if args.var == "xi":
+        reports = [final_rate(v, args.e) for v in grid]
+    else:
+        reports = [final_rate(1.0 - 2.0 * v if args.symmetric else args.xi, v) for v in grid]
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SWEEP_HEADER)
-        for v, report in rows:
-            writer.writerow(
-                [
-                    spec.variable,
-                    _fmt(v),
-                    _fmt(report.xi),
-                    _fmt(report.e),
-                    _fmt(report.r_pa),
-                    _fmt(report.r_final),
-                    _fmt(report.r_final_raw),
-                    _fmt(report.r_bb84),
-                    _fmt_bool(report.aborted),
-                ]
-            )
-    print(f"wrote {len(rows)} rows to {args.out}")
+        for v, r in zip(grid, reports):
+            nums = (v, r.xi, r.e, r.r_pa, r.r_final, r.r_final_raw, r.r_bb84)
+            writer.writerow([args.var, *map(_fmt, nums), _fmt_bool(r.aborted)])
+    print(f"wrote {args.steps} rows to {args.out}")
     return 0
 
 
@@ -208,6 +160,8 @@ def _load_config(path: str | None, args: argparse.Namespace) -> ProtocolConfig:
         if unknown:
             raise ConfigError(f"config field '{sorted(unknown)[0]}': unknown key")
 
+    if args.attack_e is not None and args.attack is None:
+        raise ConfigError("--attack-e needs --attack")
     attack = None
     if "attack" in doc:
         attack = _attack_from_value(doc["attack"])

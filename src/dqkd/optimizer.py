@@ -106,6 +106,8 @@ class _Slice:
     Re r = 0 (the tie-break value of directions that cancel from the
     spectrum). The amplitudes are validated once, here; u = v = 0 keeps the
     branches orthogonal, so only the overlaps vary from point to point.
+    [lo, hi] is the p0 interval on which q0 stays in [-1, 1]; without a
+    flip amplitude (c1sq <= PINNED_C1SQ) it is the single pinned p0.
     """
 
     def __init__(self, constraint: FidelityConstraint) -> None:
@@ -115,6 +117,11 @@ class _Slice:
         self.c1 = math.sqrt(self.c1sq)
         self.pinned = 2.0 * constraint.cppsq - 1.0
         AttackParams(c00=self.c0, c01=self.c1, c11=self.c0, c10=self.c1)
+        if self.c1sq > PINNED_C1SQ:
+            self.lo = max(-1.0, (self.pinned - self.c1sq) / self.c0sq)
+            self.hi = min(1.0, (self.pinned + self.c1sq) / self.c0sq)
+        else:
+            self.lo = self.hi = self.pinned / self.c0sq
 
     def overlaps(self, x: np.ndarray) -> tuple[complex, complex, complex, complex] | None:
         """(s, p, r, q) at x, or None when p0 or q0 leaves [-1, 1]."""
@@ -122,9 +129,7 @@ class _Slice:
         if self.c1sq > PINNED_C1SQ:
             q0 = (self.pinned - self.c0sq * p0) / self.c1sq
         else:
-            # no flip amplitude: p0 is not a free direction, project it
-            p0 = self.pinned / self.c0sq
-            q0 = 1.0
+            p0, q0 = self.lo, 1.0  # project onto the pinned p0
         if abs(p0) > 1.0 or abs(q0) > 1.0:
             return None
         return complex(0.0, s1), complex(p0, p1), complex(0.0, r1), complex(q0, q1)
@@ -189,7 +194,7 @@ def maximize_s_be(constraint: FidelityConstraint, budget: int = 20000) -> OptRes
     cppsq = constraint.cppsq
     closed_form = s_be_max(c0sq, c1sq, cppsq)
     space = _Slice(constraint)
-    pinned = space.pinned
+    lo, hi = space.lo, space.hi
 
     evals = 0
 
@@ -198,11 +203,6 @@ def maximize_s_be(constraint: FidelityConstraint, budget: int = 20000) -> OptRes
         evals += 1
         return space.neg_entropy(x)
 
-    if c1sq > PINNED_C1SQ:
-        lo = max(-1.0, (pinned - c1sq) / c0sq)
-        hi = min(1.0, (pinned + c1sq) / c0sq)
-    else:
-        lo = hi = pinned / c0sq
     if lo > hi + 1e-12 or hi < -1.0 or lo > 1.0:
         raise InfeasibleConstraintError(
             f"no p0 satisfies the boundary identity for {constraint}"

@@ -107,21 +107,6 @@ class ProtocolStats:
         return asdict(self)
 
 
-def decode_key_bit(prepared: str, outcome: str) -> int:
-    """Key bit implied by measuring `outcome` after preparing `prepared`.
-
-    0 when the outcome equals the prepared state, 1 when it is the basis
-    complement; cross-basis pairs are rejected.
-    """
-    if prepared not in BASIS_OF or outcome not in BASIS_OF:
-        raise ValueError(f"unknown state label in ({prepared!r}, {outcome!r})")
-    if BASIS_OF[prepared] != BASIS_OF[outcome]:
-        raise ValueError(
-            f"{prepared!r} and {outcome!r} are not measured in the same basis"
-        )
-    return 0 if outcome == prepared else 1
-
-
 def estimate_with_se(successes: int, trials: int) -> tuple[float, float]:
     """Binomial point estimate and standard error sqrt(p(1-p)/trials)."""
     if trials < 1:

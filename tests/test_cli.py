@@ -232,6 +232,11 @@ def test_simulate_config_errors(tmp_path, capsys):
     args = ["simulate", "--attack", "identity", "--attack-e", "0.3", "--n", "5000", "--seed", "1"]
     assert main(args) == 1
     assert capsys.readouterr().err.startswith("error:")
+    # --attack-e sets the disturbance of --attack only; a config's attack keeps its own
+    bad.write_text(json.dumps({"attack": {"name": "symmetric", "e": 0.1}, "n": 5000}),
+                   encoding="utf-8")
+    assert main(["simulate", "--config", str(bad), "--attack-e", "0.3", "--seed", "1"]) == 1
+    assert capsys.readouterr().err == "error: --attack-e needs --attack\n"
     # integer fields take integers only: no truncation, no bools
     # and real fields take numbers only: no bools, no strings
     for field, value in (

@@ -129,9 +129,7 @@ def _constructed_score(space: _Slice, x: np.ndarray) -> tuple[float, type | None
 def _slice_cloud(space: _Slice, rng: np.random.Generator) -> list[np.ndarray]:
     """Feasible points, points off the p0/q0 box, and points next to the
     overlap-magnitude and Gram-positivity thresholds."""
-    c0sq, c1sq, pinned = space.c0sq, space.c1sq, space.pinned
-    lo = max(-1.0, (pinned - c1sq) / c0sq)
-    hi = min(1.0, (pinned + c1sq) / c0sq)
+    lo, hi = space.lo, space.hi
     cloud = []
     for _ in range(40):
         cloud.append(np.array([rng.uniform(lo, hi), *rng.uniform(-0.2, 0.2, 4)]))

@@ -6,21 +6,9 @@ from dqkd.protosim import (
     InsufficientDataError,
     ProtocolConfig,
     ProtocolStats,
-    decode_key_bit,
     estimate_with_se,
     run_protocol,
 )
-
-
-def test_decode_key_bit():
-    assert decode_key_bit("0", "0") == 0  # unchanged probe means bit 0
-    assert decode_key_bit("+", "-") == 1  # basis complement means bit 1
-    assert decode_key_bit("1", "0") == 1
-    assert decode_key_bit("-", "-") == 0
-    with pytest.raises(ValueError):
-        decode_key_bit("0", "+")  # cross-basis pair carries no bit
-    with pytest.raises(ValueError):
-        decode_key_bit("2", "0")
 
 
 def test_estimate_with_se():

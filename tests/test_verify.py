@@ -1,3 +1,5 @@
+import pytest
+
 from dqkd.verify import VerificationCheck, VerificationReport, run_verification
 
 
@@ -29,3 +31,18 @@ def test_verification_is_deterministic():
     a = run_verification(trials=10, seed=4)
     b = run_verification(trials=10, seed=4)
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "trials, seed, deviations",
+    [
+        (16, 0, ("0x1.0000000000000p-51", "0x1.8000000000000p-52", "0x1.0000000000000p-53",
+                 "0x0.0p+0", "0x1.0000000000000p-51")),
+        (30, 7, ("0x1.0000000000000p-52", "0x1.c000000000000p-52", "0x1.8000000000000p-53",
+                 "0x0.0p+0", "0x1.0000000000000p-51")),
+    ],
+)
+def test_pinned_deviations(trials, seed, deviations):
+    # every check's worst deviation, to the last bit, in report order
+    report = run_verification(trials=trials, seed=seed)
+    assert tuple(c.max_deviation.hex() for c in report.checks) == deviations
