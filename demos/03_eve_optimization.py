@@ -1,11 +1,13 @@
-"""Search for Eve's best attack at fixed observable fidelities.
+"""Eve's best attack at fixed observable fidelities.
 
-Alice and Bob see only the four check fidelities. This script lets the
-optimizer hunt for the attack that maximizes Eve's entropy ceiling under
-those observations and compares the result with the proven closed form.
+Alice and Bob see only the four check fidelities. This script builds the
+attack that maximizes Eve's entropy under those observations, cross-checks
+its entropy by brute-force diagonalization, and compares it with the proven
+closed-form ceiling 1 + h(xi).
 """
 
 from dqkd.attack import forward_fidelities
+from dqkd.keyrate import s_be_numeric
 from dqkd.optimizer import FidelityConstraint, maximize_s_be
 
 
@@ -23,15 +25,15 @@ def main() -> None:
         print(label)
         print(f"  observed         f01 = {c0sq:.4f}, fpm = {cppsq:.4f} "
               f"(xi = {cppsq - (1 - c0sq):.4f})")
-        print(f"  search result    S = {result.best_entropy:.10f} after "
-              f"{result.iterations} evaluations")
-        print(f"  closed form      S = {result.closed_form_entropy:.10f}")
+        print(f"  entropy          S = {result.best_entropy:.10f} (closed-form spectrum)")
+        print(f"  diagonalized     S = {s_be_numeric(best):.10f}")
+        print(f"  ceiling 1+h(xi)  S = {result.closed_form_entropy:.10f}")
         print(f"  gap              {result.gap:.2e}")
         print(f"  maximizer        p = {best.p:.6f}  q = {best.q:.6f}")
         print(f"  reproduces       f01 = {f.f01:.6f}, fpm = {f.fpm:.6f}")
         print()
 
-    print("every search lands on S = 1 + h(xi): the protocol's privacy")
+    print("every maximizer lands on S = 1 + h(xi): the protocol's privacy")
     print("amplification fraction h(xi) is neither loose nor optimistic")
 
 

@@ -3,7 +3,7 @@
 The package builds the eavesdropper's most general collective forward
 attack, computes the exact joint-state spectra and entropies it induces,
 evaluates privacy-amplification and final key rates with the abort rule,
-numerically certifies the closed-form entropy maximum, and Monte-Carlo
+builds the attack that reaches the closed-form entropy maximum, and Monte-Carlo
 simulates the full protocol at finite sample sizes.
 """
 

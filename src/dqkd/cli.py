@@ -86,7 +86,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     constraint = FidelityConstraint(c0sq=args.f01, cppsq=args.fpm)
-    result = maximize_s_be(constraint, budget=args.budget)
+    result = maximize_s_be(constraint)
     for key in ("best_entropy", "closed_form_entropy", "gap"):
         print(f"{key:<20} = {_fmt(getattr(result, key))}")
     print(f"{'iterations':<20} = {result.iterations}")
@@ -271,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="maximize the eavesdropper entropy at fixed fidelities")
     p.add_argument("--f01", type=float, required=True, help="computational-basis fidelity")
     p.add_argument("--fpm", type=float, required=True, help="diagonal-basis fidelity")
-    p.add_argument("--budget", type=int, default=20000, help="objective evaluation cap")
     p.add_argument("--out", default=None, help="write the JSON result here instead of stdout")
     p.set_defaults(func=cmd_optimize)
 

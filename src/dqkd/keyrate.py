@@ -54,7 +54,7 @@ from .qstate import (
 )
 
 BOUNDARY_XI = 0.5
-# float slack on boundary comparisons, matching the domain checks below
+# float slack on boundary comparisons and on the domain checks below
 BOUNDARY_ATOL = 1e-12
 
 
@@ -194,12 +194,12 @@ def s_be_max(c0sq: float, c1sq: float, cppsq: float) -> float:
         BoundaryViolationError: cppsq - c1sq < 1/2 (abort region).
     """
     for name, val in (("c0sq", c0sq), ("c1sq", c1sq), ("cppsq", cppsq)):
-        if not -1e-12 <= val <= 1.0 + 1e-12:
+        if not -BOUNDARY_ATOL <= val <= 1.0 + BOUNDARY_ATOL:
             raise ValueError(f"{name}={val} outside [0, 1]")
     if abs(c0sq + c1sq - 1.0) > 1e-9:
         raise ValueError(f"c0sq + c1sq = {c0sq + c1sq} is not 1")
     xi = cppsq - c1sq
-    if xi < BOUNDARY_XI - 1e-12:
+    if xi < BOUNDARY_XI - BOUNDARY_ATOL:
         raise BoundaryViolationError(
             f"cppsq - c1sq = {xi} below the 1/2 boundary; no positive rate exists"
         )
@@ -209,7 +209,7 @@ def s_be_max(c0sq: float, c1sq: float, cppsq: float) -> float:
 def xi_from_fidelities(f: ChannelFidelities) -> float:
     """The rate parameter fpm + f01 - 1 from observed fidelities."""
     for name, val in f.to_dict().items():
-        if not -1e-12 <= val <= 1.0 + 1e-12:
+        if not -BOUNDARY_ATOL <= val <= 1.0 + BOUNDARY_ATOL:
             raise ValueError(f"{name}={val} outside [0, 1]")
     return f.fpm + f.f01 - 1.0
 
@@ -262,9 +262,9 @@ def final_rate(xi: float, e: float) -> KeyRateReport:
     Raises:
         ValueError: xi or e outside their domains.
     """
-    if not -1.0 - 1e-12 <= xi <= 1.0 + 1e-12:
+    if not -1.0 - BOUNDARY_ATOL <= xi <= 1.0 + BOUNDARY_ATOL:
         raise ValueError(f"xi={xi} outside [-1, 1]")
-    if not -1e-12 <= e <= 0.5 + 1e-12:
+    if not -BOUNDARY_ATOL <= e <= 0.5 + BOUNDARY_ATOL:
         raise ValueError(f"e={e} outside [0, 1/2]")
     xi = min(max(xi, -1.0), 1.0)
     e = min(max(e, 0.0), 0.5)

@@ -25,6 +25,8 @@ HERMITIAN_ATOL = 1e-12
 TRACE_ATOL = 1e-12
 PSD_SLACK = -1e-10
 ENTROPY_CUTOFF = 1e-12
+# float slack on the [0, 1] domain of a probability argument
+DOMAIN_ATOL = 1e-12
 
 # Encoding flip |0><1| - |1><0|. Real antisymmetric; differs from the Pauli Y
 # by a global phase, so conjugating a state with it is the same operation.
@@ -138,7 +140,7 @@ def entropy_bits(w: Spectrum) -> float:
 def binary_entropy(x: float) -> float:
     """h(x) = -x log2 x - (1-x) log2(1-x), with h(0) = h(1) = 0."""
     x = float(x)
-    if not -1e-12 <= x <= 1.0 + 1e-12:
+    if not -DOMAIN_ATOL <= x <= 1.0 + DOMAIN_ATOL:
         raise ValueError(f"binary_entropy argument {x} outside [0, 1]")
     x = min(max(x, 0.0), 1.0)
     if x == 0.0 or x == 1.0:

@@ -126,29 +126,42 @@ def test_optimize_infeasible_constraint(capsys):
     assert "boundary" in capsys.readouterr().err
 
 
-def test_optimize_rejects_a_budget_below_the_minimum(capsys):
-    for budget in ("10", "-5"):
-        assert main(["optimize", "--f01", "0.9", "--fpm", "0.9", "--budget", budget]) == 1
-        assert capsys.readouterr().err.startswith("error: budget")
+def test_optimize_takes_no_budget(capsys):
+    # the maximizer is built in closed form, so there is no evaluation cap to set
+    with pytest.raises(SystemExit) as exc:
+        main(["optimize", "--f01", "0.9", "--fpm", "0.9", "--budget", "20000"])
+    assert exc.value.code == 2
+    assert "--budget" in capsys.readouterr().err
 
 
 def test_optimize_takes_no_seed(capsys):
-    # the search is deterministic, so there is no seed to set
+    # the maximizer is deterministic, so there is no seed to set
     with pytest.raises(SystemExit) as exc:
         main(["optimize", "--f01", "0.9", "--fpm", "0.9", "--seed", "1"])
     assert exc.value.code == 2
     assert "--seed" in capsys.readouterr().err
 
 
-def test_commands_that_do_not_optimize_leave_scipy_unloaded():
-    # scipy.optimize is most of a cold start; only the optimize command needs it
+def test_no_command_loads_scipy(tmp_path):
+    # scipy serves only the tests' search oracle; importing it would be most
+    # of a cold start, so no subcommand, optimize included, may load it
+    commands = [
+        ["keyrate", "--xi", "0.9", "--e", "0.01"],
+        ["sweep", "--var", "xi", "--start", "0.5", "--stop", "1", "--steps", "3",
+         "--out", "rates.csv"],
+        ["optimize", "--f01", "0.9", "--fpm", "0.9"],
+        ["simulate", "--attack", "identity", "--n", "1000"],
+        ["verify", "--trials", "2"],
+    ]
     script = (
-        "import dqkd.cli, sys; assert 'scipy.optimize' not in sys.modules; "
-        "assert dqkd.cli.main(['keyrate', '--xi', '0.9', '--e', '0.01']) == 0; "
-        "assert 'scipy.optimize' not in sys.modules"
+        "import dqkd.cli, sys; assert 'scipy' not in sys.modules\n"
+        f"for argv in {commands!r}:\n"
+        "    assert dqkd.cli.main(argv) == 0, argv\n"
+        "    assert 'scipy' not in sys.modules, argv\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", script],
+        cwd=tmp_path,
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         capture_output=True,
         text=True,

@@ -10,14 +10,15 @@ from dqkd.attack import (
     named_attack,
     sample_valid,
 )
-from dqkd.keyrate import BoundaryViolationError, s_be_max, s_be_numeric
+from dqkd.attack import forward_fidelities
+from dqkd.keyrate import BoundaryViolationError, s_be_numeric
 from dqkd.optimizer import (
-    MIN_BUDGET,
+    CONSTRAINT_TOLERANCE,
     FidelityConstraint,
-    _Slice,
     entropy_objective,
     maximize_s_be,
 )
+from oracles import MIN_BUDGET, _Slice, search_s_be
 
 # precomputed with 30-digit arithmetic
 ONE_PLUS_H_075 = 1.8112781244591329
@@ -79,10 +80,10 @@ def test_search_is_sound_and_complete():
 
 
 def test_search_is_deterministic():
-    # nothing in the search is random: a constraint and a budget fix the result
+    # nothing in the search oracle is random: a constraint and a budget fix the result
     c = FidelityConstraint(c0sq=0.9, cppsq=0.92)
-    a = maximize_s_be(c, budget=5000)
-    b = maximize_s_be(c, budget=5000)
+    a = search_s_be(c, budget=5000)
+    b = search_s_be(c, budget=5000)
     assert a == b
     assert a.iterations <= 5000
 
@@ -92,9 +93,9 @@ def test_no_start_exhausts_its_share():
     # converge long before spending it, so a larger budget changes nothing
     for c0sq, cppsq in ((0.9, 0.9), (0.8, 0.85), (1.0, 0.75)):
         c = FidelityConstraint(c0sq=c0sq, cppsq=cppsq)
-        result = maximize_s_be(c, budget=20000)
+        result = search_s_be(c, budget=20000)
         assert result.iterations < 20000 // 2
-        assert maximize_s_be(c, budget=40000) == result
+        assert search_s_be(c, budget=40000) == result
 
 
 @pytest.mark.parametrize(
@@ -110,7 +111,7 @@ def test_no_start_exhausts_its_share():
 def test_pinned_results(c0sq, cppsq, entropy_hex, max_iterations):
     # the maximum found, to the last bit, and an upper bound on its cost:
     # one simplex run where the best grid point is the analytic candidate
-    result = maximize_s_be(FidelityConstraint(c0sq=c0sq, cppsq=cppsq))
+    result = search_s_be(FidelityConstraint(c0sq=c0sq, cppsq=cppsq))
     assert result.best_entropy.hex() == entropy_hex
     assert result.iterations <= max_iterations
 
@@ -181,16 +182,13 @@ def test_budget_caps_every_evaluation():
     # budget is never overspent
     c = FidelityConstraint(c0sq=0.9, cppsq=0.9)
     for budget in (MIN_BUDGET, 1000):
-        assert maximize_s_be(c, budget=budget).iterations <= budget
+        assert search_s_be(c, budget=budget).iterations <= budget
     for budget in (10, -5, MIN_BUDGET - 1):
         with pytest.raises(ValueError, match="budget"):
-            maximize_s_be(c, budget=budget)
+            search_s_be(c, budget=budget)
 
 
 def test_maximizer_respects_the_constraint():
-    from dqkd.attack import forward_fidelities
-    from dqkd.optimizer import CONSTRAINT_TOLERANCE
-
     c = FidelityConstraint(c0sq=0.85, cppsq=0.9)
     result = maximize_s_be(c)
     f = forward_fidelities(result.best_params)
@@ -199,10 +197,11 @@ def test_maximizer_respects_the_constraint():
 
 
 def test_maximizer_at_the_gram_slack_is_realizable():
-    # this maximizer's smallest Gram eigenvalue sits within 1e-15 of the
-    # -1e-10 slack, where eigvalsh and eigh land on opposite sides of it
+    # the search's maximizer here has its smallest Gram eigenvalue within
+    # 1e-15 of the -1e-10 slack, where eigvalsh and eigh land on opposite
+    # sides of it
     c = FidelityConstraint(c0sq=0.7715960402188387, cppsq=0.8132663915296381)
-    result = maximize_s_be(c, budget=20000)
+    result = search_s_be(c, budget=20000)
     assert abs(s_be_numeric(result.best_params) - result.best_entropy) <= 1e-10
 
 
@@ -220,3 +219,65 @@ def test_result_serialization():
         "converged", "gap", "iterations",
     ]
     assert doc["best_params"]["c00"] == pytest.approx(1.0)
+
+
+def _claim4_grid() -> list[tuple[float, float]]:
+    # the acceptance suite's claim-4 constraints
+    return [
+        (float(c0sq), float(cppsq))
+        for c0sq in np.linspace(0.75, 1.0, 10)
+        for cppsq in np.linspace(1.5 - c0sq + 0.02, 1.0, 10)
+    ]
+
+
+def _random_constraints(count: int) -> list[tuple[float, float]]:
+    # f01 in [1/2, 1] and fpm anywhere in the xi >= 1/2 region above it
+    rng = np.random.default_rng(23)
+    out = []
+    for _ in range(count):
+        c0sq = float(rng.uniform(0.5, 1.0))
+        out.append((c0sq, float(rng.uniform(1.5 - c0sq, 1.0))))
+    return out
+
+
+def test_analytic_maximizer_shape_and_entropy():
+    # q0 = 1 and p real exactly, every other overlap exactly 0; the
+    # fidelities hold and diagonalization agrees with the closed form
+    for c0sq, cppsq in _claim4_grid() + _random_constraints(50):
+        c = FidelityConstraint(c0sq=c0sq, cppsq=cppsq)
+        result = maximize_s_be(c)
+        best = result.best_params
+        assert best.q == 1 + 0j
+        assert best.s == best.r == best.u == best.v == 0
+        assert best.p.imag == 0.0
+        f = forward_fidelities(best)
+        assert abs(f.f01 - c.c0sq) <= CONSTRAINT_TOLERANCE
+        assert abs(f.fpm - c.cppsq) <= CONSTRAINT_TOLERANCE
+        assert abs(s_be_numeric(best) - result.best_entropy) <= 1e-10
+        assert result.iterations == 1
+
+
+def test_analytic_maximizer_at_the_edges():
+    # a flip probability of 1e-10: the solved p0 still meets fpm
+    for cppsq in (0.6, 0.75, 0.9, 1.0):
+        result = maximize_s_be(FidelityConstraint(c0sq=1.0 - 1e-10, cppsq=cppsq))
+        assert abs(forward_fidelities(result.best_params).fpm - cppsq) <= 1e-15
+    # xi = 1/2 exactly, where the ceiling is 2 bits
+    c = FidelityConstraint(c0sq=1.0, cppsq=0.5)
+    assert c.xi == 0.5
+    assert maximize_s_be(c).best_entropy == 2.0
+    # the boundary slack is 1e-12 either way
+    maximize_s_be(FidelityConstraint(c0sq=1.0, cppsq=0.5 - 1e-13))
+    with pytest.raises(BoundaryViolationError):
+        maximize_s_be(FidelityConstraint(c0sq=1.0, cppsq=0.5 - 1e-11))
+    with pytest.raises(ValueError, match="budget"):
+        maximize_s_be(c, budget=0)
+
+
+def test_analytic_maximizer_is_the_symmetric_attack():
+    # with f01 = fpm = 1 - e the maximizer is the symmetric attack of disturbance e
+    for e in np.linspace(0.0, 0.25, 26):
+        best = maximize_s_be(FidelityConstraint(c0sq=1.0 - e, cppsq=1.0 - e)).best_params
+        ref = named_attack("symmetric", float(e))
+        for name in ("c00", "c01", "c11", "c10", "s", "u", "p", "r", "v", "q"):
+            assert abs(getattr(best, name) - getattr(ref, name)) <= 1e-15, (e, name)
