@@ -28,6 +28,7 @@ from .keyrate import (
     be_spectrum_closed_form,
     build_rho_abe,
     final_rate,
+    joint_states,
     s_be_max,
     s_be_numeric,
     xi_from_fidelities,
@@ -72,6 +73,7 @@ __all__ = [
     "final_rate",
     "forward_fidelities",
     "gram_matrix",
+    "joint_states",
     "maximize_s_be",
     "named_attack",
     "partial_trace",

@@ -231,31 +231,45 @@ def overlap_fault(
     return None
 
 
-def realize_ancilla(params: AttackParams) -> np.ndarray:
-    """Concrete ancilla kets reproducing the overlaps.
+def realize_ancillas(attacks: list[AttackParams]) -> np.ndarray:
+    """Concrete ancilla kets reproducing the overlaps of each attack.
 
-    Factorizes the Gram matrix through its eigendecomposition. The params
-    were validated on construction, so negative eigenvalues lie within the
-    -1e-10 slack; they are clamped to zero and each ket rescaled back to unit
-    norm, which the clamp can move by ~1e-10. Returns a (4, 4) array whose
-    rows are the kets (|E00>, |E01>, |E11>, |E10>) in a four-dimensional
-    space.
+    Factorizes every Gram matrix through one stacked eigendecomposition.
+    The params were validated on construction, so negative eigenvalues lie
+    within the -1e-10 slack; they are clamped to zero and each ket rescaled
+    back to unit norm, which the clamp can move by ~1e-10. Returns a
+    (k, 4, 4) array whose entry i has as rows the kets (|E00>, |E01>,
+    |E11>, |E10>) of attack i in a four-dimensional space.
     """
-    lam, vecs = np.linalg.eigh(gram_matrix(params))
-    b = np.conjugate(vecs * np.sqrt(np.clip(lam, 0.0, None)))
+    lam, vecs = np.linalg.eigh(np.array([gram_matrix(a) for a in attacks]))
+    b = np.conjugate(vecs * np.sqrt(np.clip(lam, 0.0, None))[:, None, :])
     # rows of b satisfy <row_i|row_j> = G_ij, whose diagonal is 1
-    return b / np.linalg.norm(b, axis=1, keepdims=True)
+    return b / np.linalg.norm(b, axis=2, keepdims=True)
+
+
+def realize_ancilla(params: AttackParams) -> np.ndarray:
+    """The (4, 4) ancilla kets of one attack: realize_ancillas for k = 1."""
+    return realize_ancillas([params])[0]
+
+
+def branch_stack(attacks: list[AttackParams]) -> np.ndarray:
+    """The two attacked transmission branches of each attack, stacked.
+
+    Returns a (k, 2, 8) array whose entry i holds U(|0> ox |E>) and
+    U(|1> ox |E>) of attack i as 8-dim qubit-ancilla kets built from
+    realized ancillas, the qubit's |0> component in the first four entries,
+    its |1> in the last.
+    """
+    amps = np.array([(a.c00, a.c01, a.c11, a.c10) for a in attacks])
+    # rows c00 E00, c01 E01, c11 E11, c10 E10; branch 0 is (c00 E00, c01 E01)
+    # and branch 1 is (c10 E10, c11 E11)
+    scaled = amps[:, :, None] * realize_ancillas(attacks)
+    return scaled[:, [0, 1, 3, 2]].reshape(len(attacks), 2, 8)
 
 
 def branch_vectors(params: AttackParams) -> tuple[Ket, Ket]:
-    """The two attacked transmission branches as 8-dim qubit-ancilla kets.
-
-    Returns (U(|0> ox |E>), U(|1> ox |E>)) built from realized ancillas,
-    the qubit's |0> component in the first four entries, its |1> in the last.
-    """
-    e00, e01, e11, e10 = realize_ancilla(params)
-    phi0 = np.concatenate((params.c00 * e00, params.c01 * e01))
-    phi1 = np.concatenate((params.c10 * e10, params.c11 * e11))
+    """(U(|0> ox |E>), U(|1> ox |E>)) of one attack: branch_stack for k = 1."""
+    phi0, phi1 = branch_stack([params])[0]
     return phi0, phi1
 
 

@@ -15,6 +15,9 @@ significant factor, so it is block diagonal with the two halved branches on
 the diagonal, and the key-1 branch is the key-0 branch with its qubit
 blocks [[A, B], [C, D]] rearranged to [[D, -C], [-B, A]]. Only the joint
 state and its qubit-ancilla reduction are validated as density matrices.
+``joint_states`` builds the states of many attacks as one stack, with one
+eigensolver call per matrix size for all of them; ``build_rho_abe`` is its
+one-attack case.
 
 That reduced state is 1/4 sum_i |v_i><v_i| over v = (phi0, phi1, Y phi0,
 Y phi1), phi0 and phi1 being the orthonormal attacked branches, so its four
@@ -40,15 +43,16 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .attack import AttackParams, ChannelFidelities, branch_vectors
+from .attack import AttackParams, ChannelFidelities, branch_stack
 from .qstate import (
     DensityMatrix,
     Spectrum,
     Y_GATE,
     binary_entropy,
+    density_matrices,
     entropy_bits,
     outer,
-    partial_trace,
+    trace_out,
     trace_distance,
     von_neumann_entropy,
 )
@@ -76,8 +80,8 @@ class JointStateBundle:
     rho_be: DensityMatrix
 
 
-def build_rho_abe(params: AttackParams) -> JointStateBundle:
-    """Assemble the joint key-qubit-ancilla state of an attack.
+def joint_states(attacks: list[AttackParams]) -> list[JointStateBundle]:
+    """Assemble the joint key-qubit-ancilla states of many attacks at once.
 
     The forward channel turns the maximally mixed qubit into the key-0
     branch be0, an equal mixture of the two attacked branch vectors. The
@@ -87,26 +91,38 @@ def build_rho_abe(params: AttackParams) -> JointStateBundle:
     most significant factor, so the two branches, halved, are the diagonal
     blocks of rho_abe.
 
-    Only the two returned states are validated as density matrices:
-    rho_abe on construction and rho_be by the partial trace.
+    Every step runs on the whole (k, ...) stack: one eigendecomposition of
+    the k Gram matrices realizes the ancillas, and the two returned states
+    are validated as density matrices with one stacked eigensolver call
+    each, rho_abe on assembly and rho_be after tracing out the key bit.
+    Each stacked call runs the same routine on each matrix, so entry i
+    equals the bundle of attack i built alone, bit for bit.
 
     Args:
-        params: attack parameters.
+        attacks: attack parameters, at least one.
 
     Returns:
-        JointStateBundle with both states as validated density matrices.
+        One JointStateBundle per attack, in order, with both states as
+        validated density matrices.
     """
-    phi0, phi1 = branch_vectors(params)
-    be0 = 0.5 * (outer(phi0) + outer(phi1))
-    abe = np.zeros((16, 16), dtype=complex)
-    abe[:8, :8] = 0.5 * be0
+    phi = branch_stack(attacks)
+    be0 = 0.5 * (outer(phi[:, 0]) + outer(phi[:, 1]))
+    abe = np.zeros((len(attacks), 16, 16), dtype=complex)
+    abe[:, :8, :8] = 0.5 * be0
     # key 1 from key 0: qubit blocks [[A, B], [C, D]] -> [[D, -C], [-B, A]]
-    abe[8:12, 8:12] = abe[4:8, 4:8]
-    abe[8:12, 12:] = -abe[4:8, :4]
-    abe[12:, 8:12] = -abe[:4, 4:8]
-    abe[12:, 12:] = abe[:4, :4]
-    rho_abe = DensityMatrix(abe, dims=(2, 2, 4))
-    return JointStateBundle(rho_abe=rho_abe, rho_be=partial_trace(rho_abe, keep=(1, 2)))
+    abe[:, 8:12, 8:12] = abe[:, 4:8, 4:8]
+    abe[:, 8:12, 12:] = -abe[:, 4:8, :4]
+    abe[:, 12:, 8:12] = -abe[:, :4, 4:8]
+    abe[:, 12:, 12:] = abe[:, :4, :4]
+    dims = (2, 2, 4)
+    rho_abe = density_matrices(abe, dims)
+    rho_be = density_matrices(trace_out(abe, dims, keep=(1, 2)), dims[1:])
+    return [JointStateBundle(rho_abe=a, rho_be=b) for a, b in zip(rho_abe, rho_be)]
+
+
+def build_rho_abe(params: AttackParams) -> JointStateBundle:
+    """The joint states of one attack: joint_states for k = 1."""
+    return joint_states([params])[0]
 
 
 def backward_indistinguishability() -> float:

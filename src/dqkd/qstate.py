@@ -6,7 +6,9 @@ Conventions used everywhere:
   (the ``Ket`` / ``ComplexMatrix`` aliases below),
 * composite systems are ordered big-endian, so ``np.kron(a, b)`` puts
   system ``a`` on the most significant index,
-* spectra are returned sorted in descending order.
+* spectra are returned sorted in descending order,
+* a stack of k matrices is a (k, d, d) array; ``density_matrices``
+  validates a whole stack with one eigensolver call.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ HERMITIAN_ATOL = 1e-12
 TRACE_ATOL = 1e-12
 PSD_SLACK = -1e-10
 ENTROPY_CUTOFF = 1e-12
+# matrices per slice of the stacked Hermitian check
+HERMITIAN_SLICE = 16
 # float slack on the [0, 1] domain of a probability argument
 DOMAIN_ATOL = 1e-12
 
@@ -45,14 +49,9 @@ class NotDensityMatrixError(ValueError):
     """Matrix fails a density-matrix invariant (trace or positivity)."""
 
 
-def dagger(m: ComplexMatrix) -> ComplexMatrix:
-    """Conjugate transpose."""
-    return m.conjugate().T
-
-
 def outer(v: Ket) -> ComplexMatrix:
-    """Projector |v><v|."""
-    return np.outer(v, v.conjugate())
+    """Projector |v><v|; a (k, d) stack of kets gives the (k, d, d) stack."""
+    return v[..., :, None] * v.conjugate()[..., None, :]
 
 
 @dataclass(frozen=True)
@@ -62,6 +61,7 @@ class DensityMatrix:
     Invariants checked on construction: square shape matching prod(dims),
     Hermitian within 1e-12, unit trace within 1e-12, eigenvalues >= -1e-10.
     The validated spectrum is kept (ascending, read-only) for later reads.
+    Construction is the one-matrix case of ``density_matrices``.
     """
 
     matrix: ComplexMatrix
@@ -69,39 +69,65 @@ class DensityMatrix:
     _ascending: Spectrum = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        d = int(np.prod(self.dims))
-        if m.ndim != 2 or m.shape != (d, d):
-            raise NotDensityMatrixError(
-                f"shape {m.shape} does not match dims {self.dims}"
-            )
-        if not np.max(np.abs(m - dagger(m))) <= HERMITIAN_ATOL:
-            raise NotHermitianError("density matrix is not Hermitian within 1e-12")
-        tr = np.trace(m).real
-        if not abs(tr - 1.0) <= TRACE_ATOL:
-            raise NotDensityMatrixError(f"trace {tr} is not 1 within 1e-12")
-        w = np.linalg.eigvalsh(m)
-        if not w.min() >= PSD_SLACK:
-            raise NotDensityMatrixError(
-                f"eigenvalue {w.min()} below the -1e-10 positivity slack"
-            )
-        w.flags.writeable = False
-        object.__setattr__(self, "_ascending", w)
+        (rho,) = density_matrices(np.asarray(self.matrix, dtype=complex)[None], self.dims)
+        self.__dict__.update(rho.__dict__)
 
     def spectrum(self) -> Spectrum:
         """Eigenvalues, descending: a read-only view of the validated ones."""
         return self._ascending[::-1]
 
 
-def partial_trace(rho: DensityMatrix, keep: tuple[int, ...]) -> DensityMatrix:
-    """Trace out every subsystem not listed in ``keep``.
+def density_matrices(stack: np.ndarray, dims: tuple[int, ...]) -> list[DensityMatrix]:
+    """Validate a (k, d, d) stack in one pass and wrap each matrix.
 
-    ``keep`` preserves the original relative order of the kept subsystems.
+    The checks and tolerances are those of DensityMatrix. Each invariant is
+    tested on the whole stack before the next, as "not within" so that a
+    NaN entry fails, and its error names the index of the first matrix that
+    breaks it. The spectra come from one stacked ``eigvalsh`` call, which
+    runs the same LAPACK routine on each matrix, so entry i equals the
+    DensityMatrix of matrix i built alone, bit for bit.
+    """
+    stack = np.asarray(stack, dtype=complex)
+    dims = tuple(int(d) for d in dims)
+    d = int(np.prod(dims))
+    if stack.ndim != 3 or stack.shape[1:] != (d, d):
+        raise NotDensityMatrixError(f"shape {stack.shape[1:]} does not match dims {dims}")
+    # slice by slice, so the temporaries stay small however long the stack
+    skew = np.concatenate([
+        np.max(np.abs(part - part.conj().swapaxes(1, 2)), axis=(1, 2))
+        for part in np.split(stack, range(HERMITIAN_SLICE, len(stack), HERMITIAN_SLICE))
+    ])
+    bad = ~(skew <= HERMITIAN_ATOL)
+    if bad.any():
+        raise NotHermitianError(f"matrix {np.argmax(bad)} is not Hermitian within 1e-12")
+    tr = np.trace(stack, axis1=1, axis2=2).real
+    bad = ~(np.abs(tr - 1.0) <= TRACE_ATOL)
+    if bad.any():
+        i = np.argmax(bad)
+        raise NotDensityMatrixError(f"matrix {i}: trace {tr[i]} is not 1 within 1e-12")
+    spectra = np.linalg.eigvalsh(stack)
+    bad = ~(spectra[:, 0] >= PSD_SLACK)
+    if bad.any():
+        i = np.argmax(bad)
+        raise NotDensityMatrixError(
+            f"matrix {i}: eigenvalue {spectra[i, 0]} below the -1e-10 positivity slack"
+        )
+    spectra.flags.writeable = False
+    out = []
+    for m, w in zip(stack, spectra):
+        rho = object.__new__(DensityMatrix)
+        rho.__dict__.update(matrix=m, dims=dims, _ascending=w)
+        out.append(rho)
+    return out
+
+
+def trace_out(stack: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...]) -> np.ndarray:
+    """Partial trace of every matrix of a (k, d, d) stack, unvalidated.
+
+    ``keep`` names the subsystems to keep, strictly increasing; the result
+    is the (k, d', d') stack over them in their original order.
     """
     keep = tuple(int(k) for k in keep)
-    dims = rho.dims
     n = len(dims)
     if not keep:
         raise ValueError("keep must name at least one subsystem")
@@ -109,14 +135,22 @@ def partial_trace(rho: DensityMatrix, keep: tuple[int, ...]) -> DensityMatrix:
         raise ValueError(f"keep={keep} is not a subset of subsystems 0..{n - 1}")
     if tuple(sorted(keep)) != keep:
         raise ValueError("keep indices must be strictly increasing")
-    t = rho.matrix.reshape(dims + dims)
-    # contract row/column indices of each traced subsystem, highest index first
-    traced = [i for i in range(n) if i not in keep]
-    for i in sorted(traced, reverse=True):
-        t = np.trace(t, axis1=i, axis2=i + (t.ndim // 2))
-    kept_dims = tuple(dims[k] for k in keep)
-    d = int(np.prod(kept_dims)) if kept_dims else 1
-    return DensityMatrix(matrix=t.reshape(d, d), dims=kept_dims)
+    t = stack.reshape((len(stack),) + dims + dims)
+    # contract row/column indices of each traced subsystem, highest index
+    # first; axis 0 is the stack
+    for i in sorted(set(range(n)) - set(keep), reverse=True):
+        t = np.trace(t, axis1=1 + i, axis2=1 + i + (t.ndim - 1) // 2)
+    d = int(np.prod([dims[k] for k in keep]))
+    return t.reshape(len(stack), d, d)
+
+
+def partial_trace(rho: DensityMatrix, keep: tuple[int, ...]) -> DensityMatrix:
+    """Trace out every subsystem not listed in ``keep``.
+
+    ``keep`` preserves the original relative order of the kept subsystems.
+    """
+    reduced = trace_out(rho.matrix[None], rho.dims, keep)
+    return DensityMatrix(matrix=reduced[0], dims=tuple(rho.dims[int(k)] for k in keep))
 
 
 def von_neumann_entropy(rho: DensityMatrix | ComplexMatrix) -> float:

@@ -18,6 +18,7 @@ from dqkd.keyrate import (
     be_spectrum_closed_form,
     build_rho_abe,
     final_rate,
+    joint_states,
     s_be_max,
     s_be_numeric,
     xi_from_fidelities,
@@ -30,7 +31,6 @@ from dqkd.qstate import (
     trace_distance,
     von_neumann_entropy,
 )
-from dqkd.verify import run_verification
 
 # precomputed with 30-digit arithmetic
 H_01 = 0.4689955935892812
@@ -77,9 +77,18 @@ def test_each_state_is_diagonalized_once(monkeypatch):
     calls[0] = 0
     build_rho_abe(params).rho_be.spectrum()
     assert calls[0] == 2
-    calls[0] = 0
-    run_verification(trials=16, seed=0)
-    assert calls[0] == 310
+
+
+def test_joint_states_equal_one_at_a_time():
+    # the stacked build runs the same routines on each matrix, so entry i
+    # is the bundle of attack i built alone, bit for bit
+    attacks = [sample_valid(seed=seed, symmetric=bool(seed % 2)) for seed in range(64)]
+    for params, bundle in zip(attacks, joint_states(attacks)):
+        alone = build_rho_abe(params)
+        for got, want in ((bundle.rho_abe, alone.rho_abe), (bundle.rho_be, alone.rho_be)):
+            assert got.dims == want.dims
+            assert np.array_equal(got.matrix, want.matrix)
+            assert np.array_equal(got.spectrum(), want.spectrum())
 
 
 def test_stored_spectrum_matches_fresh_diagonalization():

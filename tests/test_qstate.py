@@ -7,6 +7,7 @@ from dqkd.qstate import (
     NotHermitianError,
     Y_GATE,
     binary_entropy,
+    density_matrices,
     outer,
     partial_trace,
     trace_distance,
@@ -52,6 +53,37 @@ def test_density_matrix_validates():
         DensityMatrix(0.25 * np.eye(4, dtype=complex), dims=(2,))  # dims mismatch
     with pytest.raises((NotHermitianError, NotDensityMatrixError)):
         DensityMatrix(np.full((2, 2), np.nan, dtype=complex), dims=(2,))
+
+
+def test_density_matrices_validate_a_stack_at_once():
+    rng = np.random.default_rng(5)
+    stack = []
+    for _ in range(20):  # longer than one slice of the Hermitian check
+        m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        m = m @ m.conj().T
+        stack.append(m / np.trace(m))
+    stack = np.array(stack)
+    for rho, m in zip(density_matrices(stack, dims=(2, 2)), stack):
+        alone = DensityMatrix(m, dims=(2, 2))
+        assert rho.dims == (2, 2)
+        assert np.array_equal(rho.matrix, alone.matrix)
+        assert np.array_equal(rho.spectrum(), alone.spectrum())
+    # each error names the first matrix that breaks its invariant
+    not_psd = stack.copy()
+    not_psd[2] = not_psd[3] = np.diag([1.5, -0.5, 0.0, 0.0])
+    with pytest.raises(NotDensityMatrixError, match="matrix 2:"):
+        density_matrices(not_psd, dims=(2, 2))
+    skewed = stack.copy()
+    skewed[17, 0, 1] += 1e-6
+    skewed[19, 0, 1] += 1e-6
+    with pytest.raises(NotHermitianError, match="matrix 17 "):
+        density_matrices(skewed, dims=(2, 2))
+    scaled = stack.copy()
+    scaled[3] *= 2.0
+    with pytest.raises(NotDensityMatrixError, match="matrix 3:"):
+        density_matrices(scaled, dims=(2, 2))
+    with pytest.raises(NotDensityMatrixError):
+        density_matrices(stack, dims=(2,))  # dims mismatch
 
 
 def test_partial_trace_bell_state():
