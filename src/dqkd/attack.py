@@ -205,7 +205,7 @@ def validate(params: AttackParams) -> AttackParams:
     residual = params.c00 * params.c10 * params.u + params.c01 * params.c11 * params.v
     if not abs(residual) <= UNITARITY_ATOL:
         raise UnitarityConstraintError(
-            f"|c00 c10 u + c01 c11 v| = {abs(residual)} exceeds 1e-12"
+            f"|c00 c10 u + c01 c11 v| = {abs(residual)} exceeds {UNITARITY_ATOL:g}"
         )
     return params
 
@@ -226,7 +226,7 @@ def overlap_fault(
     w_min = np.linalg.eigvalsh(_gram(s, u, p, r, v, q)).min()
     if not w_min >= PSD_SLACK:
         return GramNotPositiveError(
-            f"Gram eigenvalue {w_min} below the -1e-10 positivity slack"
+            f"Gram eigenvalue {w_min} below the {PSD_SLACK:g} positivity slack"
         )
     return None
 

@@ -57,21 +57,25 @@ def cmd_keyrate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.var in ("e", "backward_noise"):
-        if args.symmetric and args.xi is not None:
-            raise ValueError("--symmetric and --xi are mutually exclusive")
-        if not args.symmetric and args.xi is None:
-            if args.var == "backward_noise":
-                args.xi = 1.0  # clean forward channel unless stated otherwise
-            else:
-                raise ValueError("sweeping e needs either --xi or --symmetric")
+    if args.var == "xi":
+        if args.xi is not None or args.symmetric:
+            raise ValueError("--var xi sweeps xi itself and takes neither --xi nor --symmetric")
+    elif args.e is not None:
+        raise ValueError(f"--var {args.var} sets e from the swept value and takes no --e")
+    elif args.symmetric and args.xi is not None:
+        raise ValueError("--symmetric and --xi are mutually exclusive")
+    elif not args.symmetric and args.xi is None:
+        if args.var == "backward_noise":
+            args.xi = 1.0  # clean forward channel unless stated otherwise
+        else:
+            raise ValueError("sweeping e needs either --xi or --symmetric")
     if not args.start < args.stop:
         raise ValueError(f"start={args.start} must be below stop={args.stop}")
     if args.steps < 2:
         raise ValueError(f"steps={args.steps} must be at least 2")
     grid = [args.start + (args.stop - args.start) * i / (args.steps - 1) for i in range(args.steps)]
     if args.var == "xi":
-        reports = [final_rate(v, args.e) for v in grid]
+        reports = [final_rate(v, 0.0 if args.e is None else args.e) for v in grid]
     else:
         reports = [final_rate(1.0 - 2.0 * v if args.symmetric else args.xi, v) for v in grid]
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
@@ -260,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--out", required=True, help="CSV output path")
     p.add_argument("--xi", type=float, default=None, help="fixed xi when sweeping e")
-    p.add_argument("--e", type=float, default=0.0, help="fixed e when sweeping xi")
+    p.add_argument("--e", type=float, default=None, help="fixed e when sweeping xi (default 0)")
     p.add_argument(
         "--symmetric",
         action="store_true",

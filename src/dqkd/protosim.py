@@ -46,6 +46,10 @@ class ProtocolConfig:
     check_fraction is the probability a received qubit is check-measured;
     announce_fraction the probability an encoding-mode bit is announced.
     abort_slack_z widens the abort rule to est_xi - z * se < 1/2.
+
+    Raises:
+        TypeError: n or seed is not an integer (a bool included).
+        ValueError: a field outside its domain, a negative seed included.
     """
 
     attack: AttackParams
@@ -57,6 +61,13 @@ class ProtocolConfig:
     abort_slack_z: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("n", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # a numpy integer is not JSON
+        if self.seed < 0:
+            raise ValueError(f"seed={self.seed} must be non-negative")
         # numpy's multinomial draws n as a signed 64-bit integer
         if not 1 <= self.n <= 2**63 - 1:
             raise ValueError(f"n={self.n} outside [1, 2**63 - 1]")

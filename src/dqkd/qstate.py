@@ -99,18 +99,20 @@ def density_matrices(stack: np.ndarray, dims: tuple[int, ...]) -> list[DensityMa
     ])
     bad = ~(skew <= HERMITIAN_ATOL)
     if bad.any():
-        raise NotHermitianError(f"matrix {np.argmax(bad)} is not Hermitian within 1e-12")
+        raise NotHermitianError(
+            f"matrix {np.argmax(bad)} is not Hermitian within {HERMITIAN_ATOL:g}"
+        )
     tr = np.trace(stack, axis1=1, axis2=2).real
     bad = ~(np.abs(tr - 1.0) <= TRACE_ATOL)
     if bad.any():
         i = np.argmax(bad)
-        raise NotDensityMatrixError(f"matrix {i}: trace {tr[i]} is not 1 within 1e-12")
+        raise NotDensityMatrixError(f"matrix {i}: trace {tr[i]} is not 1 within {TRACE_ATOL:g}")
     spectra = np.linalg.eigvalsh(stack)
     bad = ~(spectra[:, 0] >= PSD_SLACK)
     if bad.any():
         i = np.argmax(bad)
         raise NotDensityMatrixError(
-            f"matrix {i}: eigenvalue {spectra[i, 0]} below the -1e-10 positivity slack"
+            f"matrix {i}: eigenvalue {spectra[i, 0]} below the {PSD_SLACK:g} positivity slack"
         )
     spectra.flags.writeable = False
     out = []

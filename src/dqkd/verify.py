@@ -8,18 +8,18 @@ backward-only eavesdropper sees nothing, and the spectrum does not move
 when the cancelling overlap directions (u and v together, and the real
 parts of s and r) are perturbed.
 
-A check runs in one stacked pass: it draws all of its attacks first, and
-a check that needs joint states builds them for every attack (for the
-insensitivity check, every base attack and all its neighbours) with one
-``keyrate.joint_states`` call, that is one eigensolver call per matrix
-size. Each check also names its witness, the child seed of the first draw
-that reaches the worst deviation.
+The sampled checks run in one pass over one draw: ``trials`` attacks,
+each seeded by its own child seed, together with their neighbours along
+the cancelling directions. The joint states of all of them are built with
+one ``keyrate.joint_states`` call, that is one eigensolver call per matrix
+size, and every check reads its deviations from that one stack. A draw's
+deviations depend on its seed alone, so each check's witness, the seed of
+the first draw that reaches its worst deviation, replays it by itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -40,8 +40,7 @@ class VerificationCheck:
     Attributes:
         witness_seed: child seed of the first draw that reaches
             max_deviation, replayed by sample_valid(witness_seed,
-            symmetric=bool(witness_seed % 2)); for the insensitivity check
-            the base draw; None for an unsampled check.
+            symmetric=bool(witness_seed % 2)); None for an unsampled check.
     """
 
     name: str
@@ -76,56 +75,14 @@ def _child_seeds(seed: int, count: int) -> list[int]:
     return [int(s) for s in rng.integers(0, 2**63, size=count)]
 
 
-def _worst(child_seed: int, trials: int, deviations) -> tuple[float, int]:
-    """Largest deviation over `trials` attacks drawn from child_seed, and its seed.
-
-    deviations maps the list of drawn attacks to one deviation per attack.
-    A NaN deviation counts as the largest, so it fails its check; the
-    witness is the seed of the first draw that reaches the maximum.
-    """
-    seeds = _child_seeds(child_seed, trials)
-    devs = np.asarray(
-        deviations([sample_valid(s, symmetric=bool(s % 2)) for s in seeds]), dtype=float
-    )
-    i = int(np.argmax(devs))  # the first NaN, if there is one
-    return float(devs[i]), seeds[i]
-
-
-def _joint_entropy(attacks: list[AttackParams]) -> list[float]:
-    """The joint-state entropy is exactly two bits, symmetric or not."""
-    return [abs(von_neumann_entropy(b.rho_abe) - 2.0) for b in joint_states(attacks)]
-
-
-def _closed_form_spectrum(attacks: list[AttackParams]) -> list[float]:
-    """The closed-form spectrum against brute force, symmetric or not."""
-    devs = []
-    for params, bundle in zip(attacks, joint_states(attacks)):
-        closed = np.sort(
-            np.concatenate([be_spectrum_closed_form(params).spectrum(), np.zeros(4)])
-        )[::-1]
-        devs.append(float(np.max(np.abs(closed - bundle.rho_be.spectrum()))))
-    return devs
-
-
-def _diagonal_fidelity(attacks: list[AttackParams]) -> list[float]:
-    """fpm = (1 + c00 c11 p0 + c01 c10 q0) / 2, any valid attack."""
-    return [
-        abs(
-            forward_fidelities(a).fpm
-            - 0.5 * (1.0 + a.c00 * a.c11 * a.p.real + a.c01 * a.c10 * a.q.real)
-        )
-        for a in attacks
-    ]
-
-
-def _neighbors(params: AttackParams, rng: np.random.Generator) -> list[AttackParams]:
+def _neighbors(params: AttackParams, seed: int) -> list[AttackParams]:
     """Valid neighbors of params along the spectrum-cancelling directions.
 
     Each move (u and v together, Re s, Re r) starts at a step of 0.05 and
-    halves it after each invalid attempt, trying at most 14 steps. Each
-    call draws one number from rng, the phase of the u-v move.
+    halves it after each invalid attempt, trying at most 14 steps. The
+    phase of the u-v move is drawn from default_rng([seed, 1]).
     """
-    phase = np.exp(2j * np.pi * rng.random())
+    phase = np.exp(2j * np.pi * np.random.default_rng([seed, 1]).random())
     moves = []
     if params.c01 * params.c11 > 1e-9:
         ratio = -(params.c00 * params.c10) / (params.c01 * params.c11)
@@ -149,22 +106,50 @@ def _neighbors(params: AttackParams, rng: np.random.Generator) -> list[AttackPar
     return out
 
 
-def _insensitivity(rng: np.random.Generator, attacks: list[AttackParams]) -> list[float]:
-    """The spectrum is flat along the cancelling overlap directions.
+def _deviations(seeds: list[int]) -> dict[str, np.ndarray]:
+    """Every sampled identity's deviation at each seed, keyed by check name.
 
-    The neighbours of each base attack are drawn in order, and every base
-    state is built in one stack with all the neighbours.
+    Seed s draws the attack sample_valid(s, symmetric=bool(s % 2)) and its
+    neighbours; the joint states of all attacks and all neighbours are one
+    stack. Each stacked step treats each entry alone, so entry i depends on
+    seeds[i] only and _deviations([seeds[i]]) replays it bit for bit.
     """
-    neighbors = [_neighbors(params, rng) for params in attacks]
-    moved = [m for near in neighbors for m in near]
-    spectra = [b.rho_be.spectrum() for b in joint_states(attacks + moved)]
-    devs, j = [], len(attacks)
-    for base, near in zip(spectra, neighbors):
-        devs.append(
-            max((float(np.max(np.abs(base - m))) for m in spectra[j : j + len(near)]), default=0.0)
-        )
-        j += len(near)
-    return devs
+    attacks = [sample_valid(s, symmetric=bool(s % 2)) for s in seeds]
+    near = [_neighbors(a, s) for a, s in zip(attacks, seeds)]
+    states = joint_states(attacks + [m for ms in near for m in ms])
+    k = len(attacks)
+    spectra = np.array([b.rho_be.spectrum() for b in states])
+    # the closed form's four nonzero eigenvalues and four zeros
+    closed = [np.append(be_spectrum_closed_form(a).spectrum(), [0.0] * 4) for a in attacks]
+    # each neighbour's spectrum against the spectrum of its own base attack
+    owner = np.repeat(np.arange(k), [len(ms) for ms in near])
+    insensitivity = np.zeros(k)
+    np.maximum.at(insensitivity, owner, np.max(np.abs(spectra[k:] - spectra[owner]), axis=1))
+    return {
+        # the joint-state entropy is exactly two bits, symmetric or not
+        "joint-entropy-two-bits": np.array(
+            [abs(von_neumann_entropy(b.rho_abe) - 2.0) for b in states[:k]]
+        ),
+        # the closed-form spectrum against brute force, symmetric or not
+        "closed-form-spectrum": np.max(np.abs(np.sort(closed)[:, ::-1] - spectra[:k]), axis=1),
+        # fpm = (1 + c00 c11 p0 + c01 c10 q0) / 2, any valid attack
+        "diagonal-fidelity-identity": np.array([
+            abs(
+                forward_fidelities(a).fpm
+                - 0.5 * (1.0 + a.c00 * a.c11 * a.p.real + a.c01 * a.c10 * a.q.real)
+            )
+            for a in attacks
+        ]),
+        # the spectrum is flat along the cancelling overlap directions
+        "overlap-insensitivity": insensitivity,
+    }
+
+
+def _worst(name: str, tolerance: float, deviations: dict, seeds: list[int]) -> VerificationCheck:
+    """The check's largest deviation, a NaN first, and the first seed reaching it."""
+    devs = deviations[name]
+    i = int(np.argmax(devs))  # the first NaN, if there is one
+    return VerificationCheck(name, len(seeds), float(devs[i]), tolerance, seeds[i])
 
 
 def run_verification(trials: int = 200, seed: int = 0) -> VerificationReport:
@@ -185,22 +170,17 @@ def run_verification(trials: int = 200, seed: int = 0) -> VerificationReport:
         raise ValueError(f"trials={trials} must be at least 1")
     if seed < 0:
         raise ValueError(f"seed={seed} must be non-negative")
-    seeds = _child_seeds(seed, 5)
-
-    def sampled(name: str, child_seed: int, deviations, tolerance: float) -> VerificationCheck:
-        worst, witness = _worst(child_seed, trials, deviations)
-        return VerificationCheck(name, trials, worst, tolerance, witness)
-
-    insensitivity = partial(_insensitivity, np.random.default_rng(seeds[3]))
+    seeds = _child_seeds(_child_seeds(seed, 1)[0], trials)
+    devs = _deviations(seeds)
     return VerificationReport(
         checks=(
-            sampled("joint-entropy-two-bits", seeds[0], _joint_entropy, JOINT_ENTROPY_ATOL),
-            sampled("closed-form-spectrum", seeds[1], _closed_form_spectrum, SPECTRUM_ATOL),
-            sampled("diagonal-fidelity-identity", seeds[2], _diagonal_fidelity, IDENTITY_ATOL),
+            _worst("joint-entropy-two-bits", JOINT_ENTROPY_ATOL, devs, seeds),
+            _worst("closed-form-spectrum", SPECTRUM_ATOL, devs, seeds),
+            _worst("diagonal-fidelity-identity", IDENTITY_ATOL, devs, seeds),
             # backward-only eavesdropping sees identical encodings
             VerificationCheck(
                 "backward-indistinguishability", 1, backward_indistinguishability(), BACKWARD_ATOL
             ),
-            sampled("overlap-insensitivity", seeds[4], insensitivity, SPECTRUM_ATOL),
+            _worst("overlap-insensitivity", SPECTRUM_ATOL, devs, seeds),
         )
     )

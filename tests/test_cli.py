@@ -110,6 +110,36 @@ def test_sweep_argument_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--var", "xi", "--symmetric"],
+        ["--var", "xi", "--xi", "0.7"],
+        ["--var", "e", "--symmetric", "--e", "0.3"],
+        ["--var", "e", "--xi", "0.9", "--e", "0.3"],
+        ["--var", "backward_noise", "--e", "0.3"],
+    ],
+    ids=["xi-symmetric", "xi-xi", "e-symmetric-e", "e-xi-e", "backward_noise-e"],
+)
+def test_sweep_rejects_an_ignored_flag(flags, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    argv = ["sweep", *flags, "--start", "0", "--stop", "0.1", "--steps", "3", "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --var ")
+    assert not out.exists()
+
+
+def test_simulate_rejects_a_negative_seed(tmp_path, capsys):
+    # the error names the field, from a flag or from a config file
+    assert main(["simulate", "--attack", "identity", "--n", "1000", "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: seed=-1 must be non-negative\n"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"attack": "identity", "n": 1000, "seed": -1}), encoding="utf-8")
+    assert main(["simulate", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == "error: seed=-1 must be non-negative\n"
+
+
 def test_optimize_writes_result(tmp_path, capsys):
     out = tmp_path / "opt.json"
     code = main(["optimize", "--f01", "1.0", "--fpm", "0.75", "--out", str(out)])

@@ -36,6 +36,24 @@ def test_config_validation():
             ProtocolConfig(attack=attack, n=100, abort_slack_z=z)
 
 
+def test_config_integer_contract():
+    attack = named_attack("identity")
+    for kwargs, name in (
+        ({"n": 5000.5}, "n"),
+        ({"n": True}, "n"),
+        ({"n": 100, "seed": 2.5}, "seed"),
+        ({"n": 100, "seed": False}, "seed"),
+    ):
+        with pytest.raises(TypeError, match=name):
+            ProtocolConfig(attack=attack, **kwargs)
+    with pytest.raises(ValueError, match="seed=-1"):
+        ProtocolConfig(attack=attack, n=100, seed=-1)
+    # numpy integers are accepted and stored as plain ints, which JSON takes
+    config = ProtocolConfig(attack=attack, n=np.int64(100), seed=np.uint32(3))
+    assert config == ProtocolConfig(attack=attack, n=100, seed=3)
+    assert type(config.n) is int and type(config.seed) is int
+
+
 def test_untouched_channel_is_perfect():
     # validation admits overlaps up to 1 + 1e-12, which lifts fplus to
     # 1 + 2.5e-13 here; the sampler must clip it, not reject the attack

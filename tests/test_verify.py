@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from dqkd import verify
-from dqkd.attack import sample_valid
 from dqkd.cli import main
 from dqkd.verify import VerificationCheck, VerificationReport, run_verification
 
@@ -22,6 +21,7 @@ def test_all_checks_pass():
     for check in report.checks:
         assert check.passed
         assert check.max_deviation <= check.tolerance
+        assert check.trials == (1 if check.name == "backward-indistinguishability" else 30)
 
 
 def test_report_flags_failures():
@@ -42,25 +42,44 @@ def test_verification_is_deterministic():
 @pytest.mark.parametrize(
     "trials, seed, deviations",
     [
-        (16, 0, ("0x1.0000000000000p-51", "0x1.8000000000000p-52", "0x1.0000000000000p-53",
-                 "0x0.0p+0", "0x1.0000000000000p-51")),
-        (30, 7, ("0x1.0000000000000p-52", "0x1.c000000000000p-52", "0x1.8000000000000p-53",
-                 "0x0.0p+0", "0x1.0000000000000p-51")),
+        (16, 0, ("0x1.0000000000000p-51", "0x1.c000000000000p-52", "0x1.0000000000000p-53",
+                 "0x0.0p+0", "0x1.2000000000000p-51")),
+        (30, 7, ("0x1.0000000000000p-52", "0x1.c000000000000p-52", "0x1.0000000000000p-53",
+                 "0x0.0p+0", "0x1.8000000000000p-51")),
+        (200, 0, ("0x1.0000000000000p-51", "0x1.2000000000000p-51", "0x1.0000000000000p-53",
+                  "0x0.0p+0", "0x1.a000000000000p-51")),
     ],
 )
 def test_pinned_deviations(trials, seed, deviations):
     # every check's worst deviation, to the last bit, in report order
     report = run_verification(trials=trials, seed=seed)
     assert tuple(c.max_deviation.hex() for c in report.checks) == deviations
+    # the joint-entropy check draws the attacks it has always drawn
+    joint_entropy_witness = {
+        (16, 0): 8490676843039873848,
+        (30, 7): 7491102830980345719,
+        (200, 0): 8490676843039873848,
+    }
+    assert report.checks[0].witness_seed == joint_entropy_witness[trials, seed]
+
+
+def _draws(trials: int, seed: int) -> list[int]:
+    """The child seeds run_verification(trials, seed) draws its attacks from."""
+    return verify._child_seeds(verify._child_seeds(seed, 1)[0], trials)
 
 
 def test_nan_deviation_fails_its_check(monkeypatch):
     # a NaN deviation is the worst one, and its draw is the witness
-    seeds = verify._child_seeds(0, 4)
-    worst, witness = verify._worst(0, 4, lambda attacks: [0.0, math.nan, 1.0, math.nan])
-    assert math.isnan(worst) and witness == seeds[1]
-    assert not VerificationCheck("nan", 4, worst, 1e-9, witness).passed
-    monkeypatch.setattr(verify, "_diagonal_fidelity", lambda attacks: [math.nan] * len(attacks))
+    seeds = [11, 12, 13, 14]
+    worst = verify._worst("nan", 1e-9, {"nan": np.array([0.0, math.nan, 1.0, math.nan])}, seeds)
+    assert math.isnan(worst.max_deviation) and worst.witness_seed == 12
+    assert not worst.passed
+    deviations = verify._deviations
+
+    def nan_diagonal(seeds):
+        return {**deviations(seeds), "diagonal-fidelity-identity": np.full(len(seeds), math.nan)}
+
+    monkeypatch.setattr(verify, "_deviations", nan_diagonal)
     report = run_verification(trials=4, seed=0)
     assert not report.ok
     assert [c.name for c in report.checks if not c.passed] == ["diagonal-fidelity-identity"]
@@ -69,32 +88,29 @@ def test_nan_deviation_fails_its_check(monkeypatch):
 @pytest.mark.parametrize("trials, seed", [(16, 0), (30, 7)])
 def test_witness_seed_replays_worst_deviation(trials, seed):
     report = run_verification(trials=trials, seed=seed)
-    child = verify._child_seeds(seed, 5)
-    deviations = {
-        "joint-entropy-two-bits": verify._joint_entropy,
-        "closed-form-spectrum": verify._closed_form_spectrum,
-        "diagonal-fidelity-identity": verify._diagonal_fidelity,
-    }
-    for i, check in enumerate(report.checks):
+    draws = _draws(trials, seed)
+    deviations = verify._deviations(draws)
+    for check in report.checks:
         assert check.to_dict()["witness_seed"] == check.witness_seed
         if check.name == "backward-indistinguishability":
             assert check.witness_seed is None
             continue
-        draws = verify._child_seeds(child[i], trials)
-        w = check.witness_seed
-        first = draws.index(w)
-        attack = sample_valid(w, symmetric=bool(w % 2))
-        if check.name == "overlap-insensitivity":
-            # advance the neighbour rng past the draws before the witness
-            rng = np.random.default_rng(child[3])
-            rng.random(first)
-            replayed = verify._insensitivity(rng, [attack])[0]
-        else:
-            replayed = deviations[check.name]([attack])[0]
-            # the witness is the first draw that reaches the maximum
-            devs = deviations[check.name]([sample_valid(s, symmetric=bool(s % 2)) for s in draws])
-            assert all(d < check.max_deviation for d in devs[:first])
-        assert replayed == check.max_deviation
+        # one call on the witness alone replays the worst deviation
+        assert verify._deviations([check.witness_seed])[check.name][0] == check.max_deviation
+        # and the witness is the first draw that reaches it
+        first = draws.index(check.witness_seed)
+        assert all(d < check.max_deviation for d in deviations[check.name][:first])
+
+
+def test_stacking_couples_no_entries():
+    # the deviations of the first k draws are the first k of a longer run
+    draws = _draws(24, 5)
+    longer = verify._deviations(draws)
+    for k in (1, 7, 16):
+        shorter = verify._deviations(draws[:k])
+        assert shorter.keys() == longer.keys()
+        for name, devs in shorter.items():
+            assert devs.tobytes() == longer[name][:k].tobytes(), (k, name)
 
 
 def test_run_verification_argument_contract():
@@ -121,8 +137,8 @@ def test_verify_command_rejects_a_negative_seed(capsys):
 
 @pytest.mark.parametrize("trials", [16, 40])
 def test_eigensolver_census(monkeypatch, trials):
-    # each check that builds joint states diagonalizes all of them, 16x16
-    # and 8x8, and realizes all their ancillas with one call per size
+    # one stack holds the joint states of every draw and every neighbour:
+    # one call per size diagonalizes them all and realizes their ancillas
     calls = {}
 
     def counted(name, solver):
@@ -136,7 +152,6 @@ def test_eigensolver_census(monkeypatch, trials):
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     run_verification(trials=trials, seed=0)
-    builds_states = 3  # joint entropy, closed-form spectrum, insensitivity
-    assert calls[("eigvalsh", 16)] == builds_states
-    assert calls[("eigvalsh", 8)] == builds_states
-    assert calls[("eigh", 4)] == builds_states
+    assert calls[("eigvalsh", 16)] == 1
+    assert calls[("eigvalsh", 8)] == 1
+    assert calls[("eigh", 4)] == 1
