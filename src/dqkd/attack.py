@@ -201,7 +201,10 @@ def validate(params: AttackParams) -> AttackParams:
         )
     fault = overlap_fault(params.s, params.u, params.p, params.r, params.v, params.q)
     if fault is not None:
-        raise fault
+        try:
+            raise fault
+        finally:
+            del fault  # a raised local would tie this frame and the exception in a cycle
     residual = params.c00 * params.c10 * params.u + params.c01 * params.c11 * params.v
     if not abs(residual) <= UNITARITY_ATOL:
         raise UnitarityConstraintError(

@@ -45,11 +45,9 @@ class ProtocolConfig:
 
     check_fraction is the probability a received qubit is check-measured;
     announce_fraction the probability an encoding-mode bit is announced.
-    abort_slack_z widens the abort rule to est_xi - z * se < 1/2.
-
-    Raises:
-        TypeError: n or seed is not an integer (a bool included).
-        ValueError: a field outside its domain, a negative seed included.
+    abort_slack_z widens the abort rule to est_xi - z * se < 1/2. A field
+    outside its domain, a negative seed included, raises ValueError; an n or
+    seed that is not an integer (a bool included) raises TypeError.
     """
 
     attack: AttackParams

@@ -1,3 +1,4 @@
+import gc
 from dataclasses import replace
 
 import numpy as np
@@ -94,6 +95,24 @@ NAN = float("nan")
 def test_invalid_attack_cannot_be_constructed(error, fields):
     with pytest.raises(error):
         AttackParams(**fields)
+
+
+def test_rejected_attack_leaves_no_reference_cycle():
+    # a cycle through the raising frame would keep every caller's locals
+    # alive until the cycle collector runs
+    gc.collect()
+    gc.disable()
+    try:
+        for fields in (dict(c00=1.0, c01=0.0, c11=1.0, c10=0.0, p=1.5 + 0j),
+                       dict(c00=0.8, c01=0.6, c11=0.8, c10=0.6,
+                            s=1 + 0j, u=-1 + 0j, v=1 + 0j, q=1 + 0j)):
+            try:
+                AttackParams(**fields)
+            except (OverlapMagnitudeError, GramNotPositiveError):
+                pass
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_replace_to_an_invalid_point_raises():
