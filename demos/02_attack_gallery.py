@@ -5,17 +5,12 @@ eigenvalues of the averaged qubit-ancilla state, and what they cost Eve.
 """
 
 from dqkd.attack import forward_fidelities, named_attack
-from dqkd.keyrate import (
-    be_spectrum_closed_form,
-    final_rate,
-    s_be_numeric,
-    xi_from_fidelities,
-)
+from dqkd.keyrate import be_spectrum_closed_form, final_rate, s_be_numeric
 
 
 def show(title: str, params) -> None:
     f = forward_fidelities(params)
-    xi = xi_from_fidelities(f)
+    xi = f.xi
     print(title)
     print(f"  fidelities       f0={f.f0:.4f} f1={f.f1:.4f} "
           f"f+={f.fplus:.4f} f-={f.fminus:.4f}")

@@ -31,7 +31,6 @@ from .keyrate import (
     joint_states,
     s_be_max,
     s_be_numeric,
-    xi_from_fidelities,
 )
 from .optimizer import FidelityConstraint, OptResult, entropy_objective, maximize_s_be
 from .protosim import (
@@ -85,5 +84,4 @@ __all__ = [
     "trace_distance",
     "validate",
     "von_neumann_entropy",
-    "xi_from_fidelities",
 ]

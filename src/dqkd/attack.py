@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .qstate import PSD_SLACK, ComplexMatrix, Ket
+from .qstate import DOMAIN_ATOL, PSD_SLACK, ComplexMatrix, Ket
 
 AMPLITUDE_ATOL = 1e-12
 OVERLAP_ATOL = 1e-12
@@ -125,7 +125,11 @@ class AttackParams:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "AttackParams":
-        """Inverse of to_dict; a malformed document raises ValueError naming the key."""
+        """Inverse of to_dict; an overlap left out is 0.
+
+        A malformed document, an unknown key or an overlap given twice
+        included, raises ValueError naming the key.
+        """
 
         def number(entry: dict, key: str) -> float:
             try:
@@ -133,15 +137,23 @@ class AttackParams:
             except (KeyError, TypeError, OverflowError) as exc:
                 raise ValueError(f"attack document key '{key}': missing or not a number") from exc
 
+        def only(entry: dict, keys: set[str]) -> None:
+            if unknown := sorted(set(entry) - keys):
+                raise ValueError(f"attack document key '{unknown[0]}': unknown key")
+
+        only(doc, {"c00", "c01", "c11", "c10", "overlaps"})
         amps = {k: number(doc, k) for k in ("c00", "c01", "c11", "c10")}
-        ov = {name: 0j for name in OVERLAP_NAMES}
+        ov = {}
         entries = doc.get("overlaps", [])
         if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
             raise ValueError("attack document key 'overlaps': expected a list of objects")
         for entry in entries:
+            only(entry, {"name", "re", "im"})
             name = entry.get("name")
             if name not in OVERLAP_NAMES:
                 raise ValueError(f"unknown overlap name {name!r}")
+            if name in ov:
+                raise ValueError(f"attack document overlap '{name}': given more than once")
             ov[name] = complex(number(entry, "re"), number(entry, "im"))
         return cls(**amps, **ov)
 
@@ -160,10 +172,7 @@ def real_number(value) -> float:
 
 def gram_matrix(params: AttackParams) -> ComplexMatrix:
     """Gram matrix of (|E00>, |E01>, |E11>, |E10>) with unit diagonal."""
-    return _gram(params.s, params.u, params.p, params.r, params.v, params.q)
-
-
-def _gram(s: complex, u: complex, p: complex, r: complex, v: complex, q: complex) -> ComplexMatrix:
+    s, u, p, r, v, q = params.s, params.u, params.p, params.r, params.v, params.q
     return np.array(
         [
             [1.0, s, p, u],
@@ -199,39 +208,21 @@ def validate(params: AttackParams) -> AttackParams:
         raise AmplitudeNormalizationError(
             f"c11^2 + c10^2 = {params.c11**2 + params.c10**2} is not 1"
         )
-    fault = overlap_fault(params.s, params.u, params.p, params.r, params.v, params.q)
-    if fault is not None:
-        try:
-            raise fault
-        finally:
-            del fault  # a raised local would tie this frame and the exception in a cycle
+    overlaps = (params.s, params.u, params.p, params.r, params.v, params.q)
+    for name, val in zip(OVERLAP_NAMES, overlaps):
+        if not abs(val) <= 1.0 + OVERLAP_ATOL:
+            raise OverlapMagnitudeError(f"|{name}| = {abs(val)} exceeds 1")
+    w_min = np.linalg.eigvalsh(gram_matrix(params)).min()
+    if not w_min >= PSD_SLACK:
+        raise GramNotPositiveError(
+            f"Gram eigenvalue {w_min} below the {PSD_SLACK:g} positivity slack"
+        )
     residual = params.c00 * params.c10 * params.u + params.c01 * params.c11 * params.v
     if not abs(residual) <= UNITARITY_ATOL:
         raise UnitarityConstraintError(
             f"|c00 c10 u + c01 c11 v| = {abs(residual)} exceeds {UNITARITY_ATOL:g}"
         )
     return params
-
-
-def overlap_fault(
-    s: complex, u: complex, p: complex, r: complex, v: complex, q: complex
-) -> OverlapMagnitudeError | GramNotPositiveError | None:
-    """The first overlap invariant that raw overlaps break, or None.
-
-    validate raises what this reports; a search over overlaps at fixed,
-    already validated amplitudes can score a point with it without
-    constructing an AttackParams. Each bound is tested as "not within", so
-    a NaN overlap is reported.
-    """
-    for name, val in zip(OVERLAP_NAMES, (s, u, p, r, v, q)):
-        if not abs(val) <= 1.0 + OVERLAP_ATOL:
-            return OverlapMagnitudeError(f"|{name}| = {abs(val)} exceeds 1")
-    w_min = np.linalg.eigvalsh(_gram(s, u, p, r, v, q)).min()
-    if not w_min >= PSD_SLACK:
-        return GramNotPositiveError(
-            f"Gram eigenvalue {w_min} below the {PSD_SLACK:g} positivity slack"
-        )
-    return None
 
 
 def realize_ancillas(attacks: list[AttackParams]) -> np.ndarray:
@@ -298,6 +289,14 @@ class ChannelFidelities:
     def fpm(self) -> float:
         """Average diagonal-basis fidelity."""
         return 0.5 * (self.fplus + self.fminus)
+
+    @property
+    def xi(self) -> float:
+        """The rate parameter fpm + f01 - 1; each fidelity must lie in [0, 1]."""
+        for name, val in vars(self).items():
+            if not -DOMAIN_ATOL <= val <= 1.0 + DOMAIN_ATOL:
+                raise ValueError(f"{name}={val} outside [0, 1]")
+        return self.fpm + self.f01 - 1.0
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -62,6 +62,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raise ValueError("--var xi sweeps xi itself and takes neither --xi nor --symmetric")
     elif args.e is not None:
         raise ValueError(f"--var {args.var} sets e from the swept value and takes no --e")
+    elif args.var == "backward_noise" and args.symmetric:
+        raise ValueError("--var backward_noise leaves xi alone and takes no --symmetric")
     elif args.symmetric and args.xi is not None:
         raise ValueError("--symmetric and --xi are mutually exclusive")
     elif not args.symmetric and args.xi is None:

@@ -43,7 +43,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .attack import AttackParams, ChannelFidelities, branch_stack
+from .attack import AttackParams, branch_stack
 from .qstate import (
     DensityMatrix,
     Spectrum,
@@ -220,14 +220,6 @@ def s_be_max(c0sq: float, c1sq: float, cppsq: float) -> float:
             f"cppsq - c1sq = {xi} below the 1/2 boundary; no positive rate exists"
         )
     return 1.0 + binary_entropy(min(xi, 1.0))
-
-
-def xi_from_fidelities(f: ChannelFidelities) -> float:
-    """The rate parameter fpm + f01 - 1 from observed fidelities."""
-    for name, val in f.to_dict().items():
-        if not -BOUNDARY_ATOL <= val <= 1.0 + BOUNDARY_ATOL:
-            raise ValueError(f"{name}={val} outside [0, 1]")
-    return f.fpm + f.f01 - 1.0
 
 
 @dataclass(frozen=True)

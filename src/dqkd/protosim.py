@@ -26,11 +26,12 @@ e = (1 - f)(1 - b) + f b.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .attack import AttackParams, forward_fidelities
+from .attack import AttackParams, ChannelFidelities, forward_fidelities
 from .keyrate import BOUNDARY_ATOL, BOUNDARY_XI, KeyRateReport, final_rate
 from .qstate import BASIS_OF, COMPLEMENT, STATE_LABELS
 
@@ -47,7 +48,8 @@ class ProtocolConfig:
     announce_fraction the probability an encoding-mode bit is announced.
     abort_slack_z widens the abort rule to est_xi - z * se < 1/2. A field
     outside its domain, a negative seed included, raises ValueError; an n or
-    seed that is not an integer (a bool included) raises TypeError.
+    seed that is not an integer, or another field that is not a real number
+    (a bool included), raises TypeError.
     """
 
     attack: AttackParams
@@ -64,6 +66,10 @@ class ProtocolConfig:
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise TypeError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))  # a numpy integer is not JSON
+        for name in ("check_fraction", "announce_fraction", "backward_noise", "abort_slack_z"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise TypeError(f"{name} must be a real number, got {value!r}")
         if self.seed < 0:
             raise ValueError(f"seed={self.seed} must be non-negative")
         # numpy's multinomial draws n as a signed 64-bit integer
@@ -172,7 +178,7 @@ def run_protocol(config: ProtocolConfig) -> tuple[ProtocolStats, KeyRateReport]:
     m = sum(raw)
     est_e, se_e = estimate_with_se(sum(ann_err), n_announced)
 
-    est_xi = float(0.5 * (est_f[0] + est_f[1]) + 0.5 * (est_f[2] + est_f[3]) - 1.0)
+    est_xi = ChannelFidelities(*est_f.tolist()).xi
     se_xi = 0.5 * math.sqrt(float(np.sum(se_f**2)))
 
     report = final_rate(
@@ -198,7 +204,7 @@ def run_protocol(config: ProtocolConfig) -> tuple[ProtocolStats, KeyRateReport]:
         se_fminus=float(se_f[3]),
         est_e=float(est_e),
         se_e=float(se_e),
-        est_xi=float(est_xi),
+        est_xi=est_xi,
         se_xi=float(se_xi),
         k_est=k_est,
         aborted=aborted,

@@ -24,10 +24,9 @@ from dqkd.attack import (
     AttackValidationError,
     branch_vectors,
     forward_fidelities,
-    overlap_fault,
     realize_ancilla,
 )
-from dqkd.keyrate import BeSpectrumClosedForm, s_be_max
+from dqkd.keyrate import s_be_max
 from dqkd.optimizer import (
     CONSTRAINT_TOLERANCE,
     GAP_TOLERANCE,
@@ -103,8 +102,7 @@ class _Slice:
     The amplitudes are c00 = c11 = sqrt(f01) and c01 = c10 = sqrt(1 - f01);
     q0 is solved from the boundary identity, and u = v = 0 and Re s =
     Re r = 0 (the tie-break value of directions that cancel from the
-    spectrum). The amplitudes are validated once, here; u = v = 0 keeps the
-    branches orthogonal, so only the overlaps vary from point to point.
+    spectrum). Every point is built and validated as an AttackParams.
     [lo, hi] is the p0 interval on which q0 stays in [-1, 1]; without a
     flip amplitude (c1sq <= PINNED_C1SQ) it is the single pinned p0.
     """
@@ -115,7 +113,6 @@ class _Slice:
         self.c0 = math.sqrt(self.c0sq)
         self.c1 = math.sqrt(self.c1sq)
         self.pinned = 2.0 * constraint.cppsq - 1.0
-        AttackParams(c00=self.c0, c01=self.c1, c11=self.c0, c10=self.c1)
         if self.c1sq > PINNED_C1SQ:
             self.lo = max(-1.0, (self.pinned - self.c1sq) / self.c0sq)
             self.hi = min(1.0, (self.pinned + self.c1sq) / self.c0sq)
@@ -143,21 +140,12 @@ class _Slice:
         return AttackParams(c00=c0, c01=c1, c11=c0, c10=c1, s=s, u=0j, p=p, r=r, v=0j, q=q)
 
     def neg_entropy(self, x: np.ndarray) -> float:
-        """-entropy_objective(params(x)), or inf where params(x) is None or raises.
-
-        Decides validity with attack.overlap_fault and scores with
-        BeSpectrumClosedForm.from_block, the routes AttackParams and
-        be_spectrum_closed_form take, so the value is the same bits.
-        """
-        ov = self.overlaps(x)
-        if ov is None:
+        """-entropy_objective(params(x)), or inf where params(x) is None or raises."""
+        try:
+            params = self.params(x)
+        except AttackValidationError:
             return math.inf
-        s, p, r, q = ov
-        if overlap_fault(s, 0j, p, r, 0j, q) is not None:
-            return math.inf
-        c0, c1 = self.c0, self.c1
-        m = c0 * c0 * p - c1 * c1 * q
-        return -BeSpectrumClosedForm.from_block(m, c0 * c1 * s.imag, c1 * c0 * r.imag).entropy()
+        return math.inf if params is None else -entropy_objective(params)
 
 
 def search_s_be(constraint: FidelityConstraint, budget: int = 20000) -> OptResult:
@@ -165,9 +153,9 @@ def search_s_be(constraint: FidelityConstraint, budget: int = 20000) -> OptResul
 
     A grid along p0, then Nelder-Mead from p0 = lo (q0 = 1) and from the
     best grid point, or from lo alone when that is the best grid point;
-    each run may spend half the budget left after the grid. Evaluations
-    score the slice directly (_Slice.neg_entropy); the maximizer is built
-    and validated as an AttackParams.
+    each run may spend half the budget left after the grid. Each evaluation
+    builds an AttackParams and scores it with entropy_objective
+    (_Slice.neg_entropy).
 
     Args:
         constraint: observed f01 and fpm the attack must reproduce.

@@ -24,7 +24,6 @@ from dqkd.keyrate import (
     be_spectrum_closed_form,
     build_rho_abe,
     final_rate,
-    xi_from_fidelities,
 )
 from dqkd.optimizer import FidelityConstraint, maximize_s_be
 from dqkd.protosim import ProtocolConfig, run_protocol
@@ -204,9 +203,9 @@ def test_entropy_maximum_certification():
 
 def test_special_attack_rates():
     # identity: 1 secret bit per key bit; either full measurement: none
-    r_identity = final_rate(xi_from_fidelities(forward_fidelities(named_attack("identity"))), 0.0)
-    r_z = final_rate(xi_from_fidelities(forward_fidelities(named_attack("measure_z"))), 0.0)
-    r_x = final_rate(xi_from_fidelities(forward_fidelities(named_attack("measure_x"))), 0.0)
+    r_identity = final_rate(forward_fidelities(named_attack("identity")).xi, 0.0)
+    r_z = final_rate(forward_fidelities(named_attack("measure_z")).xi, 0.0)
+    r_x = final_rate(forward_fidelities(named_attack("measure_x")).xi, 0.0)
     formula_ok = (
         abs(r_identity.r_pa - 1.0) <= 1e-9
         and abs(r_z.r_pa) <= 1e-9

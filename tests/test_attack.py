@@ -99,17 +99,26 @@ def test_invalid_attack_cannot_be_constructed(error, fields):
 
 def test_rejected_attack_leaves_no_reference_cycle():
     # a cycle through the raising frame would keep every caller's locals
-    # alive until the cycle collector runs
+    # alive until the cycle collector runs; one rejection of each class
+    rejected = (
+        (AmplitudeNormalizationError, dict(c00=1.0, c01=0.5, c11=1.0, c10=0.0)),
+        (OverlapMagnitudeError, dict(c00=1.0, c01=0.0, c11=1.0, c10=0.0, p=1.5 + 0j)),
+        (OverlapMagnitudeError, dict(c00=1.0, c01=0.0, c11=1.0, c10=0.0, s=complex(NAN, 0.0))),
+        (GramNotPositiveError, dict(c00=0.8, c01=0.6, c11=0.8, c10=0.6,
+                                    s=1 + 0j, u=-1 + 0j, v=1 + 0j, q=1 + 0j)),
+        (UnitarityConstraintError, dict(c00=0.8, c01=0.6, c11=0.8, c10=0.6,
+                                        u=0.5 + 0j, v=0.5 + 0j)),
+    )
     gc.collect()
     gc.disable()
     try:
-        for fields in (dict(c00=1.0, c01=0.0, c11=1.0, c10=0.0, p=1.5 + 0j),
-                       dict(c00=0.8, c01=0.6, c11=0.8, c10=0.6,
-                            s=1 + 0j, u=-1 + 0j, v=1 + 0j, q=1 + 0j)):
+        for error, fields in rejected:
+            # no "as": binding the exception here would make a cycle of its own
             try:
                 AttackParams(**fields)
-            except (OverlapMagnitudeError, GramNotPositiveError):
-                pass
+            except error:
+                continue
+            pytest.fail(f"{fields} was accepted")
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -135,6 +144,18 @@ def test_serialization_round_trip():
     doc["overlaps"][0]["name"] = "w"
     with pytest.raises(ValueError):
         AttackParams.from_dict(doc)
+    # unknown keys and a repeated overlap are errors, not silently dropped
+    doc = named_attack("symmetric", e=0.1).to_dict()
+    with pytest.raises(ValueError, match="'extra': unknown key"):
+        AttackParams.from_dict({**doc, "extra": 5})
+    with pytest.raises(ValueError, match="'imag': unknown key"):
+        AttackParams.from_dict({**doc, "overlaps": [{"name": "p", "re": 0.2, "imag": 0.0}]})
+    twice = [{"name": "p", "re": 0.2, "im": 0.0}, {"name": "p", "re": 0.9, "im": 0.0}]
+    with pytest.raises(ValueError, match="'p': given more than once"):
+        AttackParams.from_dict({**doc, "overlaps": twice})
+    # overlaps left out are 0
+    only_q = AttackParams.from_dict({**doc, "overlaps": [{"name": "q", "re": 1.0, "im": 0.0}]})
+    assert only_q.p == 0j and only_q.q == 1 + 0j
 
 
 def test_sampler_is_deterministic():

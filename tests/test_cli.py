@@ -118,8 +118,10 @@ def test_sweep_argument_errors(tmp_path, capsys):
         ["--var", "e", "--symmetric", "--e", "0.3"],
         ["--var", "e", "--xi", "0.9", "--e", "0.3"],
         ["--var", "backward_noise", "--e", "0.3"],
+        ["--var", "backward_noise", "--symmetric"],
     ],
-    ids=["xi-symmetric", "xi-xi", "e-symmetric-e", "e-xi-e", "backward_noise-e"],
+    ids=["xi-symmetric", "xi-xi", "e-symmetric-e", "e-xi-e", "backward_noise-e",
+         "backward_noise-symmetric"],
 )
 def test_sweep_rejects_an_ignored_flag(flags, tmp_path, capsys):
     out = tmp_path / "x.csv"
@@ -306,6 +308,10 @@ def test_simulate_config_errors(tmp_path, capsys):
         ({"name": "symmetric", "e": False}, "e"),
         ({"name": "symmetric", "e": "0.1"}, "e"),
         ({"name": "symmetric", "e": 0.1, "c00": 1}, "c00"),
+        ({**attack, "extra": 5}, "extra"),
+        ({**attack, "overlaps": [{"name": "s", "re": 0.0, "im": 0.0, "imag": 1.0}]}, "imag"),
+        ({**attack, "overlaps": [{"name": "p", "re": 0.2, "im": 0.0},
+                                 {"name": "p", "re": 0.9, "im": 0.0}]}, "p"),
     ):
         bad.write_text(json.dumps({"attack": doc, "n": 5000}), encoding="utf-8")
         assert main(["simulate", "--config", str(bad)]) == 1

@@ -21,7 +21,6 @@ from dqkd.keyrate import (
     joint_states,
     s_be_max,
     s_be_numeric,
-    xi_from_fidelities,
 )
 from dqkd.qstate import (
     Y_GATE,
@@ -209,12 +208,14 @@ def test_entropy_ceiling():
 
 
 def test_xi_from_fidelities():
-    assert xi_from_fidelities(ChannelFidelities(1, 1, 1, 1)) == pytest.approx(1.0)
-    assert xi_from_fidelities(ChannelFidelities(1, 1, 0.5, 0.5)) == pytest.approx(0.5)
-    got = xi_from_fidelities(ChannelFidelities(0.9, 0.9, 0.95, 0.85))
+    assert ChannelFidelities(1, 1, 1, 1).xi == pytest.approx(1.0)
+    assert ChannelFidelities(1, 1, 0.5, 0.5).xi == pytest.approx(0.5)
+    got = ChannelFidelities(0.9, 0.9, 0.95, 0.85).xi
     assert got == pytest.approx(0.8, abs=1e-12)
-    with pytest.raises(ValueError):
-        xi_from_fidelities(ChannelFidelities(1.5, 1.0, 1.0, 1.0))
+    with pytest.raises(ValueError, match="f0=1.5 outside"):
+        ChannelFidelities(1.5, 1.0, 1.0, 1.0).xi
+    with pytest.raises(ValueError, match="fminus=nan outside"):
+        ChannelFidelities(1.0, 1.0, 1.0, float("nan")).xi
 
 
 def test_final_rate_perfect_channel():
@@ -286,7 +287,7 @@ def test_observed_attacks_respect_the_ceiling():
     # every sampled symmetric attack sits at or below 1 + h(xi)
     for seed in range(100):
         params = sample_valid(seed=seed, symmetric=True)
-        xi = xi_from_fidelities(forward_fidelities(params))
+        xi = forward_fidelities(params).xi
         if xi < 0.5:
             continue  # observed fidelities in the abort region
         ceiling = s_be_max(params.c00**2, params.c01**2, forward_fidelities(params).fpm)

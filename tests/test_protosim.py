@@ -54,6 +54,24 @@ def test_config_integer_contract():
     assert type(config.n) is int and type(config.seed) is int
 
 
+def test_config_real_number_contract():
+    attack = named_attack("identity")
+    for kwargs, name in (
+        ({"backward_noise": False}, "backward_noise"),
+        ({"abort_slack_z": True}, "abort_slack_z"),
+        ({"check_fraction": "0.5"}, "check_fraction"),
+        ({"announce_fraction": None}, "announce_fraction"),
+        ({"backward_noise": 0.1 + 0j}, "backward_noise"),
+        ({"abort_slack_z": np.bool_(True)}, "abort_slack_z"),
+    ):
+        with pytest.raises(TypeError, match=name):
+            ProtocolConfig(attack=attack, n=100, **kwargs)
+    # integers and numpy reals are numbers
+    ProtocolConfig(attack=attack, n=100, abort_slack_z=3, backward_noise=np.float32(0.25))
+    with pytest.raises(ValueError, match="backward_noise"):
+        ProtocolConfig(attack=attack, n=100, backward_noise=10**400)
+
+
 def test_untouched_channel_is_perfect():
     # validation admits overlaps up to 1 + 1e-12, which lifts fplus to
     # 1 + 2.5e-13 here; the sampler must clip it, not reject the attack
