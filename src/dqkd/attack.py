@@ -23,6 +23,10 @@ two branch vectors orthogonal, which reads
 
 For equal amplitudes (c00 = c11, hence c01 = c10) the orthogonality
 constraint forces u = -v, i.e. u0 = -v0 and u1 = -v1.
+
+``validate`` checks one attack; ``_valid_mask`` applies its checks to a
+stack of candidates at once, with one Gram ``eigvalsh`` call for them all,
+and ``_attack_batch`` builds attacks from a stack that passes.
 """
 
 from __future__ import annotations
@@ -40,6 +44,12 @@ UNITARITY_ATOL = 1e-12
 SYMMETRY_ATOL = 1e-9
 
 OVERLAP_NAMES = ("s", "u", "p", "r", "v", "q")
+_FIELDS = ("c00", "c01", "c11", "c10") + OVERLAP_NAMES
+# entry (i, j) of the Gram matrix of (|E00>, |E01>, |E11>, |E10>) as an
+# index into (1, s, u, p, r, v, q, conj(s), conj(u), ..., conj(q))
+_GRAM_TABLE = np.array([[0, 1, 3, 2], [7, 0, 5, 6], [9, 11, 0, 4], [8, 12, 10, 0]])
+# rejection bound of sample_valid
+DRAW_BUDGET = 10**6
 NAMED_ATTACKS = ("identity", "measure_z", "measure_x", "symmetric")
 
 
@@ -172,16 +182,14 @@ def real_number(value) -> float:
 
 def gram_matrix(params: AttackParams) -> ComplexMatrix:
     """Gram matrix of (|E00>, |E01>, |E11>, |E10>) with unit diagonal."""
-    s, u, p, r, v, q = params.s, params.u, params.p, params.r, params.v, params.q
-    return np.array(
-        [
-            [1.0, s, p, u],
-            [np.conjugate(s), 1.0, v, q],
-            [np.conjugate(p), np.conjugate(v), 1.0, r],
-            [np.conjugate(u), np.conjugate(q), np.conjugate(r), 1.0],
-        ],
-        dtype=complex,
-    )
+    ov = np.array([params.s, params.u, params.p, params.r, params.v, params.q], dtype=complex)
+    return np.concatenate(([1.0], ov, ov.conj()))[_GRAM_TABLE]
+
+
+def _gram_stack(overlaps: np.ndarray) -> np.ndarray:
+    """The (k, 4, 4) Gram matrices of (k, 6) overlaps, each as gram_matrix's."""
+    ones = np.ones((len(overlaps), 1))
+    return np.concatenate([ones, overlaps, overlaps.conj()], axis=1)[:, _GRAM_TABLE]
 
 
 def validate(params: AttackParams) -> AttackParams:
@@ -225,6 +233,59 @@ def validate(params: AttackParams) -> AttackParams:
     return params
 
 
+def _valid_mask(amps: np.ndarray, overlaps: np.ndarray) -> np.ndarray:
+    """validate's verdict on each of k candidates: (k, 4) amplitudes
+    (c00, c01, c11, c10) and (k, 6) overlaps in OVERLAP_NAMES order.
+
+    validate's checks, constants and order, each as "not within" so that NaN
+    fails; each check reads only the rows that passed the ones before, so no
+    square overflows and no NaN reaches the one stacked Gram eigvalsh call.
+    A modulus is np.hypot of the parts, which rounds as Python's abs does
+    (np.abs of a complex array can differ from it in the last bit).
+    """
+    in_range = (-AMPLITUDE_ATOL <= amps) & (amps <= 1.0 + AMPLITUDE_ATOL)
+    rows = np.flatnonzero(in_range.all(axis=1))
+    c00, c01, c11, c10 = amps[rows].T
+    norms = np.abs([c00**2 + c01**2 - 1.0, c11**2 + c10**2 - 1.0])
+    rows = rows[np.all(norms <= AMPLITUDE_ATOL, axis=0)]
+    ov = overlaps[rows]
+    rows = rows[np.all(np.hypot(ov.real, ov.imag) <= 1.0 + OVERLAP_ATOL, axis=1)]
+    if len(rows):
+        rows = rows[np.linalg.eigvalsh(_gram_stack(overlaps[rows]))[:, 0] >= PSD_SLACK]
+    c00, c01, c11, c10 = amps[rows].T
+    residual = c00 * c10 * overlaps[rows, 1] + c01 * c11 * overlaps[rows, 4]
+    rows = rows[np.hypot(residual.real, residual.imag) <= UNITARITY_ATOL]
+    ok = np.zeros(len(amps), dtype=bool)
+    ok[rows] = True
+    return ok
+
+
+def _valid_attacks(amps: np.ndarray, ov: np.ndarray) -> tuple[np.ndarray, list[AttackParams]]:
+    """_valid_mask of k candidates, and the valid ones wrapped as AttackParams
+    of Python floats and complexes without re-running __post_init__."""
+    ok = _valid_mask(amps, ov)
+    out = []
+    for row_amps, row_ov in zip(amps[ok].tolist(), ov[ok].tolist()):
+        params = object.__new__(AttackParams)
+        params.__dict__.update(zip(_FIELDS, row_amps + row_ov))
+        out.append(params)
+    return ok, out
+
+
+def _attack_batch(amps: np.ndarray, ov: np.ndarray) -> list[AttackParams]:
+    """The k candidates as AttackParams, checked at once; the first invalid
+    one raises validate's error class and message, prefixed with its index."""
+    ok, attacks = _valid_attacks(amps, ov)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        try:
+            AttackParams(*amps[i].tolist(), *ov[i].tolist())
+        except AttackValidationError as exc:
+            raise type(exc)(f"attack {i}: {exc}") from None
+        raise AssertionError(f"attack {i}: the stacked check rejects what validate accepts")
+    return attacks
+
+
 def realize_ancillas(attacks: list[AttackParams]) -> np.ndarray:
     """Concrete ancilla kets reproducing the overlaps of each attack.
 
@@ -235,7 +296,8 @@ def realize_ancillas(attacks: list[AttackParams]) -> np.ndarray:
     (k, 4, 4) array whose entry i has as rows the kets (|E00>, |E01>,
     |E11>, |E10>) of attack i in a four-dimensional space.
     """
-    lam, vecs = np.linalg.eigh(np.array([gram_matrix(a) for a in attacks]))
+    overlaps = np.array([(a.s, a.u, a.p, a.r, a.v, a.q) for a in attacks], dtype=complex)
+    lam, vecs = np.linalg.eigh(_gram_stack(overlaps))
     b = np.conjugate(vecs * np.sqrt(np.clip(lam, 0.0, None))[:, None, :])
     # rows of b satisfy <row_i|row_j> = G_ij, whose diagonal is 1
     return b / np.linalg.norm(b, axis=2, keepdims=True)
@@ -379,7 +441,7 @@ def _unit_vector(rng: np.random.Generator, dim: int) -> Ket:
 def sample_valid(
     seed: int | None = None,
     symmetric: bool = False,
-    max_iterations: int = 10**6,
+    max_iterations: int = DRAW_BUDGET,
 ) -> AttackParams:
     """Draw a random valid attack.
 
@@ -393,6 +455,11 @@ def sample_valid(
         symmetric: force c00 = c11, hence c01 = c10.
         max_iterations: rejection bound before giving up.
     """
+    return AttackParams(*_draw(seed, symmetric, max_iterations))
+
+
+def _draw(seed: int | None, symmetric: bool, max_iterations: int = DRAW_BUDGET) -> tuple:
+    """sample_valid's draw, unvalidated: its four amplitudes, then its overlaps."""
     rng = np.random.default_rng(seed)
     for _ in range(max_iterations):
         e00 = _unit_vector(rng, 4)
@@ -414,16 +481,7 @@ def sample_valid(
         if norm < 1e-6:
             continue
         e10 = u * e00 + np.sqrt(1.0 - abs(u) ** 2) * (w / norm)
-        return AttackParams(
-            c00=float(c00),
-            c01=float(c01),
-            c11=float(c11),
-            c10=float(c10),
-            s=complex(np.vdot(e00, e01)),
-            u=u,
-            p=complex(np.vdot(e00, e11)),
-            r=complex(np.vdot(e11, e10)),
-            v=v,
-            q=complex(np.vdot(e01, e10)),
-        )
+        s, p = complex(np.vdot(e00, e01)), complex(np.vdot(e00, e11))
+        r, q = complex(np.vdot(e11, e10)), complex(np.vdot(e01, e10))
+        return float(c00), float(c01), float(c11), float(c10), s, u, p, r, v, q
     raise SamplingBudgetError(f"no valid draw within {max_iterations} iterations")

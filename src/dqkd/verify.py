@@ -10,20 +10,23 @@ parts of s and r) are perturbed.
 
 The sampled checks run in one pass over one draw: ``trials`` attacks,
 each seeded by its own child seed, together with their neighbours along
-the cancelling directions. The joint states of all of them are built with
-one ``keyrate.joint_states`` call, that is one eigensolver call per matrix
-size, and every check reads its deviations from that one stack. A draw's
-deviations depend on its seed alone, so each check's witness, the seed of
-the first draw that reaches its worst deviation, replays it by itself.
+the cancelling directions. The seeds go in chunks of ``_SEED_CHUNK``, so
+memory stays flat in ``trials``. In a chunk, one stacked validation checks
+all draws and one checks each round of the neighbours' step-halving
+ladders; the joint states of all of them are one ``keyrate.joint_states``
+call, one eigensolver call per matrix size, and every check reads its
+deviations from that stack. A draw's deviations depend on its seed alone,
+so each check's witness, the seed of the first draw that reaches its worst
+deviation, replays it by itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .attack import AttackParams, AttackValidationError, forward_fidelities, sample_valid
+from .attack import _attack_batch, _draw, _valid_attacks, forward_fidelities
 from .keyrate import backward_indistinguishability, be_spectrum_closed_form, joint_states
 from .qstate import von_neumann_entropy
 
@@ -31,6 +34,8 @@ JOINT_ENTROPY_ATOL = 1e-9
 SPECTRUM_ATOL = 1e-10
 IDENTITY_ATOL = 1e-10
 BACKWARD_ATOL = 1e-12
+# seeds per chunk of _deviations; each chunk's joint states are one stack
+_SEED_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -75,54 +80,67 @@ def _child_seeds(seed: int, count: int) -> list[int]:
     return [int(s) for s in rng.integers(0, 2**63, size=count)]
 
 
-def _neighbors(params: AttackParams, seed: int) -> list[AttackParams]:
-    """Valid neighbors of params along the spectrum-cancelling directions.
+def _neighbors(amps: np.ndarray, overlaps: np.ndarray, seeds: list[int]) -> tuple[list, np.ndarray]:
+    """Valid neighbours of each attack along the spectrum-cancelling directions.
 
     Each move (u and v together, Re s, Re r) starts at a step of 0.05 and
-    halves it after each invalid attempt, trying at most 14 steps. The
-    phase of the u-v move is drawn from default_rng([seed, 1]).
+    halves it after each invalid attempt, trying at most 14 steps; the
+    phase of the u-v move is drawn from default_rng([seed, 1]). Each round
+    validates the pending moves of all attacks in one stack, and a move
+    stops at its first valid step. Returns the neighbours, by attack and
+    then by move, and the index of each one's attack.
     """
-    phase = np.exp(2j * np.pi * np.random.default_rng([seed, 1]).random())
-    moves = []
-    if params.c01 * params.c11 > 1e-9:
-        ratio = -(params.c00 * params.c10) / (params.c01 * params.c11)
-
-        def move_u(d: float) -> AttackParams:
-            u = params.u + d * phase
-            return replace(params, u=u, v=ratio * u)
-
-        moves.append(move_u)
-    moves.append(lambda d: replace(params, s=complex(params.s) + d))
-    moves.append(lambda d: replace(params, r=complex(params.r) + d))
-    out = []
-    for move in moves:
-        delta = 0.05
-        for _ in range(14):
-            try:
-                out.append(move(delta))
-                break
-            except AttackValidationError:
-                delta /= 2.0
-    return out
+    phase = np.array([np.exp(2j * np.pi * np.random.default_rng([s, 1]).random()) for s in seeds])
+    c00, c01, c11, c10 = amps.T
+    has_uv = c01 * c11 > 1e-9
+    ratio = -(c00 * c10) / np.where(has_uv, c01 * c11, 1.0)
+    # the moves as (attack, kind): kind 0 moves u and v, 1 Re s and 2 Re r
+    owner, kind = np.nonzero(np.column_stack([has_uv, np.ones((len(amps), 2), dtype=bool)]))
+    found = {}
+    pending = np.arange(len(owner))
+    for delta in 0.05 * 0.5 ** np.arange(14):
+        if not len(pending):
+            break
+        i, m = owner[pending], kind[pending]
+        step = overlaps[i]
+        uv = m == 0
+        step[uv, 1] += delta * phase[i[uv]]
+        step[uv, 4] = ratio[i[uv]] * step[uv, 1]
+        step[m == 1, 0] += delta
+        step[m == 2, 3] += delta
+        ok, valid = _valid_attacks(amps[i], step)
+        found.update(zip(pending[ok].tolist(), valid))
+        pending = pending[~ok]
+    kept = sorted(found)
+    return [found[j] for j in kept], owner[kept]
 
 
 def _deviations(seeds: list[int]) -> dict[str, np.ndarray]:
     """Every sampled identity's deviation at each seed, keyed by check name.
 
     Seed s draws the attack sample_valid(s, symmetric=bool(s % 2)) and its
-    neighbours; the joint states of all attacks and all neighbours are one
-    stack. Each stacked step treats each entry alone, so entry i depends on
-    seeds[i] only and _deviations([seeds[i]]) replays it bit for bit.
+    neighbours. The seeds run in chunks of _SEED_CHUNK, the joint states of
+    a chunk's attacks and neighbours are one stack, and each stacked step
+    treats each entry alone, so entry i depends on seeds[i] only and
+    _deviations([seeds[i]]) replays it bit for bit.
     """
-    attacks = [sample_valid(s, symmetric=bool(s % 2)) for s in seeds]
-    near = [_neighbors(a, s) for a, s in zip(attacks, seeds)]
-    states = joint_states(attacks + [m for ms in near for m in ms])
+    starts = range(0, len(seeds), _SEED_CHUNK)
+    parts = [_chunk_deviations(seeds[i : i + _SEED_CHUNK]) for i in starts]
+    return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
+
+
+def _chunk_deviations(seeds: list[int]) -> dict[str, np.ndarray]:
+    """_deviations of one chunk: one stacked draw, ladder and joint-state pass."""
+    draws = np.array([_draw(s, bool(s % 2)) for s in seeds], dtype=complex)
+    amps, overlaps = draws[:, :4].real, draws[:, 4:]
+    attacks = _attack_batch(amps, overlaps)
+    near, owner = _neighbors(amps, overlaps, seeds)
+    states = joint_states(attacks + near)
     k = len(attacks)
     spectra = np.array([b.rho_be.spectrum() for b in states])
     # the closed form's four nonzero eigenvalues and four zeros
     closed = [np.append(be_spectrum_closed_form(a).spectrum(), [0.0] * 4) for a in attacks]
     # each neighbour's spectrum against the spectrum of its own base attack
-    owner = np.repeat(np.arange(k), [len(ms) for ms in near])
     insensitivity = np.zeros(k)
     np.maximum.at(insensitivity, owner, np.max(np.abs(spectra[k:] - spectra[owner]), axis=1))
     return {

@@ -1,12 +1,15 @@
 import gc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from dqkd.attack import (
+    OVERLAP_NAMES,
     AmplitudeNormalizationError,
     AttackParams,
+    AttackValidationError,
     GramNotPositiveError,
     OverlapMagnitudeError,
     SamplingBudgetError,
@@ -19,6 +22,7 @@ from dqkd.attack import (
     sample_valid,
     validate,
 )
+from dqkd.attack import _attack_batch, _gram_stack, _valid_mask
 from oracles import build_unitary, kron_branch_vectors, probe_outcome_probability
 
 
@@ -292,3 +296,155 @@ def test_named_attack_errors():
             named_attack(name, e=0.3)
         with pytest.raises(ValueError, match="takes no disturbance"):
             named_attack(name, e=0.0)
+
+
+def _scalar_outcome(amps, overlaps) -> tuple[type | None, str]:
+    """(error class, message) of AttackParams at one row, (None, "") if valid."""
+    try:
+        AttackParams(*amps, *overlaps)
+    except AttackValidationError as exc:
+        return type(exc), str(exc)
+    return None, ""
+
+
+def _straddle(make, lo: float, hi: float) -> list[tuple[list, list]]:
+    """Rows at the four floats either side of where the outcome of make(x)
+    changes between lo and hi, found by bisection down to adjacent floats."""
+    side = _scalar_outcome(*make(lo))[0]
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if _scalar_outcome(*make(mid))[0] is side:
+            lo = mid
+        else:
+            hi = mid
+    xs = [lo, hi]
+    for _ in range(3):
+        xs = [np.nextafter(xs[0], -np.inf), *xs, np.nextafter(xs[-1], np.inf)]
+    return [make(float(x)) for x in xs]
+
+
+def _edited(params: AttackParams, **fields) -> tuple[list, list]:
+    values = {**vars(params), **fields}
+    return ([values[n] for n in ("c00", "c01", "c11", "c10")],
+            [values[n] for n in OVERLAP_NAMES])
+
+
+def _validation_cloud(rng: np.random.Generator) -> list[tuple[list, list]]:
+    """Perturbed sample_valid attacks reaching every fault class, with rows
+    at adjacent floats where validity flips at each check's threshold."""
+    identity, measure_z = named_attack("identity"), named_attack("measure_z")
+    # c00 = c10 = 1: the unitarity residual is |u| itself
+    crossed = AttackParams(c00=1.0, c01=0.0, c11=0.0, c10=1.0)
+    rows = []
+    # amplitude range: valid down to -1e-12, as c01 = -1e-13 keeps the norm
+    rows += _straddle(lambda x: _edited(measure_z, c01=x), 0.0, -1.0)
+    rows += _straddle(lambda x: _edited(measure_z, c10=x), 0.0, -1.0)
+    # each norm, with valid amplitudes a little above 1
+    rows += _straddle(lambda x: _edited(measure_z, c00=x), 1.0, 1.5)
+    rows += _straddle(lambda x: _edited(measure_z, c11=x), 1.0, 1.5)
+    # overlap magnitude: a rank-one Gram matrix stays within its slack past
+    # |overlap| = 1, so validity flips at 1 + 1e-12 for every overlap, on
+    # the real axis and off it, where np.abs of a complex array and Python's
+    # abs can round apart
+    pairs = {"s": ("00", "01"), "u": ("00", "10"), "p": ("00", "11"),
+             "r": ("11", "10"), "v": ("01", "11"), "q": ("01", "10")}
+    for name in OVERLAP_NAMES:
+        rows += _straddle(lambda x: _edited(identity, **{name: complex(x, 0.0)}), 1.0, 1.5)
+        for _ in range(3):
+            # one-dimensional ancilla kets |Eij> = e^{i theta_ij}
+            ket = dict(zip(("00", "01", "11", "10"), np.exp(1j * rng.uniform(0, 2 * np.pi, 4))))
+            phased = {n: complex(np.conj(ket[i]) * ket[j]) for n, (i, j) in pairs.items()}
+            rows += _straddle(
+                lambda x: _edited(identity, **{**phased, name: x * phased[name]}), 1.0, 1.5
+            )
+    # unitarity at exactly 1e-12, on the real axis and off it
+    rows += _straddle(lambda x: _edited(crossed, u=complex(x, 0.0)), 0.0, 1.0)
+    for turn in np.exp(1j * rng.uniform(0, 2 * np.pi, 12)):
+        rows += _straddle(lambda x: _edited(crossed, u=complex(x * turn)), 0.0, 1.0)
+    for seed in range(12):
+        a = sample_valid(seed=seed, symmetric=bool(seed % 2))
+        rows.append(_edited(a))
+        rows += _straddle(lambda x: _edited(a, c01=x), a.c01, a.c01 + 1e-9)
+        rows += _straddle(lambda x: _edited(a, c10=x), a.c10, a.c10 - 1e-9)
+        name = OVERLAP_NAMES[seed % 6]
+        rows.append(_edited(a, **{name: complex(NAN, 0.0)}))
+        rows.append(_edited(a, **{name: complex(0.0, NAN)}))
+        # Gram positivity along a random direction that leaves u and v alone
+        ray = rng.standard_normal(8).view(complex)
+        rows += _straddle(
+            lambda x: _edited(a, s=a.s + x * ray[0], p=a.p + x * ray[1],
+                              r=a.r + x * ray[2], q=a.q + x * ray[3]),
+            0.0, 2.0,
+        )
+        rows += _straddle(lambda x: _edited(a, u=a.u + x), 0.0, 1e-9)
+        # random perturbations of every field, at scales down to the tolerances
+        for scale in (1e-1, 1e-6, 1e-11, 1e-12, 1e-13):
+            amps, overlaps = _edited(a)
+            rows.append((
+                [c + scale * rng.standard_normal() for c in amps],
+                [o + scale * complex(*rng.standard_normal(2)) for o in overlaps],
+            ))
+    rows.append(([NAN, 0.0, 1.0, 0.0], [0j] * 6))
+    return rows
+
+
+def _gram_literal(s, u, p, r, v, q) -> np.ndarray:
+    """The Gram matrix of (|E00>, |E01>, |E11>, |E10>), entry by entry."""
+    c = np.conjugate
+    return np.array(
+        [[1.0, s, p, u], [c(s), 1.0, v, q], [c(p), c(v), 1.0, r], [c(u), c(q), c(r), 1.0]],
+        dtype=complex,
+    )
+
+
+def test_stacked_validation_matches_scalar():
+    # one stacked check of the whole cloud gives validate's verdict on each
+    # row; a batch of one invalid row raises validate's class and message
+    rows = _validation_cloud(np.random.default_rng(17))
+    amps = np.array([a for a, _ in rows], dtype=float)
+    overlaps = np.array([o for _, o in rows], dtype=complex)
+    verdict = _valid_mask(amps, overlaps)
+    seen = set()
+    for i, (a, o) in enumerate(rows):
+        error, message = _scalar_outcome(a, o)
+        assert verdict[i] == (error is None), (i, error, message)
+        if error is None:
+            seen.add("valid")
+            continue
+        seen.add(message.split(" = ")[0].split(" ")[0])
+        with pytest.raises(AttackValidationError) as caught:
+            _attack_batch(amps[i : i + 1], overlaps[i : i + 1])
+        assert type(caught.value) is error
+        assert str(caught.value) == f"attack 0: {message}"
+    # every fault class, each norm and a NaN overlap among them
+    assert seen >= {"valid", "amplitudes", "c00^2", "c11^2", "Gram", "|c00"}
+    assert {f"|{name}|" for name in OVERLAP_NAMES} <= seen
+    assert any(np.isnan(overlaps).any(axis=1) & ~verdict)
+    # the stacked Gram matrices are gram_matrix's, and both the matrix
+    # written out entry by entry, bit for bit, NaN included
+    for g, o in zip(_gram_stack(overlaps), overlaps):
+        assert g.tobytes() == _gram_literal(*o).tobytes()
+        assert g.tobytes() == gram_matrix(SimpleNamespace(**dict(zip(OVERLAP_NAMES, o)))).tobytes()
+
+
+def test_attack_batch_names_the_first_invalid_candidate():
+    rows = [_edited(sample_valid(seed=seed)) for seed in range(6)]
+    rows[4] = _edited(sample_valid(seed=4), p=1.5 + 0j)
+    rows[5] = _edited(sample_valid(seed=5), c00=2.0)
+    amps = np.array([a for a, _ in rows])
+    overlaps = np.array([o for _, o in rows], dtype=complex)
+    with pytest.raises(OverlapMagnitudeError, match=r"^attack 4: \|p\| = 1.5 exceeds 1$"):
+        _attack_batch(amps, overlaps)
+    # and the rejection, like validate's, leaves no reference cycle
+    gc.collect()
+    gc.disable()
+    try:
+        try:
+            _attack_batch(amps, overlaps)
+        except OverlapMagnitudeError:
+            pass
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    # the valid ones are the attacks sample_valid builds, field for field
+    batch = _attack_batch(amps[:4], overlaps[:4])
+    assert batch == [sample_valid(seed=seed) for seed in range(4)]

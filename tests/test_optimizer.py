@@ -10,7 +10,7 @@ from dqkd.attack import (
     named_attack,
     sample_valid,
 )
-from dqkd.attack import forward_fidelities
+from dqkd.attack import _valid_mask, forward_fidelities
 from dqkd.keyrate import BoundaryViolationError, s_be_numeric
 from dqkd.optimizer import (
     CONSTRAINT_TOLERANCE,
@@ -116,15 +116,13 @@ def test_pinned_results(c0sq, cppsq, entropy_hex, max_iterations):
     assert result.iterations <= max_iterations
 
 
-def _constructed_score(space: _Slice, x: np.ndarray) -> tuple[float, type | None]:
-    # the scorer's reference: build and validate an AttackParams at x
+def _constructed(space: _Slice, x: np.ndarray) -> str | type | None:
+    """"valid", None off the p0/q0 box, or the error AttackParams raises at x."""
     try:
         params = space.params(x)
     except AttackValidationError as exc:
-        return math.inf, type(exc)
-    if params is None:
-        return math.inf, None
-    return -entropy_objective(params), None
+        return type(exc)
+    return None if params is None else "valid"
 
 
 def _slice_cloud(space: _Slice, rng: np.random.Generator) -> list[np.ndarray]:
@@ -153,7 +151,7 @@ def _slice_cloud(space: _Slice, rng: np.random.Generator) -> list[np.ndarray]:
         inside, outside = 0.0, 2.0
         for _ in range(60):
             mid = 0.5 * (inside + outside)
-            if math.isfinite(_constructed_score(space, base + mid * ray)[0]):
+            if _constructed(space, base + mid * ray) == "valid":
                 inside = mid
             else:
                 outside = mid
@@ -161,18 +159,25 @@ def _slice_cloud(space: _Slice, rng: np.random.Generator) -> list[np.ndarray]:
     return cloud
 
 
-def test_slice_scorer_matches_constructed_attacks():
-    # scoring raw (p0, p1, q1, s1, r1) must decide validity as AttackParams
-    # does and return the same bits as entropy_objective on the attack
+def test_stacked_verdict_matches_construction_on_the_slice():
+    # at every point of a cloud that straddles the overlap-magnitude and
+    # Gram thresholds within 1e-12, one stacked check of all points decides
+    # validity as constructing an AttackParams does
     rng = np.random.default_rng(11)
     seen = set()
     for c0sq, cppsq in ((0.9, 0.9), (0.8, 0.85), (1.0, 0.75),
                         (0.7715960402188387, 0.8132663915296381)):
         space = _Slice(FidelityConstraint(c0sq=c0sq, cppsq=cppsq))
+        overlaps, outcomes = [], []
         for x in _slice_cloud(space, rng):
-            expected, error = _constructed_score(space, x)
-            assert space.neg_entropy(x).hex() == expected.hex(), (c0sq, cppsq, x)
-            seen.add(error if math.isinf(expected) else "valid")
+            outcome = _constructed(space, x)
+            seen.add(outcome)
+            if (ov := space.overlaps(x)) is not None:
+                s, p, r, q = ov
+                overlaps.append((s, 0j, p, r, 0j, q))
+                outcomes.append(outcome == "valid")
+        amps = np.tile([space.c0, space.c1, space.c0, space.c1], (len(overlaps), 1))
+        assert _valid_mask(amps, np.array(overlaps)).tolist() == outcomes, (c0sq, cppsq)
     # the cloud reaches every outcome: valid, off the box, and each overlap fault
     assert seen == {"valid", None, OverlapMagnitudeError, GramNotPositiveError}
 

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +10,8 @@ import pytest
 from dqkd import verify
 from dqkd.cli import main
 from dqkd.verify import VerificationCheck, VerificationReport, run_verification
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_all_checks_pass():
@@ -135,10 +141,12 @@ def test_verify_command_rejects_a_negative_seed(capsys):
     assert "seed=-1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("trials", [16, 40])
+@pytest.mark.parametrize("trials", [16, 40, 2 * verify._SEED_CHUNK + 8])
 def test_eigensolver_census(monkeypatch, trials):
-    # one stack holds the joint states of every draw and every neighbour:
-    # one call per size diagonalizes them all and realizes their ancillas
+    # per chunk, one stack holds the joint states of every draw and every
+    # neighbour: one call per size diagonalizes them all and realizes their
+    # ancillas; the 4x4 Gram matrices take one call for the draws and one
+    # per round of the neighbour ladders, at most 14
     calls = {}
 
     def counted(name, solver):
@@ -151,7 +159,79 @@ def test_eigensolver_census(monkeypatch, trials):
 
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    gram_calls = []
+    chunk_deviations = verify._chunk_deviations
+
+    def counted_chunk(seeds):
+        before = calls.get(("eigvalsh", 4), 0)
+        out = chunk_deviations(seeds)
+        gram_calls.append(calls[("eigvalsh", 4)] - before)
+        return out
+
+    monkeypatch.setattr(verify, "_chunk_deviations", counted_chunk)
     run_verification(trials=trials, seed=0)
-    assert calls[("eigvalsh", 16)] == 1
-    assert calls[("eigvalsh", 8)] == 1
-    assert calls[("eigh", 4)] == 1
+    chunks = -(-trials // verify._SEED_CHUNK)
+    assert len(gram_calls) == chunks
+    assert calls[("eigvalsh", 16)] == chunks
+    assert calls[("eigvalsh", 8)] == chunks
+    assert calls[("eigh", 4)] == chunks
+    assert all(2 <= n <= 1 + 14 for n in gram_calls)
+    if trials == 16:
+        # the draws, then seven rounds until every move has its step
+        assert gram_calls == [8]
+
+
+def test_chunks_concatenate_to_one_stack(monkeypatch):
+    # over 2.5 chunks, the chunked deviations are the chunks run one at a
+    # time and concatenated, and those of one stack of every seed, byte for byte
+    n = 5 * verify._SEED_CHUNK // 2
+    draws = _draws(n, 2)
+    chunked = verify._deviations(draws)
+    pieces = [
+        verify._deviations(draws[i : i + verify._SEED_CHUNK])
+        for i in range(0, n, verify._SEED_CHUNK)
+    ]
+    monkeypatch.setattr(verify, "_SEED_CHUNK", n)
+    whole = verify._deviations(draws)
+    for name, devs in chunked.items():
+        assert len(devs) == n
+        assert devs.tobytes() == np.concatenate([p[name] for p in pieces]).tobytes(), name
+        assert devs.tobytes() == whole[name].tobytes(), name
+
+
+def test_witness_in_a_later_chunk_replays_alone():
+    trials, seed = 5 * verify._SEED_CHUNK // 2, 1
+    report = run_verification(trials=trials, seed=seed)
+    draws = _draws(trials, seed)
+    later = [
+        check for check in report.checks
+        if check.witness_seed is not None and draws.index(check.witness_seed) >= verify._SEED_CHUNK
+    ]
+    assert later
+    for check in later:
+        assert verify._deviations([check.witness_seed])[check.name][0] == check.max_deviation
+
+
+def _verify_peak_rss_mb(trials: int) -> float:
+    """Peak RSS of a `dqkd verify --trials <trials>` child, from its own rusage."""
+    child = subprocess.Popen(
+        [sys.executable, "-m", "dqkd.cli", "verify", "--trials", str(trials)],
+        stdout=subprocess.DEVNULL,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    _, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)
+    assert child.returncode == 0
+    return usage.ru_maxrss / 1024  # kilobytes on Linux
+
+
+# ten times the trials may cost at most this much more peak memory; one
+# stack of all trials cost ~150 MB more at 5000 trials than at 500
+FLAT_MEMORY_MARGIN_MB = 8.0
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in kilobytes, as on Linux")
+def test_verify_memory_is_flat_in_trials():
+    small = _verify_peak_rss_mb(500)
+    large = _verify_peak_rss_mb(5000)
+    assert large - small <= FLAT_MEMORY_MARGIN_MB, (small, large)
