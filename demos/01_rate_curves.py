@@ -6,8 +6,7 @@ across the disturbance range, then pins down where each curve hits zero.
 
 import numpy as np
 
-from dqkd.keyrate import final_rate
-from dqkd.qstate import binary_entropy
+from dqkd.rates import binary_entropy, final_rate
 
 
 def two_way(e: float) -> float:

@@ -31,11 +31,13 @@ and ``_attack_batch`` builds attacks from a stack that passes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .qstate import DOMAIN_ATOL, PSD_SLACK, ComplexMatrix, Ket
+from .qstate import PSD_SLACK, ComplexMatrix, Ket
+from .rates import DOMAIN_ATOL, NAMED_ATTACKS
 
 AMPLITUDE_ATOL = 1e-12
 OVERLAP_ATOL = 1e-12
@@ -50,7 +52,6 @@ _FIELDS = ("c00", "c01", "c11", "c10") + OVERLAP_NAMES
 _GRAM_TABLE = np.array([[0, 1, 3, 2], [7, 0, 5, 6], [9, 11, 0, 4], [8, 12, 10, 0]])
 # rejection bound of sample_valid
 DRAW_BUDGET = 10**6
-NAMED_ATTACKS = ("identity", "measure_z", "measure_x", "symmetric")
 
 
 class AttackValidationError(ValueError):
@@ -218,8 +219,12 @@ def validate(params: AttackParams) -> AttackParams:
         )
     overlaps = (params.s, params.u, params.p, params.r, params.v, params.q)
     for name, val in zip(OVERLAP_NAMES, overlaps):
-        if not abs(val) <= 1.0 + OVERLAP_ATOL:
-            raise OverlapMagnitudeError(f"|{name}| = {abs(val)} exceeds 1")
+        try:
+            modulus = abs(val)
+        except OverflowError:  # libm's hypot, which abs calls, returned inf
+            modulus = math.inf
+        if not modulus <= 1.0 + OVERLAP_ATOL:
+            raise OverlapMagnitudeError(f"|{name}| = {modulus} exceeds 1")
     w_min = np.linalg.eigvalsh(gram_matrix(params)).min()
     if not w_min >= PSD_SLACK:
         raise GramNotPositiveError(
@@ -241,7 +246,8 @@ def _valid_mask(amps: np.ndarray, overlaps: np.ndarray) -> np.ndarray:
     fails; each check reads only the rows that passed the ones before, so no
     square overflows and no NaN reaches the one stacked Gram eigvalsh call.
     A modulus is np.hypot of the parts, which rounds as Python's abs does
-    (np.abs of a complex array can differ from it in the last bit).
+    (np.abs of a complex array can differ from it in the last bit) and is
+    inf where abs overflows.
     """
     in_range = (-AMPLITUDE_ATOL <= amps) & (amps <= 1.0 + AMPLITUDE_ATOL)
     rows = np.flatnonzero(in_range.all(axis=1))
@@ -249,7 +255,9 @@ def _valid_mask(amps: np.ndarray, overlaps: np.ndarray) -> np.ndarray:
     norms = np.abs([c00**2 + c01**2 - 1.0, c11**2 + c10**2 - 1.0])
     rows = rows[np.all(norms <= AMPLITUDE_ATOL, axis=0)]
     ov = overlaps[rows]
-    rows = rows[np.all(np.hypot(ov.real, ov.imag) <= 1.0 + OVERLAP_ATOL, axis=1)]
+    with np.errstate(over="ignore"):  # an overflowing modulus is inf, and fails
+        modulus = np.hypot(ov.real, ov.imag)
+    rows = rows[np.all(modulus <= 1.0 + OVERLAP_ATOL, axis=1)]
     if len(rows):
         rows = rows[np.linalg.eigvalsh(_gram_stack(overlaps[rows]))[:, 0] >= PSD_SLACK]
     c00, c01, c11, c10 = amps[rows].T

@@ -3,7 +3,9 @@
 Subcommands: keyrate, sweep, optimize, simulate, verify. Aborted protocol
 runs are results, not failures; the process exits nonzero only for invalid
 input, I/O problems, or failed verification. All randomness is controlled
-by explicit --seed flags.
+by explicit --seed flags. Each subcommand imports the modules it runs when
+it runs, so keyrate and sweep, which need only the scalar rate formulas,
+never load numpy.
 """
 
 from __future__ import annotations
@@ -13,12 +15,13 @@ import csv
 import json
 import math
 import sys
+from typing import TYPE_CHECKING
 
-from .attack import AttackParams, NAMED_ATTACKS, named_attack, real_number
-from .keyrate import KeyRateReport, final_rate
-from .optimizer import FidelityConstraint, maximize_s_be
-from .protosim import ProtocolConfig, run_protocol
-from .verify import run_verification
+from .rates import NAMED_ATTACKS, KeyRateReport, final_rate
+
+if TYPE_CHECKING:
+    from .attack import AttackParams
+    from .protosim import ProtocolConfig
 
 SWEEP_HEADER = ["var", "value", "xi", "e", "r_pa", "r_final", "r_final_raw", "r_bb84", "aborted"]
 
@@ -91,6 +94,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
+    from .optimizer import FidelityConstraint, maximize_s_be
+
     constraint = FidelityConstraint(c0sq=args.f01, cppsq=args.fpm)
     result = maximize_s_be(constraint)
     for key in ("best_entropy", "closed_form_entropy", "gap"):
@@ -108,6 +113,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def _attack_from_value(value) -> AttackParams:
+    from .attack import AttackParams, named_attack, real_number
+
     if isinstance(value, str):
         if value == "symmetric":
             raise ConfigError(
@@ -142,17 +149,15 @@ def _integer(value) -> int:
     return value
 
 
-_CONFIG_FIELDS = {
-    "n": _integer,
-    "check_fraction": real_number,
-    "announce_fraction": real_number,
-    "backward_noise": real_number,
-    "seed": _integer,
-    "abort_slack_z": real_number,
-}
+# config keys besides "attack"; n and seed are integers, the rest real numbers
+_CONFIG_FIELDS = ("n", "check_fraction", "announce_fraction", "backward_noise", "seed",
+                  "abort_slack_z")
 
 
 def _load_config(path: str | None, args: argparse.Namespace) -> ProtocolConfig:
+    from .attack import named_attack, real_number
+    from .protosim import ProtocolConfig
+
     doc: dict = {}
     if path is not None:
         with open(path, encoding="utf-8") as fh:
@@ -177,7 +182,8 @@ def _load_config(path: str | None, args: argparse.Namespace) -> ProtocolConfig:
         raise ConfigError("config field 'attack': missing (no --attack either)")
 
     kwargs = {}
-    for name, cast in _CONFIG_FIELDS.items():
+    for name in _CONFIG_FIELDS:
+        cast = _integer if name in ("n", "seed") else real_number
         if name in doc:
             try:
                 kwargs[name] = cast(doc[name])
@@ -195,6 +201,8 @@ def _load_config(path: str | None, args: argparse.Namespace) -> ProtocolConfig:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .protosim import run_protocol
+
     config = _load_config(args.config, args)
     stats, report = run_protocol(config)
 
@@ -230,6 +238,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import run_verification
+
     report = run_verification(trials=args.trials, seed=args.seed)
     for check in report.checks:
         verdict = "PASS" if check.passed else "FAIL"

@@ -32,8 +32,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .attack import AttackParams, ChannelFidelities, forward_fidelities
-from .keyrate import BOUNDARY_ATOL, BOUNDARY_XI, KeyRateReport, final_rate
 from .qstate import BASIS_OF, COMPLEMENT, STATE_LABELS
+from .rates import BOUNDARY_ATOL, BOUNDARY_XI, KeyRateReport, final_rate
 
 
 class InsufficientDataError(ValueError):

@@ -29,8 +29,6 @@ PSD_SLACK = -1e-10
 ENTROPY_CUTOFF = 1e-12
 # matrices per slice of the stacked Hermitian check
 HERMITIAN_SLICE = 16
-# float slack on the [0, 1] domain of a probability argument
-DOMAIN_ATOL = 1e-12
 
 # Encoding flip |0><1| - |1><0|. Real antisymmetric; differs from the Pauli Y
 # by a global phase, so conjugating a state with it is the same operation.
@@ -171,17 +169,6 @@ def entropy_bits(w: Spectrum) -> float:
     """-sum w log2 w over the weights above 1e-12, so 0 log 0 = 0."""
     w = w[w > ENTROPY_CUTOFF]
     return float(-np.sum(w * np.log2(w)))
-
-
-def binary_entropy(x: float) -> float:
-    """h(x) = -x log2 x - (1-x) log2(1-x), with h(0) = h(1) = 0."""
-    x = float(x)
-    if not -DOMAIN_ATOL <= x <= 1.0 + DOMAIN_ATOL:
-        raise ValueError(f"binary_entropy argument {x} outside [0, 1]")
-    x = min(max(x, 0.0), 1.0)
-    if x == 0.0 or x == 1.0:
-        return 0.0
-    return float(-x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x))
 
 
 def trace_distance(a: ComplexMatrix, b: ComplexMatrix) -> float:

@@ -10,10 +10,14 @@ from Kronecker products with the qubit basis.
 The library builds the entropy-maximizing attack in closed form; the
 oracle here rediscovers it by derivative-free search (search_s_be), a grid
 along the one constrained direction and a Nelder-Mead simplex, with no
-knowledge of the answer beyond its starting point. Tests import these with
+knowledge of the answer beyond its starting point.
+
+The library's binary entropy is double-precision logarithms; the oracle
+here evaluates it in 50-digit decimal arithmetic. Tests import these with
 ``from oracles import ...``.
 """
 
+import decimal
 import math
 
 import numpy as np
@@ -26,7 +30,6 @@ from dqkd.attack import (
     forward_fidelities,
     realize_ancilla,
 )
-from dqkd.keyrate import s_be_max
 from dqkd.optimizer import (
     CONSTRAINT_TOLERANCE,
     GAP_TOLERANCE,
@@ -36,6 +39,7 @@ from dqkd.optimizer import (
     entropy_objective,
 )
 from dqkd.qstate import ComplexMatrix, DensityMatrix, Ket, outer, partial_trace
+from dqkd.rates import s_be_max
 
 KET_0 = np.array([1, 0], dtype=complex)
 KET_1 = np.array([0, 1], dtype=complex)
@@ -47,6 +51,15 @@ STATE_KETS = {"0": KET_0, "1": KET_1, "+": KET_PLUS, "-": KET_MINUS}
 PINNED_C1SQ = 1e-9
 # two grid points, then for each of 2 starts its start point and a 5-d simplex's 6 vertices
 MIN_BUDGET = 2 + 2 * (1 + 6)
+
+
+def binary_entropy_decimal(x: float) -> float:
+    """h(x) at the exact value of the float x, in 50-digit decimal arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        p = decimal.Decimal(x)
+        ln2 = decimal.Decimal(2).ln()
+        return float(sum((-t * t.ln() / ln2 for t in (p, 1 - p) if t > 0), decimal.Decimal(0)))
 
 
 def kron_branch_vectors(params: AttackParams) -> tuple[Ket, Ket]:

@@ -23,11 +23,11 @@ from dqkd.keyrate import (
     backward_indistinguishability,
     be_spectrum_closed_form,
     build_rho_abe,
-    final_rate,
 )
 from dqkd.optimizer import FidelityConstraint, maximize_s_be
 from dqkd.protosim import ProtocolConfig, run_protocol
-from dqkd.qstate import binary_entropy, von_neumann_entropy
+from dqkd.qstate import von_neumann_entropy
+from dqkd.rates import binary_entropy, final_rate
 from oracles import search_s_be
 
 H_005 = 0.2863969571159561  # h(0.05)

@@ -1,4 +1,5 @@
 import gc
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -66,6 +67,7 @@ def test_gram_not_positive_error():
 
 
 NAN = float("nan")
+INF = float("inf")
 
 
 @pytest.mark.parametrize(
@@ -87,6 +89,9 @@ NAN = float("nan")
         pytest.param(OverlapMagnitudeError,
                      dict(c00=1.0, c01=0.0, c11=1.0, c10=0.0, s=complex(0.0, NAN)),
                      id="nan-overlap-imag"),
+        pytest.param(OverlapMagnitudeError,
+                     dict(c00=1.0, c01=0.0, c11=1.0, c10=0.0, s=complex(1.5e308, 1.5e308)),
+                     id="overflowing-overlap"),
         pytest.param(UnitarityConstraintError,
                      dict(c00=0.8, c01=0.6, c11=0.8, c10=0.6, u=0.5 + 0j, v=0.5 + 0j),
                      id="branches-not-orthogonal"),
@@ -108,6 +113,8 @@ def test_rejected_attack_leaves_no_reference_cycle():
         (AmplitudeNormalizationError, dict(c00=1.0, c01=0.5, c11=1.0, c10=0.0)),
         (OverlapMagnitudeError, dict(c00=1.0, c01=0.0, c11=1.0, c10=0.0, p=1.5 + 0j)),
         (OverlapMagnitudeError, dict(c00=1.0, c01=0.0, c11=1.0, c10=0.0, s=complex(NAN, 0.0))),
+        (OverlapMagnitudeError, dict(c00=1.0, c01=0.0, c11=1.0, c10=0.0,
+                                     s=complex(1.5e308, 1.5e308))),
         (GramNotPositiveError, dict(c00=0.8, c01=0.6, c11=0.8, c10=0.6,
                                     s=1 + 0j, u=-1 + 0j, v=1 + 0j, q=1 + 0j)),
         (UnitarityConstraintError, dict(c00=0.8, c01=0.6, c11=0.8, c10=0.6,
@@ -383,6 +390,10 @@ def _validation_cloud(rng: np.random.Generator) -> list[tuple[list, list]]:
                 [c + scale * rng.standard_normal() for c in amps],
                 [o + scale * complex(*rng.standard_normal(2)) for o in overlaps],
             ))
+    # moduli that overflow a float, and an infinite part next to a NaN one
+    for name in OVERLAP_NAMES:
+        for big in (complex(1.5e308, 1.5e308), complex(-1e308, 1.7e308), complex(INF, NAN)):
+            rows.append(_edited(identity, **{name: big}))
     rows.append(([NAN, 0.0, 1.0, 0.0], [0j] * 6))
     return rows
 
@@ -424,6 +435,18 @@ def test_stacked_validation_matches_scalar():
     for g, o in zip(_gram_stack(overlaps), overlaps):
         assert g.tobytes() == _gram_literal(*o).tobytes()
         assert g.tobytes() == gram_matrix(SimpleNamespace(**dict(zip(OVERLAP_NAMES, o)))).tobytes()
+
+
+def test_overflowing_overlap_leaves_the_unit_disc():
+    # abs() of this overlap overflows; both routes read its modulus as inf,
+    # and the stacked one without a numpy overflow warning
+    big = complex(1.5e308, 1.5e308)
+    with pytest.raises(OverlapMagnitudeError, match=r"^\|s\| = inf exceeds 1$"):
+        AttackParams(c00=1.0, c01=0.0, c11=1.0, c10=0.0, s=big)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        amps = np.array([[1.0, 0.0, 1.0, 0.0]])
+        assert not _valid_mask(amps, np.array([[big, 0, 0, 0, 0, 0]])).any()
 
 
 def test_attack_batch_names_the_first_invalid_candidate():

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from dqkd.cli import main
-from dqkd.keyrate import final_rate
+from dqkd.rates import final_rate
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -174,22 +174,37 @@ def test_optimize_takes_no_seed(capsys):
     assert "--seed" in capsys.readouterr().err
 
 
-def test_no_command_loads_scipy(tmp_path):
-    # scipy serves only the tests' search oracle; importing it would be most
-    # of a cold start, so no subcommand, optimize included, may load it
-    commands = [
-        ["keyrate", "--xi", "0.9", "--e", "0.01"],
-        ["sweep", "--var", "xi", "--start", "0.5", "--stop", "1", "--steps", "3",
-         "--out", "rates.csv"],
-        ["optimize", "--f01", "0.9", "--fpm", "0.9"],
-        ["simulate", "--attack", "identity", "--n", "1000"],
-        ["verify", "--trials", "2"],
-    ]
+COLD_COMMANDS = {
+    "keyrate": ["keyrate", "--xi", "0.9", "--e", "0.01"],
+    "sweep": ["sweep", "--var", "xi", "--start", "0.5", "--stop", "1", "--steps", "3",
+              "--out", "rates.csv"],
+    "optimize": ["optimize", "--f01", "0.9", "--fpm", "0.9"],
+    "simulate": ["simulate", "--attack", "identity", "--n", "1000"],
+    "verify": ["verify", "--trials", "2"],
+}
+# the dqkd modules each cold subcommand loads: dqkd, dqkd.rates and these
+LOADS = {
+    "keyrate": set(),
+    "sweep": set(),
+    "optimize": {"attack", "keyrate", "optimizer", "qstate"},
+    "simulate": {"attack", "protosim", "qstate"},
+    "verify": {"attack", "keyrate", "qstate", "verify"},
+}
+
+
+@pytest.mark.parametrize("command", list(COLD_COMMANDS))
+def test_cold_command_loads_only_what_it_runs(command, tmp_path):
+    # `python -m dqkd.cli` in a fresh interpreter. scipy serves only the
+    # tests' search oracle, so no subcommand loads it; keyrate and sweep
+    # evaluate a few scalar logarithms, so they do not load numpy either
     script = (
-        "import dqkd.cli, sys; assert 'scipy' not in sys.modules\n"
-        f"for argv in {commands!r}:\n"
-        "    assert dqkd.cli.main(argv) == 0, argv\n"
-        "    assert 'scipy' not in sys.modules, argv\n"
+        "import runpy, sys\n"
+        f"sys.argv = ['dqkd', *{COLD_COMMANDS[command]!r}]\n"
+        "try:\n"
+        "    runpy.run_module('dqkd.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "print(*sorted(sys.modules), file=sys.stderr)\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", script],
@@ -200,6 +215,11 @@ def test_no_command_loads_scipy(tmp_path):
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
+    loaded = set(done.stderr.split())
+    assert "scipy" not in loaded
+    assert ("numpy" in loaded) == (command not in ("keyrate", "sweep"))
+    ours = {name for name in loaded if name.split(".")[0] == "dqkd"}
+    assert ours == {"dqkd", "dqkd.rates"} | {f"dqkd.{m}" for m in LOADS[command]}
 
 
 def test_simulate_with_flags(tmp_path, capsys):
@@ -334,6 +354,16 @@ def test_simulate_config_rejects_nan_overlap(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "|s| = nan exceeds 1" in err
+
+
+def test_simulate_config_rejects_an_overflowing_overlap(tmp_path, capsys):
+    # abs() of this overlap overflows a float; its modulus is inf, not a crash
+    doc = {"c00": 1.0, "c01": 0.0, "c11": 1.0, "c10": 0.0,
+           "overlaps": [{"name": "s", "re": 1.5e308, "im": 1.5e308}]}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"attack": doc, "n": 20000}), encoding="utf-8")
+    assert main(["simulate", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == "error: |s| = inf exceeds 1\n"
 
 
 def test_simulate_rejects_nan_abort_slack(capsys):

@@ -13,23 +13,21 @@ from dqkd.attack import (
     validate,
 )
 from dqkd.keyrate import (
-    BoundaryViolationError,
     backward_indistinguishability,
     be_spectrum_closed_form,
     build_rho_abe,
-    final_rate,
     joint_states,
-    s_be_max,
     s_be_numeric,
 )
 from dqkd.qstate import (
     Y_GATE,
-    binary_entropy,
     entropy_bits,
     outer,
     trace_distance,
     von_neumann_entropy,
 )
+from dqkd.rates import BoundaryViolationError, binary_entropy, final_rate, s_be_max
+from oracles import binary_entropy_decimal
 
 # precomputed with 30-digit arithmetic
 H_01 = 0.4689955935892812
@@ -216,6 +214,19 @@ def test_xi_from_fidelities():
         ChannelFidelities(1.5, 1.0, 1.0, 1.0).xi
     with pytest.raises(ValueError, match="fminus=nan outside"):
         ChannelFidelities(1.0, 1.0, 1.0, float("nan")).xi
+
+
+def test_binary_entropy_matches_decimal_oracle():
+    # seeded points over [0, 1], log-spaced towards both ends, and the ends
+    # themselves, against 50-digit decimal logarithms; the tolerance is two
+    # units in the last place at h's maximum of 1
+    rng = np.random.default_rng(23)
+    points = [0.0, 1.0, 5e-324, 0.5, 1.0 - 2.0**-53, *rng.uniform(0.0, 1.0, 200)]
+    points += [*10.0 ** rng.uniform(-300.0, 0.0, 50), *(1.0 - 10.0 ** rng.uniform(-16.0, 0.0, 50))]
+    for x in points:
+        assert abs(binary_entropy(x) - binary_entropy_decimal(x)) <= 2 * 2.0**-52, x
+    # within the domain slack, just outside [0, 1], the ends' value 0
+    assert binary_entropy(-1e-13) == binary_entropy(1.0 + 1e-13) == 0.0
 
 
 def test_final_rate_perfect_channel():

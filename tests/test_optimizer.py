@@ -11,13 +11,14 @@ from dqkd.attack import (
     sample_valid,
 )
 from dqkd.attack import _valid_mask, forward_fidelities
-from dqkd.keyrate import BoundaryViolationError, s_be_numeric
+from dqkd.keyrate import s_be_numeric
 from dqkd.optimizer import (
     CONSTRAINT_TOLERANCE,
     FidelityConstraint,
     entropy_objective,
     maximize_s_be,
 )
+from dqkd.rates import BoundaryViolationError
 from oracles import MIN_BUDGET, _Slice, search_s_be
 
 # precomputed with 30-digit arithmetic

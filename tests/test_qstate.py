@@ -6,13 +6,13 @@ from dqkd.qstate import (
     NotDensityMatrixError,
     NotHermitianError,
     Y_GATE,
-    binary_entropy,
     density_matrices,
     outer,
     partial_trace,
     trace_distance,
     von_neumann_entropy,
 )
+from dqkd.rates import binary_entropy
 from oracles import KET_0, KET_1, KET_MINUS, KET_PLUS
 
 # precomputed with 30-digit arithmetic
