@@ -21,6 +21,11 @@ consistent check matches with the channel fidelity f of its state. Both
 encodings decode wrongly with probability 1 - f, because the flip Y maps
 each basis state to its complement, and the backward flip b folds in as
 e = (1 - f)(1 - b) + f b.
+
+The 24 probabilities and every estimate are a few dozen scalar products,
+so they are computed on Python floats; numpy only seeds the generator and
+makes the one draw. The float fields of a config are stored as Python
+floats, so a numpy scalar cannot carry its own precision into the cells.
 """
 
 from __future__ import annotations
@@ -47,9 +52,11 @@ class ProtocolConfig:
     check_fraction is the probability a received qubit is check-measured;
     announce_fraction the probability an encoding-mode bit is announced.
     abort_slack_z widens the abort rule to est_xi - z * se < 1/2. A field
-    outside its domain, a negative seed included, raises ValueError; an n or
-    seed that is not an integer, or another field that is not a real number
-    (a bool included), raises TypeError.
+    outside its domain, a negative seed included, raises ValueError; an
+    attack that is not an AttackParams, an n or seed that is not an integer,
+    or another field that is not a real number (a bool included), raises
+    TypeError. The integer fields are stored as int and the real ones as
+    float, whatever numeric type they were given in.
     """
 
     attack: AttackParams
@@ -61,6 +68,8 @@ class ProtocolConfig:
     abort_slack_z: float = 0.0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.attack, AttackParams):
+            raise TypeError(f"attack must be an AttackParams, got {self.attack!r}")
         for name in ("n", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -68,8 +77,14 @@ class ProtocolConfig:
             object.__setattr__(self, name, int(value))  # a numpy integer is not JSON
         for name in ("check_fraction", "announce_fraction", "backward_noise", "abort_slack_z"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            # float and int first: they skip the abstract-class check, ~1 us each
+            if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
                 raise TypeError(f"{name} must be a real number, got {value!r}")
+            try:
+                # nor is a numpy float, and a float32 would round the cells to its precision
+                object.__setattr__(self, name, float(value))
+            except OverflowError:
+                raise ValueError(f"{name}={value} does not fit in a float") from None
         if self.seed < 0:
             raise ValueError(f"seed={self.seed} must be non-negative")
         # numpy's multinomial draws n as a signed 64-bit integer
@@ -123,11 +138,49 @@ class ProtocolStats:
 
 
 def estimate_with_se(successes: int, trials: int) -> tuple[float, float]:
-    """Binomial point estimate and standard error sqrt(p(1-p)/trials)."""
+    """Binomial point estimate and standard error sqrt(p(1-p)/trials).
+
+    Raises:
+        InsufficientDataError: trials < 1.
+        ValueError: successes outside [0, trials].
+    """
     if trials < 1:
         raise InsufficientDataError("estimate requested with zero trials")
+    if not 0 <= successes <= trials:
+        raise ValueError(f"successes={successes} outside [0, trials={trials}]")
     p = successes / trials
     return p, math.sqrt(p * (1.0 - p) / trials)
+
+
+def _cell_probabilities(config: ProtocolConfig, fids: ChannelFidelities) -> list[float]:
+    """The 24 cell probabilities, flat and row by row.
+
+    Rows follow STATE_LABELS; the columns are hit, miss, discarded,
+    announced error, announced correct and raw key. Each product keeps the
+    association of the numpy formulation in tests/oracles.py, which the
+    tests hold every probability to, bit for bit.
+    """
+    b = config.backward_noise
+    c = config.check_fraction
+    a = config.announce_fraction
+    check = 0.5 * c
+    announce = (1.0 - c) * a
+    discarded = 0.25 * check
+    raw = 0.25 * ((1.0 - c) * (1.0 - a))
+    cells = []
+    for fid in (fids.f0, fids.f1, fids.fplus, fids.fminus):
+        # validation lets overlaps exceed 1 by float slack, and f with them
+        f = min(max(fid, 0.0), 1.0)
+        e = min(max((1.0 - f) * (1.0 - b) + f * b, 0.0), 1.0)
+        cells += (
+            0.25 * (check * f),
+            0.25 * (check * (1.0 - f)),
+            discarded,
+            0.25 * (announce * e),
+            0.25 * (announce * (1.0 - e)),
+            raw,
+        )
+    return cells
 
 
 def run_protocol(config: ProtocolConfig) -> tuple[ProtocolStats, KeyRateReport]:
@@ -135,33 +188,19 @@ def run_protocol(config: ProtocolConfig) -> tuple[ProtocolStats, KeyRateReport]:
 
     All randomness is one multinomial draw of the 24 cell counts from a
     generator seeded with config.seed, so identical configs reproduce
-    identical results bit for bit, and no array of size n is built.
+    identical results bit for bit, and no array of size n is built. The
+    cell probabilities before the draw and the estimates after it are
+    Python float arithmetic.
 
     Raises:
         InsufficientDataError: n too small for some estimator to see even
             one trial (every fidelity needs consistent-basis checks and
             the error rate needs announced bits).
     """
-    fids = forward_fidelities(config.attack)
-    # validation lets overlaps exceed 1 by float slack, and f with them
-    f = np.clip([fids.f0, fids.f1, fids.fplus, fids.fminus], 0.0, 1.0)
-    b = config.backward_noise
-    e = np.clip((1.0 - f) * (1.0 - b) + f * b, 0.0, 1.0)
-    c = config.check_fraction
-    a = config.announce_fraction
-    # rows follow STATE_LABELS; the columns are hit, miss, discarded,
-    # announced error, announced correct, raw key
-    cells = 0.25 * np.column_stack([
-        0.5 * c * f,
-        0.5 * c * (1.0 - f),
-        np.full(4, 0.5 * c),
-        (1.0 - c) * a * e,
-        (1.0 - c) * a * (1.0 - e),
-        np.full(4, (1.0 - c) * (1.0 - a)),
-    ])
+    cells = _cell_probabilities(config, forward_fidelities(config.attack))
     rng = np.random.default_rng(config.seed)
-    tally = rng.multinomial(config.n, cells.ravel()).reshape(4, 6).tolist()
-    hits, misses, discarded, ann_err, ann_ok, raw = zip(*tally)
+    tally = rng.multinomial(config.n, cells).tolist()
+    hits, misses, discarded, ann_err, ann_ok, raw = (tally[k::6] for k in range(6))
 
     counts: dict[str, int] = {}
     for label, hit, miss in zip(STATE_LABELS, hits, misses):
@@ -170,22 +209,22 @@ def run_protocol(config: ProtocolConfig) -> tuple[ProtocolStats, KeyRateReport]:
             counts[f"{label}|{basis}|{label}"] = hit
         if miss:
             counts[f"{label}|{basis}|{COMPLEMENT[label]}"] = miss
-    est_f, se_f = np.array(
-        [estimate_with_se(hit, hit + miss) for hit, miss in zip(hits, misses)]
-    ).T
+    est_f, se_f = zip(*(estimate_with_se(hit, hit + miss) for hit, miss in zip(hits, misses)))
 
     n_announced = sum(ann_err) + sum(ann_ok)
     m = sum(raw)
     est_e, se_e = estimate_with_se(sum(ann_err), n_announced)
 
-    est_xi = ChannelFidelities(*est_f.tolist()).xi
-    se_xi = 0.5 * math.sqrt(float(np.sum(se_f**2)))
+    est_xi = ChannelFidelities(*est_f).xi
+    se0, se1, se2, se3 = se_f
+    # summed in state order; float addition is not associative
+    se_xi = 0.5 * math.sqrt(se0 * se0 + se1 * se1 + se2 * se2 + se3 * se3)
 
     report = final_rate(
         min(max(est_xi, -1.0), 1.0),
-        min(max(float(est_e), 0.0), 0.5),
+        min(max(est_e, 0.0), 0.5),
     )
-    aborted = bool(est_xi - config.abort_slack_z * se_xi < BOUNDARY_XI - BOUNDARY_ATOL)
+    aborted = est_xi - config.abort_slack_z * se_xi < BOUNDARY_XI - BOUNDARY_ATOL
     k_est = 0 if aborted else max(0, int(round(m * report.r_final)))
 
     stats = ProtocolStats(
@@ -194,18 +233,18 @@ def run_protocol(config: ProtocolConfig) -> tuple[ProtocolStats, KeyRateReport]:
         n_check_discarded=sum(discarded),
         n_announced=n_announced,
         m=m,
-        est_f0=float(est_f[0]),
-        se_f0=float(se_f[0]),
-        est_f1=float(est_f[1]),
-        se_f1=float(se_f[1]),
-        est_fplus=float(est_f[2]),
-        se_fplus=float(se_f[2]),
-        est_fminus=float(est_f[3]),
-        se_fminus=float(se_f[3]),
-        est_e=float(est_e),
-        se_e=float(se_e),
+        est_f0=est_f[0],
+        se_f0=se0,
+        est_f1=est_f[1],
+        se_f1=se1,
+        est_fplus=est_f[2],
+        se_fplus=se2,
+        est_fminus=est_f[3],
+        se_fminus=se3,
+        est_e=est_e,
+        se_e=se_e,
         est_xi=est_xi,
-        se_xi=float(se_xi),
+        se_xi=se_xi,
         k_est=k_est,
         aborted=aborted,
     )

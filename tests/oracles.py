@@ -13,8 +13,13 @@ along the one constrained direction and a Nelder-Mead simplex, with no
 knowledge of the answer beyond its starting point.
 
 The library's binary entropy is double-precision logarithms; the oracle
-here evaluates it in 50-digit decimal arithmetic. Tests import these with
-``from oracles import ...``.
+here evaluates it in 50-digit decimal arithmetic.
+
+The library simulates a protocol run on Python floats around one
+multinomial draw; the oracle here builds the same 24 cell probabilities as
+numpy columns (column_stack_cells) and runs the protocol on arrays
+(array_run_protocol). The two must agree bit for bit. Tests import these
+with ``from oracles import ...``.
 """
 
 import decimal
@@ -26,6 +31,7 @@ from scipy.optimize import minimize
 from dqkd.attack import (
     AttackParams,
     AttackValidationError,
+    ChannelFidelities,
     branch_vectors,
     forward_fidelities,
     realize_ancilla,
@@ -38,8 +44,18 @@ from dqkd.optimizer import (
     OptResult,
     entropy_objective,
 )
-from dqkd.qstate import ComplexMatrix, DensityMatrix, Ket, outer, partial_trace
-from dqkd.rates import s_be_max
+from dqkd.protosim import ProtocolConfig, ProtocolStats, estimate_with_se
+from dqkd.qstate import (
+    BASIS_OF,
+    COMPLEMENT,
+    STATE_LABELS,
+    ComplexMatrix,
+    DensityMatrix,
+    Ket,
+    outer,
+    partial_trace,
+)
+from dqkd.rates import BOUNDARY_ATOL, BOUNDARY_XI, KeyRateReport, final_rate, s_be_max
 
 KET_0 = np.array([1, 0], dtype=complex)
 KET_1 = np.array([0, 1], dtype=complex)
@@ -274,3 +290,82 @@ def search_s_be(constraint: FidelityConstraint, budget: int = 20000) -> OptResul
         iterations=evals,
         converged=abs(gap) <= GAP_TOLERANCE,
     )
+
+
+def column_stack_cells(config: ProtocolConfig, fids: ChannelFidelities) -> np.ndarray:
+    """The 24 cell probabilities of a run as one flat array.
+
+    Rows follow STATE_LABELS; the columns are hit, miss, discarded,
+    announced error, announced correct and raw key, each built as a numpy
+    column over the four states.
+    """
+    f = np.clip([fids.f0, fids.f1, fids.fplus, fids.fminus], 0.0, 1.0)
+    b = config.backward_noise
+    e = np.clip((1.0 - f) * (1.0 - b) + f * b, 0.0, 1.0)
+    c = config.check_fraction
+    a = config.announce_fraction
+    cells = 0.25 * np.column_stack([
+        0.5 * c * f,
+        0.5 * c * (1.0 - f),
+        np.full(4, 0.5 * c),
+        (1.0 - c) * a * e,
+        (1.0 - c) * a * (1.0 - e),
+        np.full(4, (1.0 - c) * (1.0 - a)),
+    ])
+    return cells.ravel()
+
+
+def array_run_protocol(config: ProtocolConfig) -> tuple[ProtocolStats, KeyRateReport]:
+    """protosim.run_protocol on numpy arrays, drawing from column_stack_cells."""
+    cells = column_stack_cells(config, forward_fidelities(config.attack))
+    rng = np.random.default_rng(config.seed)
+    tally = rng.multinomial(config.n, cells).reshape(4, 6).tolist()
+    hits, misses, discarded, ann_err, ann_ok, raw = zip(*tally)
+
+    counts: dict[str, int] = {}
+    for label, hit, miss in zip(STATE_LABELS, hits, misses):
+        basis = BASIS_OF[label]
+        if hit:
+            counts[f"{label}|{basis}|{label}"] = hit
+        if miss:
+            counts[f"{label}|{basis}|{COMPLEMENT[label]}"] = miss
+    est_f, se_f = np.array(
+        [estimate_with_se(hit, hit + miss) for hit, miss in zip(hits, misses)]
+    ).T
+
+    n_announced = sum(ann_err) + sum(ann_ok)
+    m = sum(raw)
+    est_e, se_e = estimate_with_se(sum(ann_err), n_announced)
+
+    est_xi = ChannelFidelities(*est_f.tolist()).xi
+    se_xi = 0.5 * math.sqrt(float(np.sum(se_f**2)))
+
+    report = final_rate(
+        min(max(est_xi, -1.0), 1.0),
+        min(max(float(est_e), 0.0), 0.5),
+    )
+    aborted = bool(est_xi - config.abort_slack_z * se_xi < BOUNDARY_XI - BOUNDARY_ATOL)
+    k_est = 0 if aborted else max(0, int(round(m * report.r_final)))
+
+    stats = ProtocolStats(
+        counts=counts,
+        n_check_consistent=sum(hits) + sum(misses),
+        n_check_discarded=sum(discarded),
+        n_announced=n_announced,
+        m=m,
+        est_f0=float(est_f[0]),
+        se_f0=float(se_f[0]),
+        est_f1=float(est_f[1]),
+        se_f1=float(se_f[1]),
+        est_fplus=float(est_f[2]),
+        se_fplus=float(se_f[2]),
+        est_fminus=float(est_f[3]),
+        se_fminus=float(se_f[3]),
+        est_e=float(est_e),
+        se_e=float(se_e),
+        est_xi=est_xi,
+        se_xi=float(se_xi),
+        k_est=k_est,
+        aborted=aborted,
+    )
+    return stats, report

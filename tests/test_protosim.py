@@ -1,14 +1,61 @@
+import json
+import re
+
 import numpy as np
 import pytest
+from oracles import array_run_protocol, column_stack_cells
 
-from dqkd.attack import AttackParams, named_attack
+from dqkd.attack import AttackParams, forward_fidelities, named_attack, sample_valid
 from dqkd.protosim import (
     InsufficientDataError,
     ProtocolConfig,
     ProtocolStats,
+    _cell_probabilities,
     estimate_with_se,
     run_protocol,
 )
+
+def at_slack_attack() -> AttackParams:
+    """Overlaps at the validation slack 1 + 5e-13, which lift fplus to 1 + 2.5e-13."""
+    ov = complex(1.0 + 5e-13)
+    return AttackParams(c00=1.0, c01=0.0, c11=1.0, c10=0.0, s=ov, u=ov, p=ov, r=ov, v=ov, q=ov)
+
+
+def config_cloud(seed: int = 19, count: int = 2000) -> list[ProtocolConfig]:
+    """Seeded configs over every field's domain, for the bit-identity checks.
+
+    Attacks are drawn from a pool of sampled attacks, symmetric and not,
+    the named attacks and the at-slack attack. n is log-uniform in
+    [1, 2**63 - 1], with both ends pinned; small n leaves some estimator
+    without trials.
+    """
+    rng = np.random.default_rng(seed)
+    pool = [sample_valid(seed=k, symmetric=k % 2 == 1) for k in range(120)]
+    pool += [named_attack(name) for name in ("identity", "measure_z", "measure_x")]
+    pool += [named_attack("symmetric", e=e) for e in (0.0, 0.05, 0.11, 0.3, 0.5)]
+    pool.append(at_slack_attack())
+    configs = []
+    for k in range(count):
+        n = 1 if k == 0 else 2**63 - 1 if k == 1 else int(2.0 ** (62.9 * rng.random()))
+        configs.append(ProtocolConfig(
+            attack=pool[k % len(pool)],
+            n=n,
+            check_fraction=float(rng.uniform(1e-6, 1.0 - 1e-6)),
+            announce_fraction=float(rng.uniform(1e-6, 1.0 - 1e-6)),
+            backward_noise=(0.0, 0.5, float(rng.uniform(0.0, 0.5)))[k % 3],
+            seed=int(rng.integers(0, 2**63)),
+            abort_slack_z=0.0 if k % 4 == 0 else float(rng.uniform(0.0, 5.0)),
+        ))
+    return configs
+
+
+def run_document(run) -> str:
+    """A run's stats and report as JSON, or its InsufficientDataError's message."""
+    try:
+        stats, report = run()
+    except InsufficientDataError as exc:
+        return f"InsufficientDataError: {exc}"
+    return json.dumps({"stats": stats.to_dict(), "report": report.to_dict()}, sort_keys=True)
 
 
 def test_estimate_with_se():
@@ -17,6 +64,13 @@ def test_estimate_with_se():
     assert estimate_with_se(0, 10) == (0.0, 0.0)
     with pytest.raises(InsufficientDataError):
         estimate_with_se(0, 0)
+    # zero trials is reported first, whatever the successes
+    with pytest.raises(InsufficientDataError):
+        estimate_with_se(5, 0)
+    for successes in (5, -1):
+        with pytest.raises(ValueError, match=re.escape(f"successes={successes} outside [0, trials=3]")) as info:
+            estimate_with_se(successes, 3)
+        assert not isinstance(info.value, InsufficientDataError)
 
 
 def test_config_validation():
@@ -68,18 +122,40 @@ def test_config_real_number_contract():
             ProtocolConfig(attack=attack, n=100, **kwargs)
     # integers and numpy reals are numbers
     ProtocolConfig(attack=attack, n=100, abort_slack_z=3, backward_noise=np.float32(0.25))
-    with pytest.raises(ValueError, match="backward_noise"):
-        ProtocolConfig(attack=attack, n=100, backward_noise=10**400)
+    for name in ("backward_noise", "abort_slack_z"):
+        with pytest.raises(ValueError, match=name):
+            ProtocolConfig(attack=attack, n=100, **{name: 10**400})
+
+
+def test_config_rejects_a_non_attack():
+    for attack in ("identity", None, named_attack("identity").to_dict()):
+        with pytest.raises(TypeError, match="attack"):
+            ProtocolConfig(attack=attack, n=10)
+
+
+def test_config_stores_python_floats():
+    # a float32 is stored as its float value: the config serializes, and it
+    # runs exactly as the config built from those floats
+    values = {"check_fraction": 0.3, "announce_fraction": 0.7, "backward_noise": 0.1,
+              "abort_slack_z": 1.5}
+    attack = named_attack("symmetric", e=0.05)
+    narrow = ProtocolConfig(attack=attack, n=10**5, seed=4,
+                            **{name: np.float32(v) for name, v in values.items()})
+    twin = ProtocolConfig(attack=attack, n=10**5, seed=4,
+                          **{name: float(np.float32(v)) for name, v in values.items()})
+    for name in values:
+        assert type(getattr(narrow, name)) is float
+    assert narrow == twin
+    assert json.dumps(narrow.to_dict()) == json.dumps(twin.to_dict())
+    assert run_protocol(narrow) == run_protocol(twin)
+    # an integer is stored as a float too
+    assert type(ProtocolConfig(attack=attack, n=10, abort_slack_z=3).abort_slack_z) is float
 
 
 def test_untouched_channel_is_perfect():
     # validation admits overlaps up to 1 + 1e-12, which lifts fplus to
     # 1 + 2.5e-13 here; the sampler must clip it, not reject the attack
-    ov = complex(1.0 + 5e-13)
-    at_slack = AttackParams(
-        c00=1.0, c01=0.0, c11=1.0, c10=0.0, s=ov, u=ov, p=ov, r=ov, v=ov, q=ov,
-    )
-    for attack in (named_attack("identity"), at_slack):
+    for attack in (named_attack("identity"), at_slack_attack()):
         stats, report = run_protocol(ProtocolConfig(attack=attack, n=10**5))
         # every check matches and every announced bit agrees, exactly
         for est in (stats.est_f0, stats.est_f1, stats.est_fplus, stats.est_fminus):
@@ -199,3 +275,20 @@ def test_stats_serialization_round_trip_shape():
     assert doc["m"] == stats.m
     assert doc["aborted"] is False
     assert set(doc) == {f.name for f in ProtocolStats.__dataclass_fields__.values()}
+
+
+def test_float_cells_match_the_array_oracle_bit_for_bit():
+    configs = config_cloud()
+    assert len(configs) >= 2000
+    insufficient = 0
+    for config in configs:
+        fids = forward_fidelities(config.attack)
+        cells = _cell_probabilities(config, fids)
+        assert all(type(p) is float for p in cells)
+        expected = column_stack_cells(config, fids).tolist()
+        assert [p.hex() for p in cells] == [p.hex() for p in expected], config
+        doc = run_document(lambda: run_protocol(config))
+        assert doc == run_document(lambda: array_run_protocol(config)), config
+        insufficient += doc.startswith("InsufficientDataError")
+    # the cloud reaches both outcomes
+    assert 0 < insufficient < len(configs) // 2
