@@ -26,7 +26,8 @@ constraint forces u = -v, i.e. u0 = -v0 and u1 = -v1.
 
 ``validate`` checks one attack; ``_valid_mask`` applies its checks to a
 stack of candidates at once, with one Gram ``eigvalsh`` call for them all,
-and ``_attack_batch`` builds attacks from a stack that passes.
+and ``_attack_batch`` builds attacks from a stack that passes. Attacks hold
+Python floats and complexes; ``forward_fidelities`` is a closed form in them.
 """
 
 from __future__ import annotations
@@ -373,31 +374,19 @@ class ChannelFidelities:
 
 
 def forward_fidelities(params: AttackParams) -> ChannelFidelities:
-    """Fidelities of the four probe states under the attack, via the Gram matrix.
+    """Fidelities of the four probe states under the attack, in closed form.
 
-    The computational-basis fidelities are c00^2 and c11^2. The diagonal
-    ones are squared norms of the (+,+,+,+) and (+,-,+,-) signed amplitude
-    combinations of the four ancilla kets, divided by 4; no explicit ancilla
-    realization is needed.
+    f0 = c00^2 and f1 = c11^2. The diagonal ones, the squared norms of the
+    (+,+,+,+) and (+,-,+,-) signed sums of c00 |E00>, c01 |E01>, c11 |E11>
+    and c10 |E10> over 4, are (1 + even +/- odd)/2 with even = c00 c11 Re p
+    + c01 c10 Re q and odd = c00 c01 Re s + c00 c10 Re u + c01 c11 Re v +
+    c10 c11 Re r, since the amplitudes are real and normalized.
     """
     c00, c01, c11, c10 = params.c00, params.c01, params.c11, params.c10
-    g = gram_matrix(params)
-
-    def combo_norm_sq(signs: tuple[int, int, int, int]) -> float:
-        w = np.array(
-            [signs[0] * c00, signs[1] * c01, signs[2] * c11, signs[3] * c10],
-            dtype=complex,
-        )
-        return float(np.real(np.conjugate(w) @ g @ w))
-
-    fplus = combo_norm_sq((1, 1, 1, 1)) / 4.0
-    fminus = combo_norm_sq((1, -1, 1, -1)) / 4.0
-    return ChannelFidelities(
-        f0=float(params.c00**2),
-        f1=float(params.c11**2),
-        fplus=fplus,
-        fminus=fminus,
-    )
+    even = c00 * c11 * params.p.real + c01 * c10 * params.q.real
+    odd = (c00 * c01 * params.s.real + c00 * c10 * params.u.real
+           + c01 * c11 * params.v.real + c10 * c11 * params.r.real)
+    return ChannelFidelities(c00**2, c11**2, 0.5 * (1.0 + even + odd), 0.5 * (1.0 + even - odd))
 
 
 def named_attack(name: str, e: float | None = None) -> AttackParams:
@@ -420,7 +409,7 @@ def named_attack(name: str, e: float | None = None) -> AttackParams:
     elif name == "measure_z":
         params = AttackParams(c00=1.0, c01=0.0, c11=1.0, c10=0.0)
     elif name == "measure_x":
-        a = 1.0 / np.sqrt(2.0)
+        a = 1.0 / math.sqrt(2.0)
         params = AttackParams(c00=a, c01=a, c11=a, c10=a, p=1 + 0j, q=1 + 0j)
     elif name == "symmetric":
         if e is None:
@@ -428,8 +417,8 @@ def named_attack(name: str, e: float | None = None) -> AttackParams:
         e = float(e)
         if not 0.0 <= e <= 0.5:
             raise ValueError(f"symmetric disturbance e={e} outside [0, 1/2]")
-        c0 = np.sqrt(1.0 - e)
-        c1 = np.sqrt(e)
+        c0 = math.sqrt(1.0 - e)
+        c1 = math.sqrt(e)
         # q0 = 1 and the boundary identity 2 fpm - 1 = c0^2 p0 + c1^2 q0
         # pin p0 so that fpm = f01 = 1 - e
         p0 = (1.0 - 3.0 * e) / (1.0 - e)
@@ -491,5 +480,5 @@ def _draw(seed: int | None, symmetric: bool, max_iterations: int = DRAW_BUDGET) 
         e10 = u * e00 + np.sqrt(1.0 - abs(u) ** 2) * (w / norm)
         s, p = complex(np.vdot(e00, e01)), complex(np.vdot(e00, e11))
         r, q = complex(np.vdot(e11, e10)), complex(np.vdot(e01, e10))
-        return float(c00), float(c01), float(c11), float(c10), s, u, p, r, v, q
+        return float(c00), float(c01), float(c11), float(c10), s, complex(u), p, r, v, q
     raise SamplingBudgetError(f"no valid draw within {max_iterations} iterations")

@@ -43,11 +43,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attack import AttackParams, branch_stack
+from .attack import AttackParams, branch_stack, named_attack
 from .qstate import (
     DensityMatrix,
     Spectrum,
-    Y_GATE,
     density_matrices,
     entropy_bits,
     outer,
@@ -119,14 +118,15 @@ def backward_indistinguishability() -> float:
     """Distinguishability of the two encodings on the return path alone.
 
     With no forward attack the returning qubit is maximally mixed, and
-    encoding I or Y on it gives identical states, so the trace distance
-    is 0 and a backward-only eavesdropper learns nothing.
+    encoding I or Y on it gives identical states: the two key blocks of the
+    identity attack's rho_abe, each renormalized, are equal, so their trace
+    distance is 0 and a backward-only eavesdropper learns nothing.
 
     Returns:
-        Trace distance between the key-0 and key-1 states of the qubit.
+        Trace distance between the key-0 and key-1 qubit-ancilla states.
     """
-    rho = 0.5 * np.eye(2, dtype=complex)
-    return trace_distance(rho, Y_GATE @ rho @ Y_GATE.conj().T)
+    abe = build_rho_abe(named_attack("identity")).rho_abe.matrix
+    return trace_distance(2 * abe[:8, :8], 2 * abe[8:, 8:])
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,11 @@
 Each check replays one proven identity on freshly sampled valid attacks
 and records the worst deviation: the joint-state entropy is exactly 2
 bits, the closed-form spectrum matches brute-force diagonalization, the
-diagonal-basis fidelity is a fixed combination of the overlaps, a
-backward-only eavesdropper sees nothing, and the spectrum does not move
-when the cancelling overlap directions (u and v together, and the real
-parts of s and r) are perturbed.
+diagonal-basis fidelity, by the Gram route, is a fixed combination of the
+overlaps, a backward-only eavesdropper sees nothing (the identity attack's
+two key blocks are equal), and the spectrum does not move when the
+cancelling overlap directions (u and v together, and the real parts of s
+and r) are perturbed.
 
 The sampled checks run in one pass over one draw: ``trials`` attacks,
 each seeded by its own child seed, together with their neighbours along
@@ -26,7 +27,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .attack import _attack_batch, _draw, _valid_attacks, forward_fidelities
+from .attack import AttackParams, _attack_batch, _draw, _valid_attacks, gram_matrix
 from .keyrate import backward_indistinguishability, be_spectrum_closed_form, joint_states
 from .qstate import von_neumann_entropy
 
@@ -115,6 +116,18 @@ def _neighbors(amps: np.ndarray, overlaps: np.ndarray, seeds: list[int]) -> tupl
     return [found[j] for j in kept], owner[kept]
 
 
+def _gram_fpm(a: AttackParams) -> float:
+    """fpm by the Gram route, a reference independent of forward_fidelities:
+    w^+ G w / 4 for the (+,+,+,+) and (+,-,+,-) signed amplitudes w."""
+    g = gram_matrix(a)
+    amps = (a.c00, a.c01, a.c11, a.c10)
+    fids = []
+    for signs in ((1, 1, 1, 1), (1, -1, 1, -1)):
+        w = np.array([sign * c for sign, c in zip(signs, amps)], dtype=complex)
+        fids.append(float(np.real(np.conjugate(w) @ g @ w)) / 4.0)
+    return 0.5 * (fids[0] + fids[1])
+
+
 def _deviations(seeds: list[int]) -> dict[str, np.ndarray]:
     """Every sampled identity's deviation at each seed, keyed by check name.
 
@@ -152,10 +165,7 @@ def _chunk_deviations(seeds: list[int]) -> dict[str, np.ndarray]:
         "closed-form-spectrum": np.max(np.abs(np.sort(closed)[:, ::-1] - spectra[:k]), axis=1),
         # fpm = (1 + c00 c11 p0 + c01 c10 q0) / 2, any valid attack
         "diagonal-fidelity-identity": np.array([
-            abs(
-                forward_fidelities(a).fpm
-                - 0.5 * (1.0 + a.c00 * a.c11 * a.p.real + a.c01 * a.c10 * a.q.real)
-            )
+            abs(_gram_fpm(a) - 0.5 * (1.0 + a.c00 * a.c11 * a.p.real + a.c01 * a.c10 * a.q.real))
             for a in attacks
         ]),
         # the spectrum is flat along the cancelling overlap directions

@@ -114,7 +114,7 @@ def probe_outcome_probability(params: AttackParams, prepared: str, outcome: str)
     Sends the prepared state through a realized attack, traces out the
     ancilla, and projects the reduced qubit state onto the outcome state.
     With outcome == prepared this is the channel fidelity; it provides the
-    simulation-route counterpart to the Gram-based forward_fidelities.
+    simulation-route counterpart to the closed-form forward_fidelities.
     """
     phi0, phi1 = branch_vectors(params)
     prep = STATE_KETS[prepared]

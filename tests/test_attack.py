@@ -250,10 +250,23 @@ def test_build_unitary_columns_are_branches():
 
 def test_gram_route_matches_simulation_route():
     # fidelities computed from overlaps alone agree with sending the probe
-    # through a realized attack and measuring
-    for seed in range(50):
-        params = sample_valid(seed=seed)
+    # through a realized attack and measuring, and the closed form agrees
+    # with the Gram quadratic form of the signed amplitudes, over 4, to four
+    # ulps of 1 (the worst case measured is one)
+    attacks = [sample_valid(seed=seed) for seed in range(50)]
+    attacks += [sample_valid(seed=seed, symmetric=True) for seed in range(50)]
+    attacks += [named_attack(name) for name in ("identity", "measure_z", "measure_x")]
+    attacks += [named_attack("symmetric", e=e) for e in (0.0, 0.05, 0.11, 0.25, 0.3, 0.4, 0.5)]
+    for params in attacks:
+        # the attack and its fidelities hold plain Python numbers
+        assert [type(val) for val in vars(params).values()] == [float] * 4 + [complex] * 6
         f = forward_fidelities(params)
+        assert [type(val) for val in vars(f).values()] == [float] * 4
+        g = gram_matrix(params)
+        amps = np.array([params.c00, params.c01, params.c11, params.c10])
+        for signs, closed in (((1, 1, 1, 1), f.fplus), ((1, -1, 1, -1), f.fminus)):
+            w = np.multiply(signs, amps)
+            assert abs(np.real(w @ g @ w) / 4.0 - closed) <= 4 * np.finfo(float).eps
         table = {"0": f.f0, "1": f.f1, "+": f.fplus, "-": f.fminus}
         for label, want in table.items():
             got = probe_outcome_probability(params, label, label)
