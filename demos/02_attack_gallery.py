@@ -5,8 +5,8 @@ eigenvalues of the averaged qubit-ancilla state, and what they cost Eve.
 """
 
 from dqkd.attack import forward_fidelities, named_attack
-from dqkd.keyrate import be_spectrum_closed_form, s_be_numeric
-from dqkd.rates import final_rate
+from dqkd.keyrate import s_be_numeric
+from dqkd.rates import be_spectrum_closed_form, final_rate
 
 
 def show(title: str, params) -> None:

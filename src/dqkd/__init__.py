@@ -8,7 +8,8 @@ simulates the full protocol at finite sample sizes.
 
 Each public name is imported from its module on first access (PEP 562), so
 ``import dqkd`` loads nothing but this file, and code that reaches only the
-scalar rate formulas never loads numpy.
+scalar layer (the rate formulas, one attack and its closed-form spectrum,
+the maximizer) never loads numpy.
 """
 
 from importlib import import_module
@@ -19,20 +20,21 @@ _MODULE_OF = {
     name: module
     for module, names in {
         "attack": (
-            "AttackParams", "AttackValidationError", "ChannelFidelities", "branch_vectors",
-            "forward_fidelities", "gram_matrix", "named_attack", "realize_ancilla",
-            "sample_valid", "validate",
+            "AttackParams", "AttackValidationError", "ChannelFidelities", "forward_fidelities",
+            "named_attack", "validate",
         ),
         "keyrate": (
-            "BeSpectrumClosedForm", "JointStateBundle", "backward_indistinguishability",
-            "be_spectrum_closed_form", "build_rho_abe", "joint_states", "s_be_numeric",
+            "JointStateBundle", "backward_indistinguishability", "branch_vectors",
+            "build_rho_abe", "gram_matrix", "joint_states", "realize_ancilla", "s_be_numeric",
         ),
         "optimizer": ("FidelityConstraint", "OptResult", "entropy_objective", "maximize_s_be"),
         "protosim": ("ProtocolConfig", "ProtocolStats", "estimate_with_se", "run_protocol"),
         "qstate": ("DensityMatrix", "partial_trace", "trace_distance", "von_neumann_entropy"),
         "rates": (
-            "BoundaryViolationError", "KeyRateReport", "binary_entropy", "final_rate", "s_be_max",
+            "BeSpectrumClosedForm", "BoundaryViolationError", "KeyRateReport",
+            "be_spectrum_closed_form", "binary_entropy", "final_rate", "s_be_max",
         ),
+        "verify": ("sample_valid",),
     }.items()
     for name in names
 }

@@ -22,12 +22,14 @@ two branch vectors orthogonal, which reads
     c00 * c10 * u + c01 * c11 * v = 0.
 
 For equal amplitudes (c00 = c11, hence c01 = c10) the orthogonality
-constraint forces u = -v, i.e. u0 = -v0 and u1 = -v1.
+constraint forces u = -v, i.e. u0 = -v0 and u1 = -v1. The Gram matrix G has
+rows (1, s, p, u), (s*, 1, v, q), (p*, v*, 1, r), (u*, q*, r*, 1); it passes
+when every LDL^H pivot of G - PSD_SLACK I is > 0, exactly when its smallest
+eigenvalue exceeds PSD_SLACK.
 
-``validate`` checks one attack; ``_valid_mask`` applies its checks to a
-stack of candidates at once, with one Gram ``eigvalsh`` call for them all,
-and ``_attack_batch`` builds attacks from a stack that passes. Attacks hold
-Python floats and complexes; ``forward_fidelities`` is a closed form in them.
+Attacks hold Python floats and complexes, and every check and fidelity is
+plain arithmetic on them, so this module needs no numpy. Stacks of attacks
+are checked, sampled and realized in the numpy modules verify and keyrate.
 """
 
 from __future__ import annotations
@@ -35,10 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
-from .qstate import PSD_SLACK, ComplexMatrix, Ket
-from .rates import DOMAIN_ATOL, NAMED_ATTACKS
+from .rates import DOMAIN_ATOL, NAMED_ATTACKS, PSD_SLACK
 
 AMPLITUDE_ATOL = 1e-12
 OVERLAP_ATOL = 1e-12
@@ -47,12 +46,6 @@ UNITARITY_ATOL = 1e-12
 SYMMETRY_ATOL = 1e-9
 
 OVERLAP_NAMES = ("s", "u", "p", "r", "v", "q")
-_FIELDS = ("c00", "c01", "c11", "c10") + OVERLAP_NAMES
-# entry (i, j) of the Gram matrix of (|E00>, |E01>, |E11>, |E10>) as an
-# index into (1, s, u, p, r, v, q, conj(s), conj(u), ..., conj(q))
-_GRAM_TABLE = np.array([[0, 1, 3, 2], [7, 0, 5, 6], [9, 11, 0, 4], [8, 12, 10, 0]])
-# rejection bound of sample_valid
-DRAW_BUDGET = 10**6
 
 
 class AttackValidationError(ValueError):
@@ -73,10 +66,6 @@ class UnitarityConstraintError(AttackValidationError):
 
 class GramNotPositiveError(AttackValidationError):
     """The 4x4 Gram matrix of the ancilla kets is not positive semidefinite."""
-
-
-class SamplingBudgetError(RuntimeError):
-    """Rejection sampling failed to produce a valid parameter set."""
 
 
 @dataclass(frozen=True)
@@ -124,16 +113,10 @@ class AttackParams:
 
     def to_dict(self) -> dict:
         """Flat document: the four amplitudes plus a list of named overlaps."""
-        return {
-            "c00": float(self.c00),
-            "c01": float(self.c01),
-            "c11": float(self.c11),
-            "c10": float(self.c10),
-            "overlaps": [
-                {"name": name, "re": float(val.real), "im": float(val.imag)}
-                for name, val in self.overlaps.items()
-            ],
-        }
+        doc = {name: float(getattr(self, name)) for name in ("c00", "c01", "c11", "c10")}
+        doc["overlaps"] = [{"name": name, "re": float(val.real), "im": float(val.imag)}
+                           for name, val in self.overlaps.items()]
+        return doc
 
     @classmethod
     def from_dict(cls, doc: dict) -> "AttackParams":
@@ -182,16 +165,29 @@ def real_number(value) -> float:
     return float(value)
 
 
-def gram_matrix(params: AttackParams) -> ComplexMatrix:
-    """Gram matrix of (|E00>, |E01>, |E11>, |E10>) with unit diagonal."""
-    ov = np.array([params.s, params.u, params.p, params.r, params.v, params.q], dtype=complex)
-    return np.concatenate(([1.0], ov, ov.conj()))[_GRAM_TABLE]
+def gram_pivots(s, u, p, r, v, q):
+    """Pivots 2 to 4 of the LDL^H factorization of G - PSD_SLACK I (pivot 1
+    is 1 - PSD_SLACK > 0), yielded in turn; pivot k + 1 divides by pivot k.
 
-
-def _gram_stack(overlaps: np.ndarray) -> np.ndarray:
-    """The (k, 4, 4) Gram matrices of (k, 6) overlaps, each as gram_matrix's."""
-    ones = np.ones((len(overlaps), 1))
-    return np.concatenate([ones, overlaps, overlaps.conj()], axis=1)[:, _GRAM_TABLE]
+    The overlaps are Python complexes or complex arrays of one shape. Either
+    way the pivots are the same float operations on their real and
+    imaginary parts, so a stack gets each attack's bits.
+    """
+    a = 1.0 - PSD_SLACK
+    sr, si, ur, ui, pr, pi = s.real, s.imag, u.real, u.imag, p.real, p.imag
+    d2 = a - (sr * sr + si * si) / a
+    yield d2
+    # entries (2, 3), (2, 4), (3, 4) of the first Schur complement, G[i, j]
+    # - conj(G[1, i]) G[1, j] / a: v, q and r less conj(s) p, conj(s) u and
+    # conj(p) u over a
+    vr, vi = v.real - (sr * pr + si * pi) / a, v.imag - (sr * pi - si * pr) / a
+    qr, qi = q.real - (sr * ur + si * ui) / a, q.imag - (sr * ui - si * ur) / a
+    rr, ri = r.real - (pr * ur + pi * ui) / a, r.imag - (pr * ui - pi * ur) / a
+    d3 = a - (pr * pr + pi * pi) / a - (vr * vr + vi * vi) / d2
+    yield d3
+    # entry (3, 4) of the second Schur complement, then the last pivot
+    rr, ri = rr - (vr * qr + vi * qi) / d2, ri - (vr * qi - vi * qr) / d2
+    yield a - (ur * ur + ui * ui) / a - (qr * qr + qi * qi) / d2 - (rr * rr + ri * ri) / d3
 
 
 def validate(params: AttackParams) -> AttackParams:
@@ -203,7 +199,8 @@ def validate(params: AttackParams) -> AttackParams:
     Raises:
         AmplitudeNormalizationError: amplitudes negative or not normalized.
         OverlapMagnitudeError: an overlap leaves the unit disc.
-        GramNotPositiveError: overlap Gram matrix not PSD.
+        GramNotPositiveError: a pivot of G - PSD_SLACK I is not positive
+            (gram_pivots), so G is not PSD within the slack.
         UnitarityConstraintError: branch vectors not orthogonal.
     """
     amps = (params.c00, params.c01, params.c11, params.c10)
@@ -226,116 +223,17 @@ def validate(params: AttackParams) -> AttackParams:
             modulus = math.inf
         if not modulus <= 1.0 + OVERLAP_ATOL:
             raise OverlapMagnitudeError(f"|{name}| = {modulus} exceeds 1")
-    w_min = np.linalg.eigvalsh(gram_matrix(params)).min()
-    if not w_min >= PSD_SLACK:
-        raise GramNotPositiveError(
-            f"Gram eigenvalue {w_min} below the {PSD_SLACK:g} positivity slack"
-        )
+    for k, pivot in enumerate(gram_pivots(*overlaps), start=2):
+        if not pivot > 0.0:
+            raise GramNotPositiveError(
+                f"Gram pivot {k} = {pivot} of G - ({PSD_SLACK:g}) I is not positive"
+            )
     residual = params.c00 * params.c10 * params.u + params.c01 * params.c11 * params.v
     if not abs(residual) <= UNITARITY_ATOL:
         raise UnitarityConstraintError(
             f"|c00 c10 u + c01 c11 v| = {abs(residual)} exceeds {UNITARITY_ATOL:g}"
         )
     return params
-
-
-def _valid_mask(amps: np.ndarray, overlaps: np.ndarray) -> np.ndarray:
-    """validate's verdict on each of k candidates: (k, 4) amplitudes
-    (c00, c01, c11, c10) and (k, 6) overlaps in OVERLAP_NAMES order.
-
-    validate's checks, constants and order, each as "not within" so that NaN
-    fails; each check reads only the rows that passed the ones before, so no
-    square overflows and no NaN reaches the one stacked Gram eigvalsh call.
-    A modulus is np.hypot of the parts, which rounds as Python's abs does
-    (np.abs of a complex array can differ from it in the last bit) and is
-    inf where abs overflows.
-    """
-    in_range = (-AMPLITUDE_ATOL <= amps) & (amps <= 1.0 + AMPLITUDE_ATOL)
-    rows = np.flatnonzero(in_range.all(axis=1))
-    c00, c01, c11, c10 = amps[rows].T
-    norms = np.abs([c00**2 + c01**2 - 1.0, c11**2 + c10**2 - 1.0])
-    rows = rows[np.all(norms <= AMPLITUDE_ATOL, axis=0)]
-    ov = overlaps[rows]
-    with np.errstate(over="ignore"):  # an overflowing modulus is inf, and fails
-        modulus = np.hypot(ov.real, ov.imag)
-    rows = rows[np.all(modulus <= 1.0 + OVERLAP_ATOL, axis=1)]
-    if len(rows):
-        rows = rows[np.linalg.eigvalsh(_gram_stack(overlaps[rows]))[:, 0] >= PSD_SLACK]
-    c00, c01, c11, c10 = amps[rows].T
-    residual = c00 * c10 * overlaps[rows, 1] + c01 * c11 * overlaps[rows, 4]
-    rows = rows[np.hypot(residual.real, residual.imag) <= UNITARITY_ATOL]
-    ok = np.zeros(len(amps), dtype=bool)
-    ok[rows] = True
-    return ok
-
-
-def _valid_attacks(amps: np.ndarray, ov: np.ndarray) -> tuple[np.ndarray, list[AttackParams]]:
-    """_valid_mask of k candidates, and the valid ones wrapped as AttackParams
-    of Python floats and complexes without re-running __post_init__."""
-    ok = _valid_mask(amps, ov)
-    out = []
-    for row_amps, row_ov in zip(amps[ok].tolist(), ov[ok].tolist()):
-        params = object.__new__(AttackParams)
-        params.__dict__.update(zip(_FIELDS, row_amps + row_ov))
-        out.append(params)
-    return ok, out
-
-
-def _attack_batch(amps: np.ndarray, ov: np.ndarray) -> list[AttackParams]:
-    """The k candidates as AttackParams, checked at once; the first invalid
-    one raises validate's error class and message, prefixed with its index."""
-    ok, attacks = _valid_attacks(amps, ov)
-    if not ok.all():
-        i = int(np.argmin(ok))
-        try:
-            AttackParams(*amps[i].tolist(), *ov[i].tolist())
-        except AttackValidationError as exc:
-            raise type(exc)(f"attack {i}: {exc}") from None
-        raise AssertionError(f"attack {i}: the stacked check rejects what validate accepts")
-    return attacks
-
-
-def realize_ancillas(attacks: list[AttackParams]) -> np.ndarray:
-    """Concrete ancilla kets reproducing the overlaps of each attack.
-
-    Factorizes every Gram matrix through one stacked eigendecomposition.
-    The params were validated on construction, so negative eigenvalues lie
-    within the -1e-10 slack; they are clamped to zero and each ket rescaled
-    back to unit norm, which the clamp can move by ~1e-10. Returns a
-    (k, 4, 4) array whose entry i has as rows the kets (|E00>, |E01>,
-    |E11>, |E10>) of attack i in a four-dimensional space.
-    """
-    overlaps = np.array([(a.s, a.u, a.p, a.r, a.v, a.q) for a in attacks], dtype=complex)
-    lam, vecs = np.linalg.eigh(_gram_stack(overlaps))
-    b = np.conjugate(vecs * np.sqrt(np.clip(lam, 0.0, None))[:, None, :])
-    # rows of b satisfy <row_i|row_j> = G_ij, whose diagonal is 1
-    return b / np.linalg.norm(b, axis=2, keepdims=True)
-
-
-def realize_ancilla(params: AttackParams) -> np.ndarray:
-    """The (4, 4) ancilla kets of one attack: realize_ancillas for k = 1."""
-    return realize_ancillas([params])[0]
-
-
-def branch_stack(attacks: list[AttackParams]) -> np.ndarray:
-    """The two attacked transmission branches of each attack, stacked.
-
-    Returns a (k, 2, 8) array whose entry i holds U(|0> ox |E>) and
-    U(|1> ox |E>) of attack i as 8-dim qubit-ancilla kets built from
-    realized ancillas, the qubit's |0> component in the first four entries,
-    its |1> in the last.
-    """
-    amps = np.array([(a.c00, a.c01, a.c11, a.c10) for a in attacks])
-    # rows c00 E00, c01 E01, c11 E11, c10 E10; branch 0 is (c00 E00, c01 E01)
-    # and branch 1 is (c10 E10, c11 E11)
-    scaled = amps[:, :, None] * realize_ancillas(attacks)
-    return scaled[:, [0, 1, 3, 2]].reshape(len(attacks), 2, 8)
-
-
-def branch_vectors(params: AttackParams) -> tuple[Ket, Ket]:
-    """(U(|0> ox |E>), U(|1> ox |E>)) of one attack: branch_stack for k = 1."""
-    phi0, phi1 = branch_stack([params])[0]
-    return phi0, phi1
 
 
 @dataclass(frozen=True)
@@ -402,83 +300,22 @@ def named_attack(name: str, e: float | None = None) -> AttackParams:
     if e is not None and name != "symmetric" and name in NAMED_ATTACKS:
         raise ValueError(f"the {name} attack takes no disturbance e, got e={e}")
     if name == "identity":
-        params = AttackParams(
-            c00=1.0, c01=0.0, c11=1.0, c10=0.0,
-            s=1 + 0j, u=1 + 0j, p=1 + 0j, r=1 + 0j, v=1 + 0j, q=1 + 0j,
-        )
-    elif name == "measure_z":
-        params = AttackParams(c00=1.0, c01=0.0, c11=1.0, c10=0.0)
-    elif name == "measure_x":
+        return AttackParams(c00=1.0, c01=0.0, c11=1.0, c10=0.0,
+                            s=1 + 0j, u=1 + 0j, p=1 + 0j, r=1 + 0j, v=1 + 0j, q=1 + 0j)
+    if name == "measure_z":
+        return AttackParams(c00=1.0, c01=0.0, c11=1.0, c10=0.0)
+    if name == "measure_x":
         a = 1.0 / math.sqrt(2.0)
-        params = AttackParams(c00=a, c01=a, c11=a, c10=a, p=1 + 0j, q=1 + 0j)
-    elif name == "symmetric":
-        if e is None:
-            raise ValueError("the symmetric attack needs a disturbance e")
-        e = float(e)
-        if not 0.0 <= e <= 0.5:
-            raise ValueError(f"symmetric disturbance e={e} outside [0, 1/2]")
-        c0 = math.sqrt(1.0 - e)
-        c1 = math.sqrt(e)
-        # q0 = 1 and the boundary identity 2 fpm - 1 = c0^2 p0 + c1^2 q0
-        # pin p0 so that fpm = f01 = 1 - e
-        p0 = (1.0 - 3.0 * e) / (1.0 - e)
-        params = AttackParams(
-            c00=c0, c01=c1, c11=c0, c10=c1, p=complex(p0), q=1 + 0j,
-        )
-    else:
+        return AttackParams(c00=a, c01=a, c11=a, c10=a, p=1 + 0j, q=1 + 0j)
+    if name != "symmetric":
         raise ValueError(f"unknown attack name {name!r}; expected one of {NAMED_ATTACKS}")
-    return params
-
-
-def _unit_vector(rng: np.random.Generator, dim: int) -> Ket:
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
-
-
-def sample_valid(
-    seed: int | None = None,
-    symmetric: bool = False,
-    max_iterations: int = DRAW_BUDGET,
-) -> AttackParams:
-    """Draw a random valid attack.
-
-    Three ancilla kets and the amplitudes are drawn freely; the remaining
-    overlap <E00|E10> is solved from the orthogonality constraint and the
-    fourth ket is constructed to realize it, so the Gram matrix is PSD by
-    construction. Draws that leave the unit disc are rejected.
-
-    Args:
-        seed: seed for the deterministic generator.
-        symmetric: force c00 = c11, hence c01 = c10.
-        max_iterations: rejection bound before giving up.
-    """
-    return AttackParams(*_draw(seed, symmetric, max_iterations))
-
-
-def _draw(seed: int | None, symmetric: bool, max_iterations: int = DRAW_BUDGET) -> tuple:
-    """sample_valid's draw, unvalidated: its four amplitudes, then its overlaps."""
-    rng = np.random.default_rng(seed)
-    for _ in range(max_iterations):
-        e00 = _unit_vector(rng, 4)
-        e01 = _unit_vector(rng, 4)
-        e11 = _unit_vector(rng, 4)
-        c00 = rng.uniform(0.0, 1.0)
-        c11 = c00 if symmetric else rng.uniform(0.0, 1.0)
-        c01 = np.sqrt(1.0 - c00**2)
-        c10 = np.sqrt(1.0 - c11**2)
-        if c00 * c10 < 1e-6:
-            continue
-        v = complex(np.vdot(e01, e11))
-        u = -(c01 * c11 / (c00 * c10)) * v
-        if abs(u) > 1.0 - 1e-9:
-            continue
-        w = _unit_vector(rng, 4)
-        w = w - np.vdot(e00, w) * e00
-        norm = np.linalg.norm(w)
-        if norm < 1e-6:
-            continue
-        e10 = u * e00 + np.sqrt(1.0 - abs(u) ** 2) * (w / norm)
-        s, p = complex(np.vdot(e00, e01)), complex(np.vdot(e00, e11))
-        r, q = complex(np.vdot(e11, e10)), complex(np.vdot(e01, e10))
-        return float(c00), float(c01), float(c11), float(c10), s, complex(u), p, r, v, q
-    raise SamplingBudgetError(f"no valid draw within {max_iterations} iterations")
+    if e is None:
+        raise ValueError("the symmetric attack needs a disturbance e")
+    e = float(e)
+    if not 0.0 <= e <= 0.5:
+        raise ValueError(f"symmetric disturbance e={e} outside [0, 1/2]")
+    c0, c1 = math.sqrt(1.0 - e), math.sqrt(e)
+    # q0 = 1 and the boundary identity 2 fpm - 1 = c0^2 p0 + c1^2 q0
+    # pin p0 so that fpm = f01 = 1 - e
+    p0 = (1.0 - 3.0 * e) / (1.0 - e)
+    return AttackParams(c00=c0, c01=c1, c11=c0, c10=c1, p=complex(p0), q=1 + 0j)

@@ -10,7 +10,9 @@ key ox qubit ox ancilla whose entropy is exactly 2 bits for every valid
 attack; the eavesdropper's uncertainty about the key is therefore governed
 entirely by the entropy of the reduced qubit-ancilla state.
 
-The joint state is assembled block by block: the key bit is its most
+Each attack's ancilla kets are realized from the Gram matrix of its
+overlaps, one eigendecomposition for a stack of attacks, and scaled into
+its two branch vectors. The joint state is assembled block by block: the key bit is its most
 significant factor, so it is block diagonal with the two halved branches on
 the diagonal, and the key-1 branch is the key-0 branch with its qubit
 blocks [[A, B], [C, D]] rearranged to [[D, -C], [-B, A]]. Only the joint
@@ -38,22 +40,71 @@ boundary xi >= 1/2. The rates module evaluates these scalar formulas.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .attack import AttackParams, branch_stack, named_attack
-from .qstate import (
-    DensityMatrix,
-    Spectrum,
-    density_matrices,
-    entropy_bits,
-    outer,
-    trace_out,
-    trace_distance,
-    von_neumann_entropy,
-)
+from .attack import AttackParams, named_attack
+from .qstate import (ComplexMatrix, DensityMatrix, Ket, density_matrices, outer, trace_distance,
+                     trace_out, von_neumann_entropy)
+
+# entry (i, j) of the Gram matrix of (|E00>, |E01>, |E11>, |E10>) as an
+# index into (1, s, u, p, r, v, q, conj(s), conj(u), ..., conj(q))
+_GRAM_TABLE = np.array([[0, 1, 3, 2], [7, 0, 5, 6], [9, 11, 0, 4], [8, 12, 10, 0]])
+
+
+def _gram_stack(overlaps: np.ndarray) -> np.ndarray:
+    """The (k, 4, 4) Gram matrices of (k, 6) overlaps, each as gram_matrix's."""
+    ones = np.ones((len(overlaps), 1))
+    return np.concatenate([ones, overlaps, overlaps.conj()], axis=1)[:, _GRAM_TABLE]
+
+
+def gram_matrix(params: AttackParams) -> ComplexMatrix:
+    """Gram matrix of (|E00>, |E01>, |E11>, |E10>) with unit diagonal."""
+    ov = [params.s, params.u, params.p, params.r, params.v, params.q]
+    return _gram_stack(np.array([ov], dtype=complex))[0]
+
+
+def realize_ancillas(attacks: list[AttackParams]) -> np.ndarray:
+    """Concrete ancilla kets reproducing the overlaps of each attack: a
+    (k, 4, 4) array whose entry i has as rows the kets (|E00>, |E01>,
+    |E11>, |E10>) of attack i.
+
+    Factorizes every Gram matrix through one stacked eigendecomposition.
+    Negative eigenvalues, within the slack of validation, are clamped to
+    zero and each ket rescaled to unit norm, a change of ~1e-10 at most.
+    """
+    overlaps = np.array([(a.s, a.u, a.p, a.r, a.v, a.q) for a in attacks], dtype=complex)
+    lam, vecs = np.linalg.eigh(_gram_stack(overlaps))
+    b = np.conjugate(vecs * np.sqrt(np.clip(lam, 0.0, None))[:, None, :])
+    # rows of b satisfy <row_i|row_j> = G_ij, whose diagonal is 1
+    return b / np.linalg.norm(b, axis=2, keepdims=True)
+
+
+def realize_ancilla(params: AttackParams) -> np.ndarray:
+    """The (4, 4) ancilla kets of one attack: realize_ancillas for k = 1."""
+    return realize_ancillas([params])[0]
+
+
+def branch_stack(attacks: list[AttackParams]) -> np.ndarray:
+    """The two attacked transmission branches of each attack, stacked.
+
+    Returns a (k, 2, 8) array whose entry i holds U(|0> ox |E>) and
+    U(|1> ox |E>) of attack i as 8-dim qubit-ancilla kets built from
+    realized ancillas, the qubit's |0> component in the first four entries,
+    its |1> in the last.
+    """
+    amps = np.array([(a.c00, a.c01, a.c11, a.c10) for a in attacks])
+    # rows c00 E00, c01 E01, c11 E11, c10 E10; branch 0 is (c00 E00, c01 E01)
+    # and branch 1 is (c10 E10, c11 E11)
+    scaled = amps[:, :, None] * realize_ancillas(attacks)
+    return scaled[:, [0, 1, 3, 2]].reshape(len(attacks), 2, 8)
+
+
+def branch_vectors(params: AttackParams) -> tuple[Ket, Ket]:
+    """(U(|0> ox |E>), U(|1> ox |E>)) of one attack: branch_stack for k = 1."""
+    return tuple(branch_stack([params])[0])
+
 
 @dataclass(frozen=True)
 class JointStateBundle:
@@ -72,13 +123,9 @@ class JointStateBundle:
 def joint_states(attacks: list[AttackParams]) -> list[JointStateBundle]:
     """Assemble the joint key-qubit-ancilla states of many attacks at once.
 
-    The forward channel turns the maximally mixed qubit into the key-0
-    branch be0, an equal mixture of the two attacked branch vectors. The
-    key-1 branch is be0 conjugated by Y on the qubit factor: with be0 split
-    into qubit blocks [[A, B], [C, D]] of 4x4 ancilla blocks, that is
-    [[D, -C], [-B, A]], filled in by slicing. The classical key bit is the
-    most significant factor, so the two branches, halved, are the diagonal
-    blocks of rho_abe.
+    The key-0 branch be0 is the equal mixture of the two attacked branch
+    vectors; the key-1 branch is be0 conjugated by Y, by slicing (module
+    docstring), and the two, halved, are the diagonal blocks of rho_abe.
 
     Every step runs on the whole (k, ...) stack: one eigendecomposition of
     the k Gram matrices realizes the ancillas, and the two returned states
@@ -127,52 +174,6 @@ def backward_indistinguishability() -> float:
     """
     abe = build_rho_abe(named_attack("identity")).rho_abe.matrix
     return trace_distance(2 * abe[:8, :8], 2 * abe[8:, 8:])
-
-
-@dataclass(frozen=True)
-class BeSpectrumClosedForm:
-    """Closed-form nonzero spectrum of the averaged qubit-ancilla state.
-
-    The four eigenvalues are (1 +/- delta1 +/- delta2)/4 with delta1 >=
-    delta2 >= 0; the remaining four eigenvalues of the 8-dimensional state
-    are exactly zero.
-    """
-
-    delta1: float
-    delta2: float
-
-    @classmethod
-    def from_block(cls, m: complex, a: float, b: float) -> "BeSpectrumClosedForm":
-        """The spectrum of the block B = [[2i a, m], [-conj(m), -2i b]]."""
-        d_a = math.sqrt(abs(m) ** 2 + (a + b) ** 2)
-        d_b = abs(a - b)
-        return cls(delta1=max(d_a, d_b), delta2=min(d_a, d_b))
-
-    def spectrum(self) -> Spectrum:
-        """The four nonzero eigenvalues, sorted descending."""
-        d1, d2 = self.delta1, self.delta2
-        return np.array([1 + d1 + d2, 1 + d1 - d2, 1 - d1 + d2, 1 - d1 - d2]) / 4.0
-
-    def entropy(self) -> float:
-        """Entropy of the spectrum in bits, with 0 log 0 = 0."""
-        return entropy_bits(self.spectrum())
-
-
-def be_spectrum_closed_form(params: AttackParams) -> BeSpectrumClosedForm:
-    """Closed-form spectrum of the averaged qubit-ancilla state.
-
-    Args:
-        params: any valid attack, symmetric or not; the module docstring
-            derives delta1 and delta2 from the 2x2 block B.
-
-    Returns:
-        BeSpectrumClosedForm whose eigenvalues match brute-force
-        diagonalization of the built state within 1e-10.
-    """
-    m = params.c00 * params.c11 * params.p - params.c01 * params.c10 * params.q
-    a = params.c00 * params.c01 * params.s.imag
-    b = params.c10 * params.c11 * params.r.imag
-    return BeSpectrumClosedForm.from_block(m, a, b)
 
 
 def s_be_numeric(params: AttackParams) -> float:

@@ -18,8 +18,7 @@ import math
 from dataclasses import asdict, dataclass
 
 from .attack import AttackParams, forward_fidelities
-from .keyrate import be_spectrum_closed_form
-from .rates import s_be_max
+from .rates import be_spectrum_closed_form, s_be_max
 
 GAP_TOLERANCE = 1e-5
 # how closely the returned maximizer must reproduce the observed fidelities

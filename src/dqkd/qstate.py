@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .rates import PSD_SLACK, entropy_bits
+
 # Plumbing aliases: a Ket is a 1-d complex array, a ComplexMatrix a 2-d one,
 # a Spectrum a real 1-d array sorted in descending order.
 Ket = np.ndarray
@@ -25,8 +27,6 @@ Spectrum = np.ndarray
 
 HERMITIAN_ATOL = 1e-12
 TRACE_ATOL = 1e-12
-PSD_SLACK = -1e-10
-ENTROPY_CUTOFF = 1e-12
 # matrices per slice of the stacked Hermitian check
 HERMITIAN_SLICE = 16
 
@@ -162,13 +162,7 @@ def von_neumann_entropy(rho: DensityMatrix | ComplexMatrix) -> float:
     """
     if not isinstance(rho, DensityMatrix):
         rho = DensityMatrix(rho, dims=(len(rho),))
-    return entropy_bits(rho._ascending)
-
-
-def entropy_bits(w: Spectrum) -> float:
-    """-sum w log2 w over the weights above 1e-12, so 0 log 0 = 0."""
-    w = w[w > ENTROPY_CUTOFF]
-    return float(-np.sum(w * np.log2(w)))
+    return entropy_bits(rho._ascending.tolist())
 
 
 def trace_distance(a: ComplexMatrix, b: ComplexMatrix) -> float:

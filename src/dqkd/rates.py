@@ -1,12 +1,11 @@
-"""The scalar rate formulas: binary entropy, entropy ceiling, final key rate.
+"""The scalar formulas: entropies, the closed-form spectrum, the key rates.
 
 The privacy-amplification rate is 1 - h(xi) and the final rate
-1 - h(xi) - h(e), positive only above the abort boundary xi >= 1/2 (the
-keyrate module derives the ceiling 1 + h(xi) behind them). These are a few
-scalar logarithms, so this module needs no numpy: ``dqkd keyrate`` and
-``dqkd sweep`` load it and nothing heavier. It also holds the names of the
-reference attacks, which the command line offers before it loads the
-attack module.
+1 - h(xi) - h(e), positive only above the abort boundary xi >= 1/2; the
+keyrate module derives the ceiling 1 + h(xi) and the closed-form spectrum
+behind them. These are a few scalar logarithms, so this module needs no
+numpy, and ``dqkd keyrate``, ``sweep`` and ``optimize`` load nothing
+heavier. It also holds the reference attack names and the positivity slack.
 """
 
 from __future__ import annotations
@@ -21,6 +20,10 @@ BOUNDARY_XI = 0.5
 BOUNDARY_ATOL = 1e-12
 # the reference attacks built by attack.named_attack
 NAMED_ATTACKS = ("identity", "measure_z", "measure_x", "symmetric")
+# how far below 0 a Gram or density-matrix eigenvalue may round
+PSD_SLACK = -1e-10
+# weights at or below this count as 0 in an entropy
+ENTROPY_CUTOFF = 1e-12
 
 
 class BoundaryViolationError(ValueError):
@@ -36,6 +39,48 @@ def binary_entropy(x: float) -> float:
     if x == 0.0 or x == 1.0:
         return 0.0
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+
+
+def entropy_bits(weights) -> float:
+    """-sum w log2 w over the weights above 1e-12 (0 log 0 = 0), on floats,
+    summed one at a time in the order given."""
+    total = 0.0
+    for w in weights:
+        if w > ENTROPY_CUTOFF:
+            total -= w * math.log2(w)
+    return total
+
+
+@dataclass(frozen=True)
+class BeSpectrumClosedForm:
+    """Closed-form nonzero spectrum of the averaged qubit-ancilla state:
+    (1 +/- delta1 +/- delta2)/4 with delta1 >= delta2 >= 0. The other four
+    eigenvalues of the 8-dimensional state are exactly zero."""
+
+    delta1: float
+    delta2: float
+
+    def spectrum(self) -> tuple[float, float, float, float]:
+        """The four nonzero eigenvalues, sorted descending."""
+        d1, d2 = self.delta1, self.delta2
+        return ((1 + d1 + d2) / 4.0, (1 + d1 - d2) / 4.0,
+                (1 - d1 + d2) / 4.0, (1 - d1 - d2) / 4.0)
+
+    def entropy(self) -> float:
+        """Entropy of the spectrum in bits, with 0 log 0 = 0."""
+        return entropy_bits(self.spectrum())
+
+
+def be_spectrum_closed_form(params) -> BeSpectrumClosedForm:
+    """Closed-form spectrum of the averaged qubit-ancilla state of any
+    valid AttackParams, symmetric or not, from the 2x2 block
+    B = [[2i a, m], [-conj(m), -2i b]] that the keyrate module docstring
+    derives; it matches brute-force diagonalization within 1e-10."""
+    m = params.c00 * params.c11 * params.p - params.c01 * params.c10 * params.q
+    a = params.c00 * params.c01 * params.s.imag
+    b = params.c10 * params.c11 * params.r.imag
+    d_a, d_b = math.sqrt(abs(m) ** 2 + (a + b) ** 2), abs(a - b)
+    return BeSpectrumClosedForm(delta1=max(d_a, d_b), delta2=min(d_a, d_b))
 
 
 def s_be_max(c0sq: float, c1sq: float, cppsq: float) -> float:

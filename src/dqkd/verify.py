@@ -1,20 +1,21 @@
 """Bulk numerical certification of the analytic security identities.
 
 Each check replays one proven identity on freshly sampled valid attacks
-and records the worst deviation: the joint-state entropy is exactly 2
-bits, the closed-form spectrum matches brute-force diagonalization, the
-diagonal-basis fidelity, by the Gram route, is a fixed combination of the
-overlaps, a backward-only eavesdropper sees nothing (the identity attack's
-two key blocks are equal), and the spectrum does not move when the
-cancelling overlap directions (u and v together, and the real parts of s
-and r) are perturbed.
+(``sample_valid``) and records the worst deviation: the joint-state
+entropy is exactly 2 bits, the closed-form spectrum matches brute-force
+diagonalization, the diagonal-basis fidelity, by the Gram route, is a
+fixed combination of the overlaps, a backward-only eavesdropper sees
+nothing (the identity attack's two key blocks are equal), and the
+spectrum does not move when the cancelling overlap directions (u and v
+together, and the real parts of s and r) are perturbed.
 
 The sampled checks run in one pass over one draw: ``trials`` attacks,
 each seeded by its own child seed, together with their neighbours along
 the cancelling directions. The seeds go in chunks of ``_SEED_CHUNK``, so
 memory stays flat in ``trials``. In a chunk, one stacked validation checks
-all draws and one checks each round of the neighbours' step-halving
-ladders; the joint states of all of them are one ``keyrate.joint_states``
+all draws and one checks every step of the neighbours' step-halving
+ladders (``_valid_mask``, ``attack.validate``'s checks and Gram pivots on
+arrays); the joint states of all of them are one ``keyrate.joint_states``
 call, one eigensolver call per matrix size, and every check reads its
 deviations from that stack. A draw's deviations depend on its seed alone,
 so each check's witness, the seed of the first draw that reaches its worst
@@ -27,9 +28,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .attack import AttackParams, _attack_batch, _draw, _valid_attacks, gram_matrix
-from .keyrate import backward_indistinguishability, be_spectrum_closed_form, joint_states
-from .qstate import von_neumann_entropy
+from .attack import (AMPLITUDE_ATOL, OVERLAP_ATOL, OVERLAP_NAMES, UNITARITY_ATOL, AttackParams,
+                     AttackValidationError, gram_pivots)
+from .keyrate import backward_indistinguishability, gram_matrix, joint_states
+from .qstate import Ket, von_neumann_entropy
+from .rates import be_spectrum_closed_form
 
 JOINT_ENTROPY_ATOL = 1e-9
 SPECTRUM_ATOL = 1e-10
@@ -37,6 +40,120 @@ IDENTITY_ATOL = 1e-10
 BACKWARD_ATOL = 1e-12
 # seeds per chunk of _deviations; each chunk's joint states are one stack
 _SEED_CHUNK = 64
+# rejection bound of sample_valid
+DRAW_BUDGET = 10**6
+_FIELDS = ("c00", "c01", "c11", "c10") + OVERLAP_NAMES
+
+
+class SamplingBudgetError(RuntimeError):
+    """Rejection sampling failed to produce a valid parameter set."""
+
+
+def _valid_mask(amps: np.ndarray, overlaps: np.ndarray) -> np.ndarray:
+    """attack.validate's verdict on each of k candidates, (k, 4) amplitudes
+    (c00, c01, c11, c10) and (k, 6) overlaps in OVERLAP_NAMES order: its
+    checks, constants, order and Gram pivots, each as "not within" so that
+    NaN fails. Each check reads only the rows that passed the ones before,
+    so no square overflows and no NaN reaches the pivots. A modulus is
+    np.hypot of the parts, which rounds as abs does and is inf where abs
+    overflows (np.abs of a complex array can round apart from abs)."""
+    in_range = (-AMPLITUDE_ATOL <= amps) & (amps <= 1.0 + AMPLITUDE_ATOL)
+    rows = np.flatnonzero(in_range.all(axis=1))
+    c00, c01, c11, c10 = amps[rows].T
+    norms = np.abs([c00**2 + c01**2 - 1.0, c11**2 + c10**2 - 1.0])
+    rows = rows[np.all(norms <= AMPLITUDE_ATOL, axis=0)]
+    ov = overlaps[rows]
+    # an overflowing modulus is inf, and fails; a row past a pivot that is
+    # not positive divides by it, and has failed
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        fits = np.all(np.hypot(ov.real, ov.imag) <= 1.0 + OVERLAP_ATOL, axis=1)
+        rows, ov = rows[fits], ov[fits]
+        positive = np.ones(len(rows), dtype=bool)
+        for pivot in gram_pivots(*ov.T):
+            positive &= pivot > 0.0
+    rows = rows[positive]
+    c00, c01, c11, c10 = amps[rows].T
+    residual = c00 * c10 * overlaps[rows, 1] + c01 * c11 * overlaps[rows, 4]
+    rows = rows[np.hypot(residual.real, residual.imag) <= UNITARITY_ATOL]
+    ok = np.zeros(len(amps), dtype=bool)
+    ok[rows] = True
+    return ok
+
+
+def _wrap(amps: np.ndarray, ov: np.ndarray) -> list[AttackParams]:
+    """Rows that passed _valid_mask as AttackParams of Python floats and
+    complexes, without re-running __post_init__."""
+    out = []
+    for row_amps, row_ov in zip(amps.tolist(), ov.tolist()):
+        params = object.__new__(AttackParams)
+        params.__dict__.update(zip(_FIELDS, row_amps + row_ov))
+        out.append(params)
+    return out
+
+
+def _attack_batch(amps: np.ndarray, ov: np.ndarray) -> list[AttackParams]:
+    """The k candidates as AttackParams, checked at once; the first invalid
+    one raises validate's error class and message, prefixed with its index."""
+    ok = _valid_mask(amps, ov)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        try:
+            AttackParams(*amps[i].tolist(), *ov[i].tolist())
+        except AttackValidationError as exc:
+            raise type(exc)(f"attack {i}: {exc}") from None
+        raise AssertionError(f"attack {i}: the stacked check rejects what validate accepts")
+    return _wrap(amps, ov)
+
+
+def _unit_vector(rng: np.random.Generator, dim: int) -> Ket:
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return v / np.linalg.norm(v)
+
+
+def sample_valid(seed: int | None = None, symmetric: bool = False,
+                 max_iterations: int = DRAW_BUDGET) -> AttackParams:
+    """Draw a random valid attack.
+
+    Three ancilla kets and the amplitudes are drawn freely; <E00|E10> is
+    solved from the orthogonality constraint and the fourth ket built to
+    realize it, so the Gram matrix is PSD by construction. Draws that leave
+    the unit disc are rejected.
+
+    Args:
+        seed: seed for the deterministic generator.
+        symmetric: force c00 = c11, hence c01 = c10.
+        max_iterations: rejection bound before giving up.
+    """
+    return AttackParams(*_draw(seed, symmetric, max_iterations))
+
+
+def _draw(seed: int | None, symmetric: bool, max_iterations: int = DRAW_BUDGET) -> tuple:
+    """sample_valid's draw, unvalidated: its four amplitudes, then its overlaps."""
+    rng = np.random.default_rng(seed)
+    for _ in range(max_iterations):
+        e00 = _unit_vector(rng, 4)
+        e01 = _unit_vector(rng, 4)
+        e11 = _unit_vector(rng, 4)
+        c00 = rng.uniform(0.0, 1.0)
+        c11 = c00 if symmetric else rng.uniform(0.0, 1.0)
+        c01 = np.sqrt(1.0 - c00**2)
+        c10 = np.sqrt(1.0 - c11**2)
+        if c00 * c10 < 1e-6:
+            continue
+        v = complex(np.vdot(e01, e11))
+        u = -(c01 * c11 / (c00 * c10)) * v
+        if abs(u) > 1.0 - 1e-9:
+            continue
+        w = _unit_vector(rng, 4)
+        w = w - np.vdot(e00, w) * e00
+        norm = np.linalg.norm(w)
+        if norm < 1e-6:
+            continue
+        e10 = u * e00 + np.sqrt(1.0 - abs(u) ** 2) * (w / norm)
+        s, p = complex(np.vdot(e00, e01)), complex(np.vdot(e00, e11))
+        r, q = complex(np.vdot(e11, e10)), complex(np.vdot(e01, e10))
+        return float(c00), float(c01), float(c11), float(c10), s, complex(u), p, r, v, q
+    raise SamplingBudgetError(f"no valid draw within {max_iterations} iterations")
 
 
 @dataclass(frozen=True)
@@ -86,34 +203,30 @@ def _neighbors(amps: np.ndarray, overlaps: np.ndarray, seeds: list[int]) -> tupl
 
     Each move (u and v together, Re s, Re r) starts at a step of 0.05 and
     halves it after each invalid attempt, trying at most 14 steps; the
-    phase of the u-v move is drawn from default_rng([seed, 1]). Each round
-    validates the pending moves of all attacks in one stack, and a move
-    stops at its first valid step. Returns the neighbours, by attack and
-    then by move, and the index of each one's attack.
-    """
+    phase of the u-v move is drawn from default_rng([seed, 1]). All 14
+    steps of every move are validated in one stack, and each move keeps its
+    first valid step. Returns the neighbours, by attack and then by move,
+    and the index of each one's attack."""
     phase = np.array([np.exp(2j * np.pi * np.random.default_rng([s, 1]).random()) for s in seeds])
     c00, c01, c11, c10 = amps.T
     has_uv = c01 * c11 > 1e-9
     ratio = -(c00 * c10) / np.where(has_uv, c01 * c11, 1.0)
     # the moves as (attack, kind): kind 0 moves u and v, 1 Re s and 2 Re r
     owner, kind = np.nonzero(np.column_stack([has_uv, np.ones((len(amps), 2), dtype=bool)]))
-    found = {}
-    pending = np.arange(len(owner))
-    for delta in 0.05 * 0.5 ** np.arange(14):
-        if not len(pending):
-            break
-        i, m = owner[pending], kind[pending]
-        step = overlaps[i]
-        uv = m == 0
-        step[uv, 1] += delta * phase[i[uv]]
-        step[uv, 4] = ratio[i[uv]] * step[uv, 1]
-        step[m == 1, 0] += delta
-        step[m == 2, 3] += delta
-        ok, valid = _valid_attacks(amps[i], step)
-        found.update(zip(pending[ok].tolist(), valid))
-        pending = pending[~ok]
-    kept = sorted(found)
-    return [found[j] for j in kept], owner[kept]
+    # row j * moves + k tries move k at step j
+    moves = len(owner)
+    i, m = np.tile(owner, 14), np.tile(kind, 14)
+    delta = np.repeat(0.05 * 0.5 ** np.arange(14), moves)
+    step = overlaps[i]
+    uv = m == 0
+    step[uv, 1] += delta[uv] * phase[i[uv]]
+    step[uv, 4] = ratio[i[uv]] * step[uv, 1]
+    step[m == 1, 0] += delta[m == 1]
+    step[m == 2, 3] += delta[m == 2]
+    ok = _valid_mask(amps[i], step).reshape(14, moves)
+    kept = np.flatnonzero(ok.any(axis=0))
+    rows = ok[:, kept].argmax(axis=0) * moves + kept
+    return _wrap(amps[i[rows]], step[rows]), owner[kept]
 
 
 def _gram_fpm(a: AttackParams) -> float:

@@ -7,10 +7,19 @@ state through it and measures the reduced qubit. The library places each
 branch ket's qubit components by slicing; the oracle builds the same kets
 from Kronecker products with the qubit basis.
 
+The library decides Gram positivity by the LDL pivots of G - PSD_SLACK I;
+the oracle here diagonalizes G (eigvalsh_gram_verdict). Both are exact
+criteria for lambda_min(G) > PSD_SLACK, so they can part only within
+rounding of the slack.
+
 The library builds the entropy-maximizing attack in closed form; the
 oracle here rediscovers it by derivative-free search (search_s_be), a grid
 along the one constrained direction and a Nelder-Mead simplex, with no
-knowledge of the answer beyond its starting point.
+knowledge of the answer beyond its starting point. The search judges which
+points are attacks by its own checks, the Gram matrix by eigvalsh, so its
+path does not depend on the library's pivots. A simplex that presses on
+the slack decides by the last bits there, and the library's verdict can
+differ from eigvalsh's on points it visits.
 
 The library's binary entropy is double-precision logarithms; the oracle
 here evaluates it in 50-digit decimal arithmetic.
@@ -29,12 +38,11 @@ import numpy as np
 from scipy.optimize import minimize
 
 from dqkd.attack import (
+    OVERLAP_ATOL,
     AttackParams,
     AttackValidationError,
     ChannelFidelities,
-    branch_vectors,
     forward_fidelities,
-    realize_ancilla,
 )
 from dqkd.optimizer import (
     CONSTRAINT_TOLERANCE,
@@ -44,6 +52,7 @@ from dqkd.optimizer import (
     OptResult,
     entropy_objective,
 )
+from dqkd.keyrate import branch_vectors, realize_ancilla
 from dqkd.protosim import ProtocolConfig, ProtocolStats, estimate_with_se
 from dqkd.qstate import (
     BASIS_OF,
@@ -55,7 +64,14 @@ from dqkd.qstate import (
     outer,
     partial_trace,
 )
-from dqkd.rates import BOUNDARY_ATOL, BOUNDARY_XI, KeyRateReport, final_rate, s_be_max
+from dqkd.rates import (
+    BOUNDARY_ATOL,
+    BOUNDARY_XI,
+    PSD_SLACK,
+    KeyRateReport,
+    final_rate,
+    s_be_max,
+)
 
 KET_0 = np.array([1, 0], dtype=complex)
 KET_1 = np.array([0, 1], dtype=complex)
@@ -125,13 +141,30 @@ def probe_outcome_probability(params: AttackParams, prepared: str, outcome: str)
     return float(np.real(np.conjugate(out) @ reduced.matrix @ out))
 
 
+def gram_literal(s, u, p, r, v, q) -> np.ndarray:
+    """The Gram matrix of (|E00>, |E01>, |E11>, |E10>), entry by entry."""
+    c = np.conjugate
+    return np.array(
+        [[1.0, s, p, u], [c(s), 1.0, v, q], [c(p), c(v), 1.0, r], [c(u), c(q), c(r), 1.0]],
+        dtype=complex,
+    )
+
+
+def eigvalsh_gram_verdict(overlaps) -> np.ndarray:
+    """Gram positivity of (k, 6) overlaps, in OVERLAP_NAMES order, by
+    diagonalization: eigvalsh(G).min() >= PSD_SLACK for each row."""
+    gram = np.array([gram_literal(*row) for row in overlaps])
+    return np.linalg.eigvalsh(gram)[:, 0] >= PSD_SLACK
+
+
 class _Slice:
     """The search space x = (p0, p1, q1, s1, r1) of one constraint.
 
     The amplitudes are c00 = c11 = sqrt(f01) and c01 = c10 = sqrt(1 - f01);
     q0 is solved from the boundary identity, and u = v = 0 and Re s =
     Re r = 0 (the tie-break value of directions that cancel from the
-    spectrum). Every point is built and validated as an AttackParams.
+    spectrum). params builds a point as a validated AttackParams; attack
+    builds it by the oracle's own checks, which the search uses.
     [lo, hi] is the p0 interval on which q0 stays in [-1, 1]; without a
     flip amplitude (c1sq <= PINNED_C1SQ) it is the single pinned p0.
     """
@@ -168,13 +201,26 @@ class _Slice:
         c0, c1 = self.c0, self.c1
         return AttackParams(c00=c0, c01=c1, c11=c0, c10=c1, s=s, u=0j, p=p, r=r, v=0j, q=q)
 
+    def attack(self, x: np.ndarray) -> AttackParams | None:
+        """The attack at x without the library's validation, or None where
+        the oracle rejects it: off the box, an overlap outside the unit
+        disc, or a Gram matrix that eigvalsh_gram_verdict rejects. The
+        amplitudes are normalized and u = v = 0 is orthogonal throughout."""
+        ov = self.overlaps(x)
+        if ov is None or not all(abs(z) <= 1.0 + OVERLAP_ATOL for z in ov):
+            return None
+        s, p, r, q = ov
+        if not eigvalsh_gram_verdict([(s, 0j, p, r, 0j, q)])[0]:
+            return None
+        c0, c1 = self.c0, self.c1
+        attack = object.__new__(AttackParams)
+        attack.__dict__.update(c00=c0, c01=c1, c11=c0, c10=c1, s=s, u=0j, p=p, r=r, v=0j, q=q)
+        return attack
+
     def neg_entropy(self, x: np.ndarray) -> float:
-        """-entropy_objective(params(x)), or inf where params(x) is None or raises."""
-        try:
-            params = self.params(x)
-        except AttackValidationError:
-            return math.inf
-        return math.inf if params is None else -entropy_objective(params)
+        """-entropy_objective(attack(x)), or inf where attack(x) is None."""
+        attack = self.attack(x)
+        return math.inf if attack is None else -entropy_objective(attack)
 
 
 def search_s_be(constraint: FidelityConstraint, budget: int = 20000) -> OptResult:
@@ -183,8 +229,9 @@ def search_s_be(constraint: FidelityConstraint, budget: int = 20000) -> OptResul
     A grid along p0, then Nelder-Mead from p0 = lo (q0 = 1) and from the
     best grid point, or from lo alone when that is the best grid point;
     each run may spend half the budget left after the grid. Each evaluation
-    builds an AttackParams and scores it with entropy_objective
-    (_Slice.neg_entropy).
+    builds the attack by the oracle's checks (_Slice.attack) and scores it
+    with entropy_objective (_Slice.neg_entropy); the best one is returned
+    as built, so it can lie a rounding error past the library's slack.
 
     Args:
         constraint: observed f01 and fpm the attack must reproduce.
@@ -267,7 +314,7 @@ def search_s_be(constraint: FidelityConstraint, budget: int = 20000) -> OptResul
         return (round(score / 1e-12) * 1e-12, float(np.hypot(x[2], x[1])))
 
     _, best_x = min(candidates, key=tie_break)
-    best_params = space.params(best_x)
+    best_params = space.attack(best_x)
     if best_params is None:
         raise InfeasibleConstraintError("refinement left the feasible region")
     best_entropy = entropy_objective(best_params)

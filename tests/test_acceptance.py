@@ -16,18 +16,14 @@ from dqkd.attack import (
     AttackValidationError,
     forward_fidelities,
     named_attack,
-    sample_valid,
     validate,
 )
-from dqkd.keyrate import (
-    backward_indistinguishability,
-    be_spectrum_closed_form,
-    build_rho_abe,
-)
+from dqkd.keyrate import backward_indistinguishability, build_rho_abe
 from dqkd.optimizer import FidelityConstraint, maximize_s_be
 from dqkd.protosim import ProtocolConfig, run_protocol
 from dqkd.qstate import von_neumann_entropy
-from dqkd.rates import binary_entropy, final_rate
+from dqkd.rates import be_spectrum_closed_form, binary_entropy, final_rate
+from dqkd.verify import sample_valid
 from oracles import search_s_be
 
 H_005 = 0.2863969571159561  # h(0.05)

@@ -13,18 +13,22 @@ from dqkd.attack import (
     AttackValidationError,
     GramNotPositiveError,
     OverlapMagnitudeError,
-    SamplingBudgetError,
     UnitarityConstraintError,
-    branch_vectors,
     forward_fidelities,
-    gram_matrix,
+    gram_pivots,
     named_attack,
-    realize_ancilla,
-    sample_valid,
     validate,
 )
-from dqkd.attack import _attack_batch, _gram_stack, _valid_mask
-from oracles import build_unitary, kron_branch_vectors, probe_outcome_probability
+from dqkd.keyrate import _gram_stack, branch_vectors, gram_matrix, realize_ancilla
+from dqkd.rates import PSD_SLACK
+from dqkd.verify import SamplingBudgetError, _attack_batch, _draw, _valid_mask, sample_valid
+from oracles import (
+    build_unitary,
+    eigvalsh_gram_verdict,
+    kron_branch_vectors,
+    probe_outcome_probability,
+)
+from oracles import gram_literal as _gram_literal
 
 
 def test_identity_attack_is_valid():
@@ -411,15 +415,6 @@ def _validation_cloud(rng: np.random.Generator) -> list[tuple[list, list]]:
     return rows
 
 
-def _gram_literal(s, u, p, r, v, q) -> np.ndarray:
-    """The Gram matrix of (|E00>, |E01>, |E11>, |E10>), entry by entry."""
-    c = np.conjugate
-    return np.array(
-        [[1.0, s, p, u], [c(s), 1.0, v, q], [c(p), c(v), 1.0, r], [c(u), c(q), c(r), 1.0]],
-        dtype=complex,
-    )
-
-
 def test_stacked_validation_matches_scalar():
     # one stacked check of the whole cloud gives validate's verdict on each
     # row; a batch of one invalid row raises validate's class and message
@@ -484,3 +479,49 @@ def test_attack_batch_names_the_first_invalid_candidate():
     # the valid ones are the attacks sample_valid builds, field for field
     batch = _attack_batch(amps[:4], overlaps[:4])
     assert batch == [sample_valid(seed=seed) for seed in range(4)]
+
+
+def _pivot_verdicts(overlaps: np.ndarray) -> np.ndarray:
+    """Gram positivity of each row by gram_pivots, once on the stacked
+    arrays and once per row on Python complexes; the two must agree."""
+    stacked = np.ones(len(overlaps), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for pivot in gram_pivots(*overlaps.T):
+            stacked &= pivot > 0.0
+    scalar = [all(pivot > 0.0 for pivot in gram_pivots(*row)) for row in overlaps.tolist()]
+    assert stacked.tolist() == scalar
+    return stacked
+
+
+def test_pivot_verdict_matches_eigvalsh_on_perturbed_draws():
+    # 2000 sampler draws, each perturbed at five scales: 10,000 Gram
+    # matrices. The pivot test and the eigvalsh oracle decide each alike
+    # (0 flips), and both verdicts occur
+    rng = np.random.default_rng(23)
+    draws = np.array([_draw(seed, bool(seed % 2)) for seed in range(2000)])[:, 4:]
+    cloud = np.concatenate([
+        draws + scale * (rng.standard_normal(draws.shape) + 1j * rng.standard_normal(draws.shape))
+        for scale in (0.0, 1e-3, 1e-2, 0.1, 0.3)
+    ])
+    verdict = _pivot_verdicts(cloud)
+    flips = int(np.count_nonzero(verdict != eigvalsh_gram_verdict(cloud)))
+    assert flips == 0
+    assert verdict[:2000].all() and not verdict.all()
+
+
+def test_pivot_verdict_on_both_sides_of_the_slack():
+    # G(t) = I + t (G0 - I) for singular Gram matrices G0 of four unit kets
+    # in C^3 has lambda_min = 1 - t, so t = 1 - PSD_SLACK + d puts
+    # lambda_min at PSD_SLACK - d. Down to |d| = 1e-12 the pivot test
+    # accepts exactly where d < 0, as the eigvalsh oracle does (0 flips)
+    rng = np.random.default_rng(29)
+    kets = rng.standard_normal((200, 4, 3)) + 1j * rng.standard_normal((200, 4, 3))
+    kets /= np.linalg.norm(kets, axis=2, keepdims=True)
+    g0 = kets.conj() @ kets.swapaxes(1, 2)
+    assert np.max(np.abs(np.linalg.eigvalsh(g0)[:, 0])) <= 1e-14
+    # the kets in the order (E00, E01, E11, E10): s, u, p, r, v, q
+    ov0 = g0[:, [0, 0, 0, 2, 1, 1], [1, 3, 2, 3, 2, 3]]
+    for d in (-1e-1, -1e-4, -1e-8, -1e-11, -1e-12, 1e-12, 1e-11, 1e-8, 1e-4, 1e-1):
+        verdict = _pivot_verdicts((1.0 - PSD_SLACK + d) * ov0)
+        assert verdict.tolist() == [d < 0] * len(ov0), d
+        assert verdict.tolist() == eigvalsh_gram_verdict((1.0 - PSD_SLACK + d) * ov0).tolist(), d

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from dqkd.cli import main
-from dqkd.rates import final_rate
+from dqkd.optimizer import FidelityConstraint, maximize_s_be
+from dqkd.rates import binary_entropy, final_rate
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -186,7 +187,7 @@ COLD_COMMANDS = {
 LOADS = {
     "keyrate": set(),
     "sweep": set(),
-    "optimize": {"attack", "keyrate", "optimizer", "qstate"},
+    "optimize": {"attack", "optimizer"},
     "simulate": {"attack", "protosim", "qstate"},
     "verify": {"attack", "keyrate", "qstate", "verify"},
 }
@@ -195,8 +196,8 @@ LOADS = {
 @pytest.mark.parametrize("command", list(COLD_COMMANDS))
 def test_cold_command_loads_only_what_it_runs(command, tmp_path):
     # `python -m dqkd.cli` in a fresh interpreter. scipy serves only the
-    # tests' search oracle, so no subcommand loads it; keyrate and sweep
-    # evaluate a few scalar logarithms, so they do not load numpy either
+    # tests' search oracle, so no subcommand loads it; keyrate, sweep and
+    # optimize evaluate a few scalars, so they do not load numpy either
     script = (
         "import runpy, sys\n"
         f"sys.argv = ['dqkd', *{COLD_COMMANDS[command]!r}]\n"
@@ -217,9 +218,65 @@ def test_cold_command_loads_only_what_it_runs(command, tmp_path):
     assert done.returncode == 0, done.stderr
     loaded = set(done.stderr.split())
     assert "scipy" not in loaded
-    assert ("numpy" in loaded) == (command not in ("keyrate", "sweep"))
+    assert ("numpy" in loaded) == (command not in ("keyrate", "sweep", "optimize"))
     ours = {name for name in loaded if name.split(".")[0] == "dqkd"}
     assert ours == {"dqkd", "dqkd.rates"} | {f"dqkd.{m}" for m in LOADS[command]}
+
+
+def _child(script: str, env: dict) -> subprocess.CompletedProcess:
+    """A fresh interpreter running script on this checkout's sources."""
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**env, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return done
+
+
+def test_scalar_layer_runs_without_numpy():
+    # with numpy unimportable, the maximizer, one attack, its fidelities
+    # and its closed-form entropy still run: a numpy import slipped into
+    # the scalar modules fails here
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from dqkd import (AttackParams, FidelityConstraint, be_spectrum_closed_form,\n"
+        "                  forward_fidelities, maximize_s_be, named_attack)\n"
+        "result = maximize_s_be(FidelityConstraint(c0sq=0.9, cppsq=0.9))\n"
+        "attack = AttackParams.from_dict(named_attack('symmetric', 0.1).to_dict())\n"
+        "print(result.best_entropy, forward_fidelities(attack).xi,\n"
+        "      be_spectrum_closed_form(attack).entropy())\n"
+    )
+    done = _child(script, dict(os.environ))
+    best, xi, entropy = map(float, done.stdout.split())
+    assert best == maximize_s_be(FidelityConstraint(c0sq=0.9, cppsq=0.9)).best_entropy
+    assert xi == pytest.approx(0.8, abs=1e-12)
+    assert entropy == pytest.approx(1.0 + binary_entropy(0.8), abs=1e-12)
+
+
+@pytest.mark.parametrize("preset", [None, "3"])
+def test_cold_cli_pins_one_blas_thread_unless_set(preset):
+    # a cold command starts numpy with one BLAS thread; a thread count set
+    # in the environment is left as it is
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = preset
+    script = (
+        "import os, runpy, sys\n"
+        "sys.argv = ['dqkd', 'keyrate', '--xi', '0.9', '--e', '0.01']\n"
+        "try:\n"
+        "    runpy.run_module('dqkd.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        "print(os.environ['OPENBLAS_NUM_THREADS'], os.environ['OMP_NUM_THREADS'],\n"
+        "      file=sys.stderr)\n"
+    )
+    done = _child(script, env)
+    assert done.stderr.split() == [preset or "1"] * 2
 
 
 def test_simulate_with_flags(tmp_path, capsys):

@@ -6,27 +6,27 @@ import pytest
 from dqkd.attack import (
     AttackParams,
     ChannelFidelities,
-    branch_vectors,
     forward_fidelities,
     named_attack,
-    sample_valid,
     validate,
 )
 from dqkd.keyrate import (
     backward_indistinguishability,
-    be_spectrum_closed_form,
+    branch_vectors,
     build_rho_abe,
     joint_states,
     s_be_numeric,
 )
-from dqkd.qstate import (
-    Y_GATE,
+from dqkd.qstate import Y_GATE, outer, trace_distance, von_neumann_entropy
+from dqkd.rates import (
+    BoundaryViolationError,
+    be_spectrum_closed_form,
+    binary_entropy,
     entropy_bits,
-    outer,
-    trace_distance,
-    von_neumann_entropy,
+    final_rate,
+    s_be_max,
 )
-from dqkd.rates import BoundaryViolationError, binary_entropy, final_rate, s_be_max
+from dqkd.verify import sample_valid
 from oracles import binary_entropy_decimal
 
 # precomputed with 30-digit arithmetic

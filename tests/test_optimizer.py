@@ -7,10 +7,9 @@ from dqkd.attack import (
     AttackValidationError,
     GramNotPositiveError,
     OverlapMagnitudeError,
+    forward_fidelities,
     named_attack,
-    sample_valid,
 )
-from dqkd.attack import _valid_mask, forward_fidelities
 from dqkd.keyrate import s_be_numeric
 from dqkd.optimizer import (
     CONSTRAINT_TOLERANCE,
@@ -19,6 +18,7 @@ from dqkd.optimizer import (
     maximize_s_be,
 )
 from dqkd.rates import BoundaryViolationError
+from dqkd.verify import _valid_mask, sample_valid
 from oracles import MIN_BUDGET, _Slice, search_s_be
 
 # precomputed with 30-digit arithmetic

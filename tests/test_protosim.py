@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from oracles import array_run_protocol, column_stack_cells
 
-from dqkd.attack import AttackParams, forward_fidelities, named_attack, sample_valid
+from dqkd.attack import AttackParams, forward_fidelities, named_attack
 from dqkd.protosim import (
     InsufficientDataError,
     ProtocolConfig,
@@ -14,6 +14,7 @@ from dqkd.protosim import (
     estimate_with_se,
     run_protocol,
 )
+from dqkd.verify import sample_valid
 
 def at_slack_attack() -> AttackParams:
     """Overlaps at the validation slack 1 + 5e-13, which lift fplus to 1 + 2.5e-13."""

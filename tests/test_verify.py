@@ -145,8 +145,9 @@ def test_verify_command_rejects_a_negative_seed(capsys):
 def test_eigensolver_census(monkeypatch, trials):
     # per chunk, one stack holds the joint states of every draw and every
     # neighbour: one call per size diagonalizes them all and realizes their
-    # ancillas; the 4x4 Gram matrices take one call for the draws and one
-    # per round of the neighbour ladders, at most 14
+    # ancillas; the 4x4 Gram matrices are never diagonalized to validate,
+    # but checked by pivots in one stacked validation for the draws and one
+    # for all 14 steps of every neighbour ladder
     calls = {}
 
     def counted(name, solver):
@@ -159,28 +160,29 @@ def test_eigensolver_census(monkeypatch, trials):
 
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
-    gram_calls = []
+    mask_calls = []
     chunk_deviations = verify._chunk_deviations
+    valid_mask = verify._valid_mask
+
+    def counted_mask(amps, overlaps):
+        mask_calls[-1] += 1
+        return valid_mask(amps, overlaps)
 
     def counted_chunk(seeds):
-        before = calls.get(("eigvalsh", 4), 0)
-        out = chunk_deviations(seeds)
-        gram_calls.append(calls[("eigvalsh", 4)] - before)
-        return out
+        mask_calls.append(0)
+        return chunk_deviations(seeds)
 
+    monkeypatch.setattr(verify, "_valid_mask", counted_mask)
     monkeypatch.setattr(verify, "_chunk_deviations", counted_chunk)
     run_verification(trials=trials, seed=0)
     chunks = -(-trials // verify._SEED_CHUNK)
-    assert len(gram_calls) == chunks
     # the backward check builds the identity attack's states once more and
     # takes the trace distance of their two 8x8 key blocks
     assert calls[("eigvalsh", 16)] == chunks + 1
     assert calls[("eigvalsh", 8)] == chunks + 2
     assert calls[("eigh", 4)] == chunks + 1
-    assert all(2 <= n <= 1 + 14 for n in gram_calls)
-    if trials == 16:
-        # the draws, then seven rounds until every move has its step
-        assert gram_calls == [8]
+    assert ("eigvalsh", 4) not in calls
+    assert mask_calls == [2] * chunks
 
 
 def test_chunks_concatenate_to_one_stack(monkeypatch):
