@@ -113,10 +113,16 @@ class AttackParams:
 
     def to_dict(self) -> dict:
         """Flat document: the four amplitudes plus a list of named overlaps."""
-        doc = {name: float(getattr(self, name)) for name in ("c00", "c01", "c11", "c10")}
-        doc["overlaps"] = [{"name": name, "re": float(val.real), "im": float(val.imag)}
-                           for name, val in self.overlaps.items()]
-        return doc
+        return {
+            "c00": float(self.c00),
+            "c01": float(self.c01),
+            "c11": float(self.c11),
+            "c10": float(self.c10),
+            "overlaps": [
+                {"name": name, "re": float(val.real), "im": float(val.imag)}
+                for name, val in self.overlaps.items()
+            ],
+        }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "AttackParams":
@@ -300,22 +306,29 @@ def named_attack(name: str, e: float | None = None) -> AttackParams:
     if e is not None and name != "symmetric" and name in NAMED_ATTACKS:
         raise ValueError(f"the {name} attack takes no disturbance e, got e={e}")
     if name == "identity":
-        return AttackParams(c00=1.0, c01=0.0, c11=1.0, c10=0.0,
-                            s=1 + 0j, u=1 + 0j, p=1 + 0j, r=1 + 0j, v=1 + 0j, q=1 + 0j)
-    if name == "measure_z":
-        return AttackParams(c00=1.0, c01=0.0, c11=1.0, c10=0.0)
-    if name == "measure_x":
+        params = AttackParams(
+            c00=1.0, c01=0.0, c11=1.0, c10=0.0,
+            s=1 + 0j, u=1 + 0j, p=1 + 0j, r=1 + 0j, v=1 + 0j, q=1 + 0j,
+        )
+    elif name == "measure_z":
+        params = AttackParams(c00=1.0, c01=0.0, c11=1.0, c10=0.0)
+    elif name == "measure_x":
         a = 1.0 / math.sqrt(2.0)
-        return AttackParams(c00=a, c01=a, c11=a, c10=a, p=1 + 0j, q=1 + 0j)
-    if name != "symmetric":
+        params = AttackParams(c00=a, c01=a, c11=a, c10=a, p=1 + 0j, q=1 + 0j)
+    elif name == "symmetric":
+        if e is None:
+            raise ValueError("the symmetric attack needs a disturbance e")
+        e = float(e)
+        if not 0.0 <= e <= 0.5:
+            raise ValueError(f"symmetric disturbance e={e} outside [0, 1/2]")
+        c0 = math.sqrt(1.0 - e)
+        c1 = math.sqrt(e)
+        # q0 = 1 and the boundary identity 2 fpm - 1 = c0^2 p0 + c1^2 q0
+        # pin p0 so that fpm = f01 = 1 - e
+        p0 = (1.0 - 3.0 * e) / (1.0 - e)
+        params = AttackParams(
+            c00=c0, c01=c1, c11=c0, c10=c1, p=complex(p0), q=1 + 0j,
+        )
+    else:
         raise ValueError(f"unknown attack name {name!r}; expected one of {NAMED_ATTACKS}")
-    if e is None:
-        raise ValueError("the symmetric attack needs a disturbance e")
-    e = float(e)
-    if not 0.0 <= e <= 0.5:
-        raise ValueError(f"symmetric disturbance e={e} outside [0, 1/2]")
-    c0, c1 = math.sqrt(1.0 - e), math.sqrt(e)
-    # q0 = 1 and the boundary identity 2 fpm - 1 = c0^2 p0 + c1^2 q0
-    # pin p0 so that fpm = f01 = 1 - e
-    p0 = (1.0 - 3.0 * e) / (1.0 - e)
-    return AttackParams(c00=c0, c01=c1, c11=c0, c10=c1, p=complex(p0), q=1 + 0j)
+    return params

@@ -25,11 +25,6 @@ if TYPE_CHECKING:
     from .attack import AttackParams
     from .protosim import ProtocolConfig
 
-# before any subcommand loads numpy: a BLAS thread pool costs more to start
-# than it saves on small matrices; a value set in the environment wins
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-os.environ.setdefault("OMP_NUM_THREADS", "1")
-
 SWEEP_HEADER = ["var", "value", "xi", "e", "r_pa", "r_final", "r_final_raw", "r_bb84", "aborted"]
 
 
@@ -109,19 +104,14 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         print(f"{key:<20} = {_fmt(getattr(result, key))}")
     print(f"{'iterations':<20} = {result.iterations}")
     print(f"{'converged':<20} = {_fmt_bool(result.converged)}")
-    _write_json(result.to_dict(), args.out, "result")
-    return 0
-
-
-def _write_json(doc: dict, out: str | None, what: str) -> None:
-    """doc as sorted, indented JSON into the file out, or on stdout."""
-    text = json.dumps(doc, sort_keys=True, indent=2)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        print(f"wrote {what} to {out}")
+    doc = json.dumps(result.to_dict(), sort_keys=True, indent=2)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(doc + "\n")
+        print(f"wrote result to {args.out}")
     else:
-        print(text)
+        print(doc)
+    return 0
 
 
 def _attack_from_value(value) -> AttackParams:
@@ -235,8 +225,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     print(f"raw key m = {stats.m}, k_est = {stats.k_est}, "
           f"aborted = {_fmt_bool(stats.aborted)}")
 
-    doc = {"config": config.to_dict(), "stats": stats.to_dict(), "report": report.to_dict()}
-    _write_json(doc, args.out, "results")
+    doc = json.dumps(
+        {"config": config.to_dict(), "stats": stats.to_dict(), "report": report.to_dict()},
+        sort_keys=True,
+        indent=2,
+    )
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(doc + "\n")
+        print(f"wrote results to {args.out}")
+    else:
+        print(doc)
     return 0
 
 
@@ -315,6 +314,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # before any subcommand loads numpy: a BLAS thread pool costs more to start
+    # than it saves on small matrices; a value set in the environment wins
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    os.environ.setdefault("OMP_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -12,11 +12,12 @@ entirely by the entropy of the reduced qubit-ancilla state.
 
 Each attack's ancilla kets are realized from the Gram matrix of its
 overlaps, one eigendecomposition for a stack of attacks, and scaled into
-its two branch vectors. The joint state is assembled block by block: the key bit is its most
-significant factor, so it is block diagonal with the two halved branches on
-the diagonal, and the key-1 branch is the key-0 branch with its qubit
-blocks [[A, B], [C, D]] rearranged to [[D, -C], [-B, A]]. Only the joint
-state and its qubit-ancilla reduction are validated as density matrices.
+its two branch vectors. The joint state is assembled block by block: the
+key bit is its most significant factor, so it is block diagonal with the
+two halved branches on the diagonal, and the key-1 branch is the key-0
+branch with its qubit blocks [[A, B], [C, D]] rearranged to [[D, -C],
+[-B, A]]. Only the joint state and its qubit-ancilla reduction are
+validated as density matrices.
 ``joint_states`` builds the states of many attacks as one stack, with one
 eigensolver call per matrix size for all of them; ``build_rho_abe`` is its
 one-attack case.
@@ -45,8 +46,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attack import AttackParams, named_attack
-from .qstate import (ComplexMatrix, DensityMatrix, Ket, density_matrices, outer, trace_distance,
-                     trace_out, von_neumann_entropy)
+from .qstate import (
+    ComplexMatrix,
+    DensityMatrix,
+    Ket,
+    density_matrices,
+    outer,
+    trace_out,
+    trace_distance,
+    von_neumann_entropy,
+)
 
 # entry (i, j) of the Gram matrix of (|E00>, |E01>, |E11>, |E10>) as an
 # index into (1, s, u, p, r, v, q, conj(s), conj(u), ..., conj(q))
@@ -123,9 +132,13 @@ class JointStateBundle:
 def joint_states(attacks: list[AttackParams]) -> list[JointStateBundle]:
     """Assemble the joint key-qubit-ancilla states of many attacks at once.
 
-    The key-0 branch be0 is the equal mixture of the two attacked branch
-    vectors; the key-1 branch is be0 conjugated by Y, by slicing (module
-    docstring), and the two, halved, are the diagonal blocks of rho_abe.
+    The forward channel turns the maximally mixed qubit into the key-0
+    branch be0, an equal mixture of the two attacked branch vectors. The
+    key-1 branch is be0 conjugated by Y on the qubit factor: with be0 split
+    into qubit blocks [[A, B], [C, D]] of 4x4 ancilla blocks, that is
+    [[D, -C], [-B, A]], filled in by slicing. The classical key bit is the
+    most significant factor, so the two branches, halved, are the diagonal
+    blocks of rho_abe.
 
     Every step runs on the whole (k, ...) stack: one eigendecomposition of
     the k Gram matrices realizes the ancillas, and the two returned states

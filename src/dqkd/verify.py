@@ -28,8 +28,15 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .attack import (AMPLITUDE_ATOL, OVERLAP_ATOL, OVERLAP_NAMES, UNITARITY_ATOL, AttackParams,
-                     AttackValidationError, gram_pivots)
+from .attack import (
+    AMPLITUDE_ATOL,
+    OVERLAP_ATOL,
+    OVERLAP_NAMES,
+    UNITARITY_ATOL,
+    AttackParams,
+    AttackValidationError,
+    gram_pivots,
+)
 from .keyrate import backward_indistinguishability, gram_matrix, joint_states
 from .qstate import Ket, von_neumann_entropy
 from .rates import be_spectrum_closed_form

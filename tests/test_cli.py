@@ -259,24 +259,23 @@ def test_scalar_layer_runs_without_numpy():
 
 @pytest.mark.parametrize("preset", [None, "3"])
 def test_cold_cli_pins_one_blas_thread_unless_set(preset):
-    # a cold command starts numpy with one BLAS thread; a thread count set
-    # in the environment is left as it is
+    # importing the CLI sets nothing; a command sets one BLAS thread before
+    # any numpy import, and a thread count set in the environment is left
+    # as it is
     env = {k: v for k, v in os.environ.items()
            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
     if preset is not None:
         env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = preset
     script = (
-        "import os, runpy, sys\n"
-        "sys.argv = ['dqkd', 'keyrate', '--xi', '0.9', '--e', '0.01']\n"
-        "try:\n"
-        "    runpy.run_module('dqkd.cli', run_name='__main__', alter_sys=True)\n"
-        "except SystemExit as exc:\n"
-        "    assert exc.code == 0, exc.code\n"
+        "import os, sys\n"
+        "from dqkd.cli import main\n"
+        "print(os.environ.get('OPENBLAS_NUM_THREADS', 'unset'), file=sys.stderr)\n"
+        "assert main(['keyrate', '--xi', '0.9', '--e', '0.01']) == 0\n"
         "print(os.environ['OPENBLAS_NUM_THREADS'], os.environ['OMP_NUM_THREADS'],\n"
         "      file=sys.stderr)\n"
     )
     done = _child(script, env)
-    assert done.stderr.split() == [preset or "1"] * 2
+    assert done.stderr.split() == [preset or "unset"] + [preset or "1"] * 2
 
 
 def test_simulate_with_flags(tmp_path, capsys):

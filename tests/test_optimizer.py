@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from dqkd.attack import (
+    OVERLAP_NAMES,
+    AttackParams,
     AttackValidationError,
     GramNotPositiveError,
     OverlapMagnitudeError,
@@ -17,9 +19,9 @@ from dqkd.optimizer import (
     entropy_objective,
     maximize_s_be,
 )
-from dqkd.rates import BoundaryViolationError
+from dqkd.rates import PSD_SLACK, BoundaryViolationError
 from dqkd.verify import _valid_mask, sample_valid
-from oracles import MIN_BUDGET, _Slice, search_s_be
+from oracles import MIN_BUDGET, _Slice, gram_literal, search_s_be
 
 # precomputed with 30-digit arithmetic
 ONE_PLUS_H_075 = 1.8112781244591329
@@ -209,6 +211,35 @@ def test_maximizer_at_the_gram_slack_is_realizable():
     c = FidelityConstraint(c0sq=0.7715960402188387, cppsq=0.8132663915296381)
     result = search_s_be(c, budget=20000)
     assert abs(s_be_numeric(result.best_params) - result.best_entropy) <= 1e-10
+
+
+def test_library_attack_at_the_gram_slack_is_realizable():
+    # the search's maximizer above lies 3.8e-16 past the slack (60-digit
+    # arithmetic): eigvalsh admits it, the Gram pivots reject it. Shrinking
+    # its overlaps by t moves lambda_min to t lambda + 1 - t; at the largest
+    # float t that AttackParams accepts, the attack sits on the library's
+    # side of the slack within 1e-15, and it is realizable too
+    c = FidelityConstraint(c0sq=0.7715960402188387, cppsq=0.8132663915296381)
+    best = search_s_be(c, budget=20000).best_params
+    amps = {name: getattr(best, name) for name in ("c00", "c01", "c11", "c10")}
+
+    def built(t: float) -> AttackParams | None:
+        try:
+            return AttackParams(**amps, **{n: t * getattr(best, n) for n in OVERLAP_NAMES})
+        except GramNotPositiveError:
+            return None
+
+    inside, outside = 1.0 - 1e-12, 1.0
+    assert built(inside) is not None and built(outside) is None
+    while (mid := 0.5 * (inside + outside)) not in (inside, outside):
+        if built(mid) is None:
+            outside = mid
+        else:
+            inside = mid
+    attack = built(inside)
+    gram = gram_literal(*(getattr(attack, n) for n in OVERLAP_NAMES))
+    assert abs(np.linalg.eigvalsh(gram)[0] - PSD_SLACK) <= 1e-15
+    assert abs(s_be_numeric(attack) - entropy_objective(attack)) <= 1e-10
 
 
 def test_infeasible_constraint_raises():
