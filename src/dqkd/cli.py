@@ -52,6 +52,17 @@ def _print_report(report: KeyRateReport) -> None:
     print(f"{'aborted':<12} = {_fmt_bool(report.aborted)}")
 
 
+def _write_json(doc: dict, out: str | None, noun: str) -> None:
+    """doc as sorted, indented JSON: into the --out file if given, else to stdout."""
+    text = json.dumps(doc, sort_keys=True, indent=2)
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+        print(f"wrote {noun} to {out}")
+    else:
+        print(text)
+
+
 def cmd_keyrate(args: argparse.Namespace) -> int:
     report = final_rate(args.xi, args.e)
     if args.json:
@@ -104,13 +115,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         print(f"{key:<20} = {_fmt(getattr(result, key))}")
     print(f"{'iterations':<20} = {result.iterations}")
     print(f"{'converged':<20} = {_fmt_bool(result.converged)}")
-    doc = json.dumps(result.to_dict(), sort_keys=True, indent=2)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(doc + "\n")
-        print(f"wrote result to {args.out}")
-    else:
-        print(doc)
+    _write_json(result.to_dict(), args.out, "result")
     return 0
 
 
@@ -225,17 +230,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     print(f"raw key m = {stats.m}, k_est = {stats.k_est}, "
           f"aborted = {_fmt_bool(stats.aborted)}")
 
-    doc = json.dumps(
-        {"config": config.to_dict(), "stats": stats.to_dict(), "report": report.to_dict()},
-        sort_keys=True,
-        indent=2,
-    )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(doc + "\n")
-        print(f"wrote results to {args.out}")
-    else:
-        print(doc)
+    doc = {"config": config.to_dict(), "stats": stats.to_dict(), "report": report.to_dict()}
+    _write_json(doc, args.out, "results")
     return 0
 
 

@@ -18,9 +18,12 @@ two halved branches on the diagonal, and the key-1 branch is the key-0
 branch with its qubit blocks [[A, B], [C, D]] rearranged to [[D, -C],
 [-B, A]]. Only the joint state and its qubit-ancilla reduction are
 validated as density matrices.
-``joint_states`` builds the states of many attacks as one stack, with one
-eigensolver call per matrix size for all of them; ``build_rho_abe`` is its
-one-attack case.
+A stack of k attacks is two arrays, the (k, 4) amplitudes and (k, 6)
+overlaps of ``attack_rows``, whose rows come from attacks AttackParams
+accepted. ``realize_ancillas``, ``branch_stack`` and ``joint_states`` take
+them, with one eigensolver call per matrix size for the whole stack;
+``realize_ancilla``, ``branch_vectors`` and ``build_rho_abe`` are their
+one-attack cases.
 
 That reduced state is 1/4 sum_i |v_i><v_i| over v = (phi0, phi1, Y phi0,
 Y phi1), phi0 and phi1 being the orthonormal attacked branches, so its four
@@ -74,8 +77,16 @@ def gram_matrix(params: AttackParams) -> ComplexMatrix:
     return _gram_stack(np.array([ov], dtype=complex))[0]
 
 
-def realize_ancillas(attacks: list[AttackParams]) -> np.ndarray:
-    """Concrete ancilla kets reproducing the overlaps of each attack: a
+def attack_rows(attacks: list[AttackParams]) -> tuple[np.ndarray, np.ndarray]:
+    """A stack of attacks as arrays: the (k, 4) amplitudes (c00, c01, c11,
+    c10) and the (k, 6) overlaps in OVERLAP_NAMES order."""
+    amps = np.array([(a.c00, a.c01, a.c11, a.c10) for a in attacks], dtype=float)
+    overlaps = np.array([(a.s, a.u, a.p, a.r, a.v, a.q) for a in attacks], dtype=complex)
+    return amps, overlaps
+
+
+def realize_ancillas(overlaps: np.ndarray) -> np.ndarray:
+    """Concrete ancilla kets reproducing each row of (k, 6) overlaps: a
     (k, 4, 4) array whose entry i has as rows the kets (|E00>, |E01>,
     |E11>, |E10>) of attack i.
 
@@ -83,7 +94,6 @@ def realize_ancillas(attacks: list[AttackParams]) -> np.ndarray:
     Negative eigenvalues, within the slack of validation, are clamped to
     zero and each ket rescaled to unit norm, a change of ~1e-10 at most.
     """
-    overlaps = np.array([(a.s, a.u, a.p, a.r, a.v, a.q) for a in attacks], dtype=complex)
     lam, vecs = np.linalg.eigh(_gram_stack(overlaps))
     b = np.conjugate(vecs * np.sqrt(np.clip(lam, 0.0, None))[:, None, :])
     # rows of b satisfy <row_i|row_j> = G_ij, whose diagonal is 1
@@ -92,27 +102,26 @@ def realize_ancillas(attacks: list[AttackParams]) -> np.ndarray:
 
 def realize_ancilla(params: AttackParams) -> np.ndarray:
     """The (4, 4) ancilla kets of one attack: realize_ancillas for k = 1."""
-    return realize_ancillas([params])[0]
+    return realize_ancillas(attack_rows([params])[1])[0]
 
 
-def branch_stack(attacks: list[AttackParams]) -> np.ndarray:
+def branch_stack(amps: np.ndarray, overlaps: np.ndarray) -> np.ndarray:
     """The two attacked transmission branches of each attack, stacked.
 
-    Returns a (k, 2, 8) array whose entry i holds U(|0> ox |E>) and
-    U(|1> ox |E>) of attack i as 8-dim qubit-ancilla kets built from
-    realized ancillas, the qubit's |0> component in the first four entries,
-    its |1> in the last.
+    Takes the attack_rows layout and returns a (k, 2, 8) array whose entry
+    i holds U(|0> ox |E>) and U(|1> ox |E>) of attack i as 8-dim
+    qubit-ancilla kets built from realized ancillas, the qubit's |0>
+    component in the first four entries, its |1> in the last.
     """
-    amps = np.array([(a.c00, a.c01, a.c11, a.c10) for a in attacks])
     # rows c00 E00, c01 E01, c11 E11, c10 E10; branch 0 is (c00 E00, c01 E01)
     # and branch 1 is (c10 E10, c11 E11)
-    scaled = amps[:, :, None] * realize_ancillas(attacks)
-    return scaled[:, [0, 1, 3, 2]].reshape(len(attacks), 2, 8)
+    scaled = amps[:, :, None] * realize_ancillas(overlaps)
+    return scaled[:, [0, 1, 3, 2]].reshape(len(amps), 2, 8)
 
 
 def branch_vectors(params: AttackParams) -> tuple[Ket, Ket]:
     """(U(|0> ox |E>), U(|1> ox |E>)) of one attack: branch_stack for k = 1."""
-    return tuple(branch_stack([params])[0])
+    return tuple(branch_stack(*attack_rows([params]))[0])
 
 
 @dataclass(frozen=True)
@@ -129,7 +138,7 @@ class JointStateBundle:
     rho_be: DensityMatrix
 
 
-def joint_states(attacks: list[AttackParams]) -> list[JointStateBundle]:
+def joint_states(amps: np.ndarray, overlaps: np.ndarray) -> list[JointStateBundle]:
     """Assemble the joint key-qubit-ancilla states of many attacks at once.
 
     The forward channel turns the maximally mixed qubit into the key-0
@@ -148,15 +157,15 @@ def joint_states(attacks: list[AttackParams]) -> list[JointStateBundle]:
     equals the bundle of attack i built alone, bit for bit.
 
     Args:
-        attacks: attack parameters, at least one.
+        amps, overlaps: at least one valid attack, in the attack_rows layout.
 
     Returns:
         One JointStateBundle per attack, in order, with both states as
         validated density matrices.
     """
-    phi = branch_stack(attacks)
+    phi = branch_stack(amps, overlaps)
     be0 = 0.5 * (outer(phi[:, 0]) + outer(phi[:, 1]))
-    abe = np.zeros((len(attacks), 16, 16), dtype=complex)
+    abe = np.zeros((len(amps), 16, 16), dtype=complex)
     abe[:, :8, :8] = 0.5 * be0
     # key 1 from key 0: qubit blocks [[A, B], [C, D]] -> [[D, -C], [-B, A]]
     abe[:, 8:12, 8:12] = abe[:, 4:8, 4:8]
@@ -171,7 +180,7 @@ def joint_states(attacks: list[AttackParams]) -> list[JointStateBundle]:
 
 def build_rho_abe(params: AttackParams) -> JointStateBundle:
     """The joint states of one attack: joint_states for k = 1."""
-    return joint_states([params])[0]
+    return joint_states(*attack_rows([params]))[0]
 
 
 def backward_indistinguishability() -> float:

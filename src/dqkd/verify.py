@@ -12,11 +12,13 @@ together, and the real parts of s and r) are perturbed.
 The sampled checks run in one pass over one draw: ``trials`` attacks,
 each seeded by its own child seed, together with their neighbours along
 the cancelling directions. The seeds go in chunks of ``_SEED_CHUNK``, so
-memory stays flat in ``trials``. In a chunk, one stacked validation checks
-all draws and one checks every step of the neighbours' step-halving
-ladders (``_valid_mask``, ``attack.validate``'s checks and Gram pivots on
-arrays); the joint states of all of them are one ``keyrate.joint_states``
-call, one eigensolver call per matrix size, and every check reads its
+memory stays flat in ``trials``. In a chunk, each draw is an AttackParams,
+validated by its constructor. The draws as arrays (``keyrate.attack_rows``)
+seed the neighbours' step-halving ladders, and one stacked validation
+checks every step of them (``_valid_mask``, ``attack.validate``'s checks
+and Gram pivots on arrays). The joint states of the draws and their
+neighbours are one ``keyrate.joint_states`` call on the stacked arrays,
+one eigensolver call per matrix size, and every check reads its
 deviations from that stack. A draw's deviations depend on its seed alone,
 so each check's witness, the seed of the first draw that reaches its worst
 deviation, replays it by itself.
@@ -31,13 +33,11 @@ import numpy as np
 from .attack import (
     AMPLITUDE_ATOL,
     OVERLAP_ATOL,
-    OVERLAP_NAMES,
     UNITARITY_ATOL,
     AttackParams,
-    AttackValidationError,
     gram_pivots,
 )
-from .keyrate import backward_indistinguishability, gram_matrix, joint_states
+from .keyrate import attack_rows, backward_indistinguishability, gram_matrix, joint_states
 from .qstate import Ket, von_neumann_entropy
 from .rates import be_spectrum_closed_form
 
@@ -49,7 +49,6 @@ BACKWARD_ATOL = 1e-12
 _SEED_CHUNK = 64
 # rejection bound of sample_valid
 DRAW_BUDGET = 10**6
-_FIELDS = ("c00", "c01", "c11", "c10") + OVERLAP_NAMES
 
 
 class SamplingBudgetError(RuntimeError):
@@ -58,12 +57,12 @@ class SamplingBudgetError(RuntimeError):
 
 def _valid_mask(amps: np.ndarray, overlaps: np.ndarray) -> np.ndarray:
     """attack.validate's verdict on each of k candidates, (k, 4) amplitudes
-    (c00, c01, c11, c10) and (k, 6) overlaps in OVERLAP_NAMES order: its
-    checks, constants, order and Gram pivots, each as "not within" so that
-    NaN fails. Each check reads only the rows that passed the ones before,
-    so no square overflows and no NaN reaches the pivots. A modulus is
-    np.hypot of the parts, which rounds as abs does and is inf where abs
-    overflows (np.abs of a complex array can round apart from abs)."""
+    and (k, 6) overlaps in the attack_rows layout: its checks, constants,
+    order and Gram pivots, each as "not within" so that NaN fails. Each
+    check reads only the rows that passed the ones before, so no square
+    overflows and no NaN reaches the pivots. A modulus is np.hypot of the
+    parts, which rounds as abs does and is inf where abs overflows (np.abs
+    of a complex array can round apart from abs)."""
     in_range = (-AMPLITUDE_ATOL <= amps) & (amps <= 1.0 + AMPLITUDE_ATOL)
     rows = np.flatnonzero(in_range.all(axis=1))
     c00, c01, c11, c10 = amps[rows].T
@@ -87,38 +86,12 @@ def _valid_mask(amps: np.ndarray, overlaps: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _wrap(amps: np.ndarray, ov: np.ndarray) -> list[AttackParams]:
-    """Rows that passed _valid_mask as AttackParams of Python floats and
-    complexes, without re-running __post_init__."""
-    out = []
-    for row_amps, row_ov in zip(amps.tolist(), ov.tolist()):
-        params = object.__new__(AttackParams)
-        params.__dict__.update(zip(_FIELDS, row_amps + row_ov))
-        out.append(params)
-    return out
-
-
-def _attack_batch(amps: np.ndarray, ov: np.ndarray) -> list[AttackParams]:
-    """The k candidates as AttackParams, checked at once; the first invalid
-    one raises validate's error class and message, prefixed with its index."""
-    ok = _valid_mask(amps, ov)
-    if not ok.all():
-        i = int(np.argmin(ok))
-        try:
-            AttackParams(*amps[i].tolist(), *ov[i].tolist())
-        except AttackValidationError as exc:
-            raise type(exc)(f"attack {i}: {exc}") from None
-        raise AssertionError(f"attack {i}: the stacked check rejects what validate accepts")
-    return _wrap(amps, ov)
-
-
 def _unit_vector(rng: np.random.Generator, dim: int) -> Ket:
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
 
 
-def sample_valid(seed: int | None = None, symmetric: bool = False,
-                 max_iterations: int = DRAW_BUDGET) -> AttackParams:
+def sample_valid(seed: int | None = None, symmetric: bool = False) -> AttackParams:
     """Draw a random valid attack.
 
     Three ancilla kets and the amplitudes are drawn freely; <E00|E10> is
@@ -129,15 +102,12 @@ def sample_valid(seed: int | None = None, symmetric: bool = False,
     Args:
         seed: seed for the deterministic generator.
         symmetric: force c00 = c11, hence c01 = c10.
-        max_iterations: rejection bound before giving up.
+
+    Raises:
+        SamplingBudgetError: no valid draw within DRAW_BUDGET tries.
     """
-    return AttackParams(*_draw(seed, symmetric, max_iterations))
-
-
-def _draw(seed: int | None, symmetric: bool, max_iterations: int = DRAW_BUDGET) -> tuple:
-    """sample_valid's draw, unvalidated: its four amplitudes, then its overlaps."""
     rng = np.random.default_rng(seed)
-    for _ in range(max_iterations):
+    for _ in range(DRAW_BUDGET):
         e00 = _unit_vector(rng, 4)
         e01 = _unit_vector(rng, 4)
         e11 = _unit_vector(rng, 4)
@@ -159,8 +129,9 @@ def _draw(seed: int | None, symmetric: bool, max_iterations: int = DRAW_BUDGET) 
         e10 = u * e00 + np.sqrt(1.0 - abs(u) ** 2) * (w / norm)
         s, p = complex(np.vdot(e00, e01)), complex(np.vdot(e00, e11))
         r, q = complex(np.vdot(e11, e10)), complex(np.vdot(e01, e10))
-        return float(c00), float(c01), float(c11), float(c10), s, complex(u), p, r, v, q
-    raise SamplingBudgetError(f"no valid draw within {max_iterations} iterations")
+        amps = float(c00), float(c01), float(c11), float(c10)
+        return AttackParams(*amps, s, complex(u), p, r, v, q)
+    raise SamplingBudgetError(f"no valid draw within {DRAW_BUDGET} iterations")
 
 
 @dataclass(frozen=True)
@@ -205,15 +176,15 @@ def _child_seeds(seed: int, count: int) -> list[int]:
     return [int(s) for s in rng.integers(0, 2**63, size=count)]
 
 
-def _neighbors(amps: np.ndarray, overlaps: np.ndarray, seeds: list[int]) -> tuple[list, np.ndarray]:
+def _neighbors(amps: np.ndarray, overlaps: np.ndarray, seeds: list[int]) -> tuple[np.ndarray, ...]:
     """Valid neighbours of each attack along the spectrum-cancelling directions.
 
     Each move (u and v together, Re s, Re r) starts at a step of 0.05 and
     halves it after each invalid attempt, trying at most 14 steps; the
     phase of the u-v move is drawn from default_rng([seed, 1]). All 14
     steps of every move are validated in one stack, and each move keeps its
-    first valid step. Returns the neighbours, by attack and then by move,
-    and the index of each one's attack."""
+    first valid step. Returns the neighbours' amplitudes and overlaps, by
+    attack and then by move, and the index of each one's attack."""
     phase = np.array([np.exp(2j * np.pi * np.random.default_rng([s, 1]).random()) for s in seeds])
     c00, c01, c11, c10 = amps.T
     has_uv = c01 * c11 > 1e-9
@@ -233,7 +204,7 @@ def _neighbors(amps: np.ndarray, overlaps: np.ndarray, seeds: list[int]) -> tupl
     ok = _valid_mask(amps[i], step).reshape(14, moves)
     kept = np.flatnonzero(ok.any(axis=0))
     rows = ok[:, kept].argmax(axis=0) * moves + kept
-    return _wrap(amps[i[rows]], step[rows]), owner[kept]
+    return amps[i[rows]], step[rows], owner[kept]
 
 
 def _gram_fpm(a: AttackParams) -> float:
@@ -263,12 +234,12 @@ def _deviations(seeds: list[int]) -> dict[str, np.ndarray]:
 
 
 def _chunk_deviations(seeds: list[int]) -> dict[str, np.ndarray]:
-    """_deviations of one chunk: one stacked draw, ladder and joint-state pass."""
-    draws = np.array([_draw(s, bool(s % 2)) for s in seeds], dtype=complex)
-    amps, overlaps = draws[:, :4].real, draws[:, 4:]
-    attacks = _attack_batch(amps, overlaps)
-    near, owner = _neighbors(amps, overlaps, seeds)
-    states = joint_states(attacks + near)
+    """_deviations of one chunk: one stacked ladder and joint-state pass."""
+    attacks = [sample_valid(s, bool(s % 2)) for s in seeds]
+    rows = attack_rows(attacks)
+    *near, owner = _neighbors(*rows, seeds)
+    # one stack: the draws, then their neighbours
+    states = joint_states(*(np.concatenate(pair) for pair in zip(rows, near)))
     k = len(attacks)
     spectra = np.array([b.rho_be.spectrum() for b in states])
     # the closed form's four nonzero eigenvalues and four zeros

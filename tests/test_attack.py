@@ -19,9 +19,10 @@ from dqkd.attack import (
     named_attack,
     validate,
 )
-from dqkd.keyrate import _gram_stack, branch_vectors, gram_matrix, realize_ancilla
+from dqkd import verify
+from dqkd.keyrate import _gram_stack, attack_rows, branch_vectors, gram_matrix, realize_ancilla
 from dqkd.rates import PSD_SLACK
-from dqkd.verify import SamplingBudgetError, _attack_batch, _draw, _valid_mask, sample_valid
+from dqkd.verify import SamplingBudgetError, _valid_mask, sample_valid
 from oracles import (
     build_unitary,
     eigvalsh_gram_verdict,
@@ -186,9 +187,11 @@ def test_sampler_bulk_validity():
         validate(params)
 
 
-def test_sampler_budget_error():
+def test_sampler_budget_error(monkeypatch):
+    # the budget is read when the sampler runs
+    monkeypatch.setattr(verify, "DRAW_BUDGET", 0)
     with pytest.raises(SamplingBudgetError):
-        sample_valid(seed=0, max_iterations=0)
+        sample_valid(seed=0)
 
 
 def test_symmetric_draws_link_u_and_v():
@@ -416,8 +419,7 @@ def _validation_cloud(rng: np.random.Generator) -> list[tuple[list, list]]:
 
 
 def test_stacked_validation_matches_scalar():
-    # one stacked check of the whole cloud gives validate's verdict on each
-    # row; a batch of one invalid row raises validate's class and message
+    # one stacked check of the whole cloud gives validate's verdict on each row
     rows = _validation_cloud(np.random.default_rng(17))
     amps = np.array([a for a, _ in rows], dtype=float)
     overlaps = np.array([o for _, o in rows], dtype=complex)
@@ -430,10 +432,6 @@ def test_stacked_validation_matches_scalar():
             seen.add("valid")
             continue
         seen.add(message.split(" = ")[0].split(" ")[0])
-        with pytest.raises(AttackValidationError) as caught:
-            _attack_batch(amps[i : i + 1], overlaps[i : i + 1])
-        assert type(caught.value) is error
-        assert str(caught.value) == f"attack 0: {message}"
     # every fault class, each norm and a NaN overlap among them
     assert seen >= {"valid", "amplitudes", "c00^2", "c11^2", "Gram", "|c00"}
     assert {f"|{name}|" for name in OVERLAP_NAMES} <= seen
@@ -457,30 +455,6 @@ def test_overflowing_overlap_leaves_the_unit_disc():
         assert not _valid_mask(amps, np.array([[big, 0, 0, 0, 0, 0]])).any()
 
 
-def test_attack_batch_names_the_first_invalid_candidate():
-    rows = [_edited(sample_valid(seed=seed)) for seed in range(6)]
-    rows[4] = _edited(sample_valid(seed=4), p=1.5 + 0j)
-    rows[5] = _edited(sample_valid(seed=5), c00=2.0)
-    amps = np.array([a for a, _ in rows])
-    overlaps = np.array([o for _, o in rows], dtype=complex)
-    with pytest.raises(OverlapMagnitudeError, match=r"^attack 4: \|p\| = 1.5 exceeds 1$"):
-        _attack_batch(amps, overlaps)
-    # and the rejection, like validate's, leaves no reference cycle
-    gc.collect()
-    gc.disable()
-    try:
-        try:
-            _attack_batch(amps, overlaps)
-        except OverlapMagnitudeError:
-            pass
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
-    # the valid ones are the attacks sample_valid builds, field for field
-    batch = _attack_batch(amps[:4], overlaps[:4])
-    assert batch == [sample_valid(seed=seed) for seed in range(4)]
-
-
 def _pivot_verdicts(overlaps: np.ndarray) -> np.ndarray:
     """Gram positivity of each row by gram_pivots, once on the stacked
     arrays and once per row on Python complexes; the two must agree."""
@@ -498,7 +472,7 @@ def test_pivot_verdict_matches_eigvalsh_on_perturbed_draws():
     # matrices. The pivot test and the eigvalsh oracle decide each alike
     # (0 flips), and both verdicts occur
     rng = np.random.default_rng(23)
-    draws = np.array([_draw(seed, bool(seed % 2)) for seed in range(2000)])[:, 4:]
+    draws = attack_rows([sample_valid(seed, bool(seed % 2)) for seed in range(2000)])[1]
     cloud = np.concatenate([
         draws + scale * (rng.standard_normal(draws.shape) + 1j * rng.standard_normal(draws.shape))
         for scale in (0.0, 1e-3, 1e-2, 0.1, 0.3)

@@ -11,6 +11,7 @@ from dqkd.attack import (
     validate,
 )
 from dqkd.keyrate import (
+    attack_rows,
     backward_indistinguishability,
     branch_vectors,
     build_rho_abe,
@@ -80,7 +81,7 @@ def test_joint_states_equal_one_at_a_time():
     # the stacked build runs the same routines on each matrix, so entry i
     # is the bundle of attack i built alone, bit for bit
     attacks = [sample_valid(seed=seed, symmetric=bool(seed % 2)) for seed in range(64)]
-    for params, bundle in zip(attacks, joint_states(attacks)):
+    for params, bundle in zip(attacks, joint_states(*attack_rows(attacks))):
         alone = build_rho_abe(params)
         for got, want in ((bundle.rho_abe, alone.rho_abe), (bundle.rho_be, alone.rho_be)):
             assert got.dims == want.dims

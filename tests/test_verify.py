@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dqkd import verify
+from dqkd import attack, verify
 from dqkd.cli import main
 from dqkd.verify import VerificationCheck, VerificationReport, run_verification
 
@@ -146,8 +146,8 @@ def test_eigensolver_census(monkeypatch, trials):
     # per chunk, one stack holds the joint states of every draw and every
     # neighbour: one call per size diagonalizes them all and realizes their
     # ancillas; the 4x4 Gram matrices are never diagonalized to validate,
-    # but checked by pivots in one stacked validation for the draws and one
-    # for all 14 steps of every neighbour ladder
+    # but checked by pivots: each draw by AttackParams, and all 14 steps of
+    # every neighbour ladder in one stacked validation
     calls = {}
 
     def counted(name, solver):
@@ -182,7 +182,22 @@ def test_eigensolver_census(monkeypatch, trials):
     assert calls[("eigvalsh", 8)] == chunks + 2
     assert calls[("eigh", 4)] == chunks + 1
     assert ("eigvalsh", 4) not in calls
-    assert mask_calls == [2] * chunks
+    assert mask_calls == [1] * chunks
+
+
+def test_every_drawn_attack_is_validated(monkeypatch):
+    # AttackParams validates each of the 40 draws and the backward check's
+    # identity attack, and nothing builds an attack around its constructor
+    calls = [0]
+    validate = attack.validate
+
+    def counted(params):
+        calls[0] += 1
+        return validate(params)
+
+    monkeypatch.setattr(attack, "validate", counted)
+    run_verification(trials=40, seed=3)
+    assert calls[0] == 41
 
 
 def test_chunks_concatenate_to_one_stack(monkeypatch):
