@@ -25,8 +25,7 @@ _MODULE_OF = {
         ),
         "keyrate": (
             "JointStateBundle", "attack_rows", "backward_indistinguishability",
-            "branch_vectors", "build_rho_abe", "gram_matrix", "joint_states", "realize_ancilla",
-            "s_be_numeric",
+            "build_rho_abe", "gram_matrix", "joint_states", "realize_ancilla", "s_be_numeric",
         ),
         "optimizer": ("FidelityConstraint", "OptResult", "entropy_objective", "maximize_s_be"),
         "protosim": ("ProtocolConfig", "ProtocolStats", "estimate_with_se", "run_protocol"),

@@ -28,8 +28,8 @@ when every LDL^H pivot of G - PSD_SLACK I is > 0, exactly when its smallest
 eigenvalue exceeds PSD_SLACK.
 
 Attacks hold Python floats and complexes, and every check and fidelity is
-plain arithmetic on them, so this module needs no numpy. Stacks of attacks
-are checked, sampled and realized in the numpy modules verify and keyrate.
+plain arithmetic on them, so this module needs no numpy. Attacks are
+sampled and realized, as stacks, in the numpy modules verify and keyrate.
 """
 
 from __future__ import annotations
@@ -173,11 +173,8 @@ def real_number(value) -> float:
 
 def gram_pivots(s, u, p, r, v, q):
     """Pivots 2 to 4 of the LDL^H factorization of G - PSD_SLACK I (pivot 1
-    is 1 - PSD_SLACK > 0), yielded in turn; pivot k + 1 divides by pivot k.
-
-    The overlaps are Python complexes or complex arrays of one shape. Either
-    way the pivots are the same float operations on their real and
-    imaginary parts, so a stack gets each attack's bits.
+    is 1 - PSD_SLACK > 0) for one attack's overlaps, yielded in turn; pivot
+    k + 1 divides by pivot k, so read on only while they are positive.
     """
     a = 1.0 - PSD_SLACK
     sr, si, ur, ui, pr, pi = s.real, s.imag, u.real, u.imag, p.real, p.imag

@@ -87,6 +87,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             args.xi = 1.0  # clean forward channel unless stated otherwise
         else:
             raise ValueError("sweeping e needs either --xi or --symmetric")
+    if args.var == "backward_noise" and not args.xi >= 0.0:
+        raise ValueError(f"--xi {args.xi} is below 0, where forward errors alone exceed e = 1/2")
     if not args.start < args.stop:
         raise ValueError(f"start={args.start} must be below stop={args.stop}")
     if args.steps < 2:
@@ -94,6 +96,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     grid = [args.start + (args.stop - args.start) * i / (args.steps - 1) for i in range(args.steps)]
     if args.var == "xi":
         reports = [final_rate(v, 0.0 if args.e is None else args.e) for v in grid]
+    elif args.var == "backward_noise":
+        # a key bit is announced wrong after a forward or a backward flip,
+        # not both; the four states' mean forward fidelity is (1 + xi)/2
+        reports = [final_rate(args.xi, v + (1.0 - args.xi) * (1.0 - 2.0 * v) / 2.0) for v in grid]
     else:
         reports = [final_rate(1.0 - 2.0 * v if args.symmetric else args.xi, v) for v in grid]
     with open(args.out, "w", newline="", encoding="utf-8") as fh:

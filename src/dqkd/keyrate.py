@@ -22,8 +22,7 @@ A stack of k attacks is two arrays, the (k, 4) amplitudes and (k, 6)
 overlaps of ``attack_rows``, whose rows come from attacks AttackParams
 accepted. ``realize_ancillas``, ``branch_stack`` and ``joint_states`` take
 them, with one eigensolver call per matrix size for the whole stack;
-``realize_ancilla``, ``branch_vectors`` and ``build_rho_abe`` are their
-one-attack cases.
+``realize_ancilla`` and ``build_rho_abe`` are their one-attack cases.
 
 That reduced state is 1/4 sum_i |v_i><v_i| over v = (phi0, phi1, Y phi0,
 Y phi1), phi0 and phi1 being the orthonormal attacked branches, so its four
@@ -52,7 +51,6 @@ from .attack import AttackParams, named_attack
 from .qstate import (
     ComplexMatrix,
     DensityMatrix,
-    Ket,
     density_matrices,
     outer,
     trace_out,
@@ -117,11 +115,6 @@ def branch_stack(amps: np.ndarray, overlaps: np.ndarray) -> np.ndarray:
     # and branch 1 is (c10 E10, c11 E11)
     scaled = amps[:, :, None] * realize_ancillas(overlaps)
     return scaled[:, [0, 1, 3, 2]].reshape(len(amps), 2, 8)
-
-
-def branch_vectors(params: AttackParams) -> tuple[Ket, Ket]:
-    """(U(|0> ox |E>), U(|1> ox |E>)) of one attack: branch_stack for k = 1."""
-    return tuple(branch_stack(*attack_rows([params]))[0])
 
 
 @dataclass(frozen=True)

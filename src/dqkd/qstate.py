@@ -30,10 +30,6 @@ TRACE_ATOL = 1e-12
 # matrices per slice of the stacked Hermitian check
 HERMITIAN_SLICE = 16
 
-# Encoding flip |0><1| - |1><0|. Real antisymmetric; differs from the Pauli Y
-# by a global phase, so conjugating a state with it is the same operation.
-Y_GATE = np.array([[0, 1], [-1, 0]], dtype=complex)
-
 STATE_LABELS = ("0", "1", "+", "-")
 BASIS_OF = {"0": "Z", "1": "Z", "+": "X", "-": "X"}
 COMPLEMENT = {"0": "1", "1": "0", "+": "-", "-": "+"}

@@ -12,16 +12,15 @@ together, and the real parts of s and r) are perturbed.
 The sampled checks run in one pass over one draw: ``trials`` attacks,
 each seeded by its own child seed, together with their neighbours along
 the cancelling directions. The seeds go in chunks of ``_SEED_CHUNK``, so
-memory stays flat in ``trials``. In a chunk, each draw is an AttackParams,
-validated by its constructor. The draws as arrays (``keyrate.attack_rows``)
-seed the neighbours' step-halving ladders, and one stacked validation
-checks every step of them (``_valid_mask``, ``attack.validate``'s checks
-and Gram pivots on arrays). The joint states of the draws and their
-neighbours are one ``keyrate.joint_states`` call on the stacked arrays,
-one eigensolver call per matrix size, and every check reads its
-deviations from that stack. A draw's deviations depend on its seed alone,
-so each check's witness, the seed of the first draw that reaches its worst
-deviation, replays it by itself.
+memory stays flat in ``trials``. Every attack in a chunk, draw or
+neighbour, is an AttackParams, validated by its constructor: each
+neighbour's step-halving ladder keeps the first step the constructor
+accepts. The joint states of the draws and their neighbours are one
+``keyrate.joint_states`` call on their stacked arrays
+(``keyrate.attack_rows``), one eigensolver call per matrix size, and
+every check reads its deviations from that stack. A draw's deviations
+depend on its seed alone, so each check's witness, the seed of the first
+draw that reaches its worst deviation, replays it by itself.
 """
 
 from __future__ import annotations
@@ -30,13 +29,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .attack import (
-    AMPLITUDE_ATOL,
-    OVERLAP_ATOL,
-    UNITARITY_ATOL,
-    AttackParams,
-    gram_pivots,
-)
+from .attack import AttackParams, AttackValidationError
 from .keyrate import attack_rows, backward_indistinguishability, gram_matrix, joint_states
 from .qstate import Ket, von_neumann_entropy
 from .rates import be_spectrum_closed_form
@@ -53,37 +46,6 @@ DRAW_BUDGET = 10**6
 
 class SamplingBudgetError(RuntimeError):
     """Rejection sampling failed to produce a valid parameter set."""
-
-
-def _valid_mask(amps: np.ndarray, overlaps: np.ndarray) -> np.ndarray:
-    """attack.validate's verdict on each of k candidates, (k, 4) amplitudes
-    and (k, 6) overlaps in the attack_rows layout: its checks, constants,
-    order and Gram pivots, each as "not within" so that NaN fails. Each
-    check reads only the rows that passed the ones before, so no square
-    overflows and no NaN reaches the pivots. A modulus is np.hypot of the
-    parts, which rounds as abs does and is inf where abs overflows (np.abs
-    of a complex array can round apart from abs)."""
-    in_range = (-AMPLITUDE_ATOL <= amps) & (amps <= 1.0 + AMPLITUDE_ATOL)
-    rows = np.flatnonzero(in_range.all(axis=1))
-    c00, c01, c11, c10 = amps[rows].T
-    norms = np.abs([c00**2 + c01**2 - 1.0, c11**2 + c10**2 - 1.0])
-    rows = rows[np.all(norms <= AMPLITUDE_ATOL, axis=0)]
-    ov = overlaps[rows]
-    # an overflowing modulus is inf, and fails; a row past a pivot that is
-    # not positive divides by it, and has failed
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        fits = np.all(np.hypot(ov.real, ov.imag) <= 1.0 + OVERLAP_ATOL, axis=1)
-        rows, ov = rows[fits], ov[fits]
-        positive = np.ones(len(rows), dtype=bool)
-        for pivot in gram_pivots(*ov.T):
-            positive &= pivot > 0.0
-    rows = rows[positive]
-    c00, c01, c11, c10 = amps[rows].T
-    residual = c00 * c10 * overlaps[rows, 1] + c01 * c11 * overlaps[rows, 4]
-    rows = rows[np.hypot(residual.real, residual.imag) <= UNITARITY_ATOL]
-    ok = np.zeros(len(amps), dtype=bool)
-    ok[rows] = True
-    return ok
 
 
 def _unit_vector(rng: np.random.Generator, dim: int) -> Ket:
@@ -176,35 +138,36 @@ def _child_seeds(seed: int, count: int) -> list[int]:
     return [int(s) for s in rng.integers(0, 2**63, size=count)]
 
 
-def _neighbors(amps: np.ndarray, overlaps: np.ndarray, seeds: list[int]) -> tuple[np.ndarray, ...]:
-    """Valid neighbours of each attack along the spectrum-cancelling directions.
+def _neighbors(attack: AttackParams, seed: int) -> list[AttackParams]:
+    """Valid neighbours of an attack along the spectrum-cancelling directions.
 
     Each move (u and v together, Re s, Re r) starts at a step of 0.05 and
-    halves it after each invalid attempt, trying at most 14 steps; the
-    phase of the u-v move is drawn from default_rng([seed, 1]). All 14
-    steps of every move are validated in one stack, and each move keeps its
-    first valid step. Returns the neighbours' amplitudes and overlaps, by
-    attack and then by move, and the index of each one's attack."""
-    phase = np.array([np.exp(2j * np.pi * np.random.default_rng([s, 1]).random()) for s in seeds])
-    c00, c01, c11, c10 = amps.T
-    has_uv = c01 * c11 > 1e-9
-    ratio = -(c00 * c10) / np.where(has_uv, c01 * c11, 1.0)
-    # the moves as (attack, kind): kind 0 moves u and v, 1 Re s and 2 Re r
-    owner, kind = np.nonzero(np.column_stack([has_uv, np.ones((len(amps), 2), dtype=bool)]))
-    # row j * moves + k tries move k at step j
-    moves = len(owner)
-    i, m = np.tile(owner, 14), np.tile(kind, 14)
-    delta = np.repeat(0.05 * 0.5 ** np.arange(14), moves)
-    step = overlaps[i]
-    uv = m == 0
-    step[uv, 1] += delta[uv] * phase[i[uv]]
-    step[uv, 4] = ratio[i[uv]] * step[uv, 1]
-    step[m == 1, 0] += delta[m == 1]
-    step[m == 2, 3] += delta[m == 2]
-    ok = _valid_mask(amps[i], step).reshape(14, moves)
-    kept = np.flatnonzero(ok.any(axis=0))
-    rows = ok[:, kept].argmax(axis=0) * moves + kept
-    return amps[i[rows]], step[rows], owner[kept]
+    halves it after each step the AttackParams constructor rejects, trying
+    at most 14 steps, and keeps its first valid one; a move with no valid
+    step is left out. The phase of the u-v move is drawn from
+    default_rng([seed, 1]), and the move is skipped when c01 c11 vanishes.
+    """
+    amps = (attack.c00, attack.c01, attack.c11, attack.c10)
+    s, u, p, r, v, q = attack.s, attack.u, attack.p, attack.r, attack.v, attack.q
+    moves = [lambda d: (s + d, u, p, r, v, q), lambda d: (s, u, p, r + d, v, q)]
+    if attack.c01 * attack.c11 > 1e-9:
+        phase = complex(np.exp(2j * np.pi * np.random.default_rng([seed, 1]).random()))
+        ratio = -(attack.c00 * attack.c10) / (attack.c01 * attack.c11)
+
+        def uv(d: float) -> tuple[complex, ...]:
+            w = u + d * phase
+            return s, w, p, r, ratio * w, q
+
+        moves.insert(0, uv)
+    near = []
+    for move in moves:
+        for j in range(14):
+            try:
+                near.append(AttackParams(*amps, *move(0.05 * 0.5**j)))
+                break
+            except AttackValidationError:
+                continue
+    return near
 
 
 def _gram_fpm(a: AttackParams) -> float:
@@ -234,16 +197,19 @@ def _deviations(seeds: list[int]) -> dict[str, np.ndarray]:
 
 
 def _chunk_deviations(seeds: list[int]) -> dict[str, np.ndarray]:
-    """_deviations of one chunk: one stacked ladder and joint-state pass."""
+    """_deviations of one chunk: one stacked joint-state pass."""
     attacks = [sample_valid(s, bool(s % 2)) for s in seeds]
-    rows = attack_rows(attacks)
-    *near, owner = _neighbors(*rows, seeds)
+    near, owner = [], []
+    for i, (a, s) in enumerate(zip(attacks, seeds)):
+        moved = _neighbors(a, s)
+        near += moved
+        owner += [i] * len(moved)
     # one stack: the draws, then their neighbours
-    states = joint_states(*(np.concatenate(pair) for pair in zip(rows, near)))
+    states = joint_states(*attack_rows(attacks + near))
     k = len(attacks)
     spectra = np.array([b.rho_be.spectrum() for b in states])
     # the closed form's four nonzero eigenvalues and four zeros
-    closed = [np.append(be_spectrum_closed_form(a).spectrum(), [0.0] * 4) for a in attacks]
+    closed = [be_spectrum_closed_form(a).spectrum() + (0.0,) * 4 for a in attacks]
     # each neighbour's spectrum against the spectrum of its own base attack
     insensitivity = np.zeros(k)
     np.maximum.at(insensitivity, owner, np.max(np.abs(spectra[k:] - spectra[owner]), axis=1))

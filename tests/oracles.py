@@ -25,6 +25,10 @@ paths. So the search keeps eigvalsh, the criterion its pinned results were
 found with, and its maximizer can lie a rounding error past the library's
 slack.
 
+The one-attack branch vectors (branch_vectors) and the encoding flip
+(Y_GATE) that the tests read live here too, since the library needs
+neither.
+
 The library's binary entropy is double-precision logarithms; the oracle
 here evaluates it in 50-digit decimal arithmetic.
 
@@ -57,7 +61,7 @@ from dqkd.optimizer import (
     OptResult,
     entropy_objective,
 )
-from dqkd.keyrate import branch_vectors, realize_ancilla
+from dqkd.keyrate import attack_rows, branch_stack, realize_ancilla
 from dqkd.protosim import ProtocolConfig, ProtocolStats, estimate_with_se
 from dqkd.qstate import (
     BASIS_OF,
@@ -78,6 +82,10 @@ from dqkd.rates import (
     s_be_max,
 )
 
+# Encoding flip |0><1| - |1><0|. Real antisymmetric; differs from the Pauli Y
+# by a global phase, so conjugating a state with it is the same operation.
+Y_GATE = np.array([[0, 1], [-1, 0]], dtype=complex)
+
 KET_0 = np.array([1, 0], dtype=complex)
 KET_1 = np.array([0, 1], dtype=complex)
 KET_PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2.0)
@@ -97,6 +105,12 @@ def binary_entropy_decimal(x: float) -> float:
         p = decimal.Decimal(x)
         ln2 = decimal.Decimal(2).ln()
         return float(sum((-t * t.ln() / ln2 for t in (p, 1 - p) if t > 0), decimal.Decimal(0)))
+
+
+def branch_vectors(params: AttackParams) -> tuple[Ket, Ket]:
+    """(U(|0> ox |E>), U(|1> ox |E>)) of one attack: the library's
+    branch_stack for k = 1."""
+    return tuple(branch_stack(*attack_rows([params]))[0])
 
 
 def kron_branch_vectors(params: AttackParams) -> tuple[Ket, Ket]:

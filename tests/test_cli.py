@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from dqkd.attack import named_attack
 from dqkd.cli import main
 from dqkd.optimizer import FidelityConstraint, maximize_s_be
+from dqkd.protosim import ProtocolConfig, run_protocol
 from dqkd.rates import binary_entropy, final_rate
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -91,6 +93,30 @@ def test_sweep_backward_noise_defaults_to_clean_forward(tmp_path):
     with open(out, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))[1:]
     assert all(float(row[2]) == 1.0 for row in rows)
+
+
+def test_sweep_backward_noise_adds_the_forward_errors(tmp_path, capsys):
+    # a key bit is announced wrong after a forward or a backward flip, not
+    # both: at xi = 0.9 and b = 0.05 the sweep reads what a long simulated
+    # run of the symmetric attack (e = 0.05, so xi = 0.9) estimates
+    out = tmp_path / "noise.csv"
+    assert main([
+        "sweep", "--var", "backward_noise", "--xi", "0.9", "--start", "0", "--stop", "0.1",
+        "--steps", "11", "--out", str(out),
+    ]) == 0
+    with open(out, newline="", encoding="utf-8") as fh:
+        row = list(csv.reader(fh))[6]
+    assert row[:2] == ["backward_noise", "0.05"]
+    config = ProtocolConfig(named_attack("symmetric", 0.05), n=10**15, backward_noise=0.05)
+    stats, report = run_protocol(config)
+    assert float(row[3]) == pytest.approx(stats.est_e, abs=1e-7)
+    assert float(row[5]) == pytest.approx(report.r_final, abs=1e-6)
+    # below xi = 0 the forward errors alone push e past 1/2
+    assert main([
+        "sweep", "--var", "backward_noise", "--xi", "-0.1", "--start", "0", "--stop", "0.1",
+        "--steps", "3", "--out", str(out),
+    ]) == 1
+    assert capsys.readouterr().err.startswith("error: --xi -0.1 ")
 
 
 def test_sweep_argument_errors(tmp_path, capsys):

@@ -36,6 +36,11 @@ CASES = {
          "--e", "0.03", "--out", "margin.csv"],
         ("margin.csv",),
     ),
+    "sweep_noise": (
+        ["sweep", "--var", "backward_noise", "--xi", "0.9", "--start", "0", "--stop", "0.1",
+         "--steps", "11", "--out", "noise.csv"],
+        ("noise.csv",),
+    ),
     "optimize_undisturbed": (["optimize", "--f01", "1.0", "--fpm", "0.75"], ()),
     "optimize_balanced": (
         ["optimize", "--f01", "0.9", "--fpm", "0.9", "--out", "best_attack.json"],

@@ -13,12 +13,11 @@ from dqkd.attack import (
 from dqkd.keyrate import (
     attack_rows,
     backward_indistinguishability,
-    branch_vectors,
     build_rho_abe,
     joint_states,
     s_be_numeric,
 )
-from dqkd.qstate import Y_GATE, outer, trace_distance, von_neumann_entropy
+from dqkd.qstate import outer, trace_distance, von_neumann_entropy
 from dqkd.rates import (
     BoundaryViolationError,
     be_spectrum_closed_form,
@@ -28,7 +27,7 @@ from dqkd.rates import (
     s_be_max,
 )
 from dqkd.verify import sample_valid
-from oracles import binary_entropy_decimal
+from oracles import Y_GATE, binary_entropy_decimal, branch_vectors
 
 # precomputed with 30-digit arithmetic
 H_01 = 0.4689955935892812

@@ -1,14 +1,10 @@
-import math
-
 import numpy as np
 import pytest
 
 from dqkd.attack import (
     OVERLAP_NAMES,
     AttackParams,
-    AttackValidationError,
     GramNotPositiveError,
-    OverlapMagnitudeError,
     forward_fidelities,
     named_attack,
 )
@@ -20,8 +16,8 @@ from dqkd.optimizer import (
     maximize_s_be,
 )
 from dqkd.rates import PSD_SLACK, BoundaryViolationError
-from dqkd.verify import _valid_mask, sample_valid
-from oracles import MIN_BUDGET, _Slice, gram_literal, search_s_be
+from dqkd.verify import sample_valid
+from oracles import MIN_BUDGET, gram_literal, search_s_be
 
 # precomputed with 30-digit arithmetic
 ONE_PLUS_H_075 = 1.8112781244591329
@@ -117,72 +113,6 @@ def test_pinned_results(c0sq, cppsq, entropy_hex, max_iterations):
     result = search_s_be(FidelityConstraint(c0sq=c0sq, cppsq=cppsq))
     assert result.best_entropy.hex() == entropy_hex
     assert result.iterations <= max_iterations
-
-
-def _constructed(space: _Slice, x: np.ndarray) -> str | type | None:
-    """"valid", None off the p0/q0 box, or the error AttackParams raises at x."""
-    try:
-        params = space.params(x)
-    except AttackValidationError as exc:
-        return type(exc)
-    return None if params is None else "valid"
-
-
-def _slice_cloud(space: _Slice, rng: np.random.Generator) -> list[np.ndarray]:
-    """Feasible points, points off the p0/q0 box, and points next to the
-    overlap-magnitude and Gram-positivity thresholds."""
-    lo, hi = space.lo, space.hi
-    cloud = []
-    for _ in range(40):
-        cloud.append(np.array([rng.uniform(lo, hi), *rng.uniform(-0.2, 0.2, 4)]))
-        cloud.append(np.array([rng.uniform(-1.5, 1.5), *rng.uniform(-0.2, 0.2, 4)]))
-        # |p| or |q| a few 1e-13 either side of 1 + OVERLAP_ATOL
-        p0 = rng.uniform(lo, hi)
-        ov = space.overlaps(np.array([p0, 0.0, 0.0, 0.0, 0.0]))
-        q0 = ov[3].real if ov is not None else 0.0
-        radius = 1.0 + 1e-12 + rng.uniform(-5e-13, 5e-13)
-        if rng.random() < 0.5:
-            cloud.append(np.array([p0, math.sqrt(radius**2 - p0**2), 0.0, 0.0, 0.0]))
-        else:
-            cloud.append(np.array([p0, 0.0, math.sqrt(radius**2 - q0**2), 0.0, 0.0]))
-    for _ in range(15):
-        # bisect along a random ray to where construction starts to fail,
-        # then sample within ~1e-12 of that point
-        base = np.array([rng.uniform(lo, hi), 0.0, 0.0, 0.0, 0.0])
-        ray = np.concatenate([[0.0], rng.standard_normal(4)])
-        ray /= np.linalg.norm(ray)
-        inside, outside = 0.0, 2.0
-        for _ in range(60):
-            mid = 0.5 * (inside + outside)
-            if _constructed(space, base + mid * ray) == "valid":
-                inside = mid
-            else:
-                outside = mid
-        cloud.extend(base + (inside + d) * ray for d in rng.uniform(-1e-12, 1e-12, 6))
-    return cloud
-
-
-def test_stacked_verdict_matches_construction_on_the_slice():
-    # at every point of a cloud that straddles the overlap-magnitude and
-    # Gram thresholds within 1e-12, one stacked check of all points decides
-    # validity as constructing an AttackParams does
-    rng = np.random.default_rng(11)
-    seen = set()
-    for c0sq, cppsq in ((0.9, 0.9), (0.8, 0.85), (1.0, 0.75),
-                        (0.7715960402188387, 0.8132663915296381)):
-        space = _Slice(FidelityConstraint(c0sq=c0sq, cppsq=cppsq))
-        overlaps, outcomes = [], []
-        for x in _slice_cloud(space, rng):
-            outcome = _constructed(space, x)
-            seen.add(outcome)
-            if (ov := space.overlaps(x)) is not None:
-                s, p, r, q = ov
-                overlaps.append((s, 0j, p, r, 0j, q))
-                outcomes.append(outcome == "valid")
-        amps = np.tile([space.c0, space.c1, space.c0, space.c1], (len(overlaps), 1))
-        assert _valid_mask(amps, np.array(overlaps)).tolist() == outcomes, (c0sq, cppsq)
-    # the cloud reaches every outcome: valid, off the box, and each overlap fault
-    assert seen == {"valid", None, OverlapMagnitudeError, GramNotPositiveError}
 
 
 def test_budget_caps_every_evaluation():

@@ -5,7 +5,6 @@ from dqkd.qstate import (
     DensityMatrix,
     NotDensityMatrixError,
     NotHermitianError,
-    Y_GATE,
     density_matrices,
     outer,
     partial_trace,
@@ -13,7 +12,7 @@ from dqkd.qstate import (
     von_neumann_entropy,
 )
 from dqkd.rates import binary_entropy
-from oracles import KET_0, KET_1, KET_MINUS, KET_PLUS
+from oracles import KET_0, KET_1, KET_MINUS, KET_PLUS, Y_GATE
 
 # precomputed with 30-digit arithmetic
 H_005 = 0.2863969571159561

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from dqkd import attack, verify
+from dqkd.keyrate import attack_rows
 from dqkd.cli import main
 from dqkd.verify import VerificationCheck, VerificationReport, run_verification
 
@@ -146,8 +147,7 @@ def test_eigensolver_census(monkeypatch, trials):
     # per chunk, one stack holds the joint states of every draw and every
     # neighbour: one call per size diagonalizes them all and realizes their
     # ancillas; the 4x4 Gram matrices are never diagonalized to validate,
-    # but checked by pivots: each draw by AttackParams, and all 14 steps of
-    # every neighbour ladder in one stacked validation
+    # but checked by pivots, attack by attack, in AttackParams
     calls = {}
 
     def counted(name, solver):
@@ -160,20 +160,6 @@ def test_eigensolver_census(monkeypatch, trials):
 
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
-    mask_calls = []
-    chunk_deviations = verify._chunk_deviations
-    valid_mask = verify._valid_mask
-
-    def counted_mask(amps, overlaps):
-        mask_calls[-1] += 1
-        return valid_mask(amps, overlaps)
-
-    def counted_chunk(seeds):
-        mask_calls.append(0)
-        return chunk_deviations(seeds)
-
-    monkeypatch.setattr(verify, "_valid_mask", counted_mask)
-    monkeypatch.setattr(verify, "_chunk_deviations", counted_chunk)
     run_verification(trials=trials, seed=0)
     chunks = -(-trials // verify._SEED_CHUNK)
     # the backward check builds the identity attack's states once more and
@@ -182,22 +168,39 @@ def test_eigensolver_census(monkeypatch, trials):
     assert calls[("eigvalsh", 8)] == chunks + 2
     assert calls[("eigh", 4)] == chunks + 1
     assert ("eigvalsh", 4) not in calls
-    assert mask_calls == [1] * chunks
 
 
-def test_every_drawn_attack_is_validated(monkeypatch):
-    # AttackParams validates each of the 40 draws and the backward check's
-    # identity attack, and nothing builds an attack around its constructor
-    calls = [0]
+def test_every_stacked_attack_is_validated(monkeypatch):
+    # every row of every joint-state stack, draw or neighbour, is the
+    # attack_rows row of an attack that validate accepted
+    accepted = set()
     validate = attack.validate
 
-    def counted(params):
-        calls[0] += 1
-        return validate(params)
+    def recorded(params):
+        validate(params)
+        amps, overlaps = attack_rows([params])
+        accepted.add((amps.tobytes(), overlaps.tobytes()))
+        return params
 
-    monkeypatch.setattr(attack, "validate", counted)
+    stacks = []
+    joint_states = verify.joint_states
+
+    def captured(amps, overlaps):
+        stacks.append((amps, overlaps))
+        return joint_states(amps, overlaps)
+
+    monkeypatch.setattr(attack, "validate", recorded)
+    monkeypatch.setattr(verify, "joint_states", captured)
     run_verification(trials=40, seed=3)
-    assert calls[0] == 41
+    assert len(stacks) == 1
+    amps, overlaps = stacks[0]
+    # the 40 draws and at least two neighbours of each
+    assert len(amps) >= 3 * 40
+    strays = [
+        i for i, (a, o) in enumerate(zip(amps, overlaps))
+        if (a[None].tobytes(), o[None].tobytes()) not in accepted
+    ]
+    assert strays == []
 
 
 def test_chunks_concatenate_to_one_stack(monkeypatch):
