@@ -3,10 +3,10 @@
 Subcommands: keyrate, sweep, optimize, simulate, verify. Aborted protocol
 runs are results, not failures; the process exits nonzero only for invalid
 input, I/O problems, or failed verification. All randomness is controlled
-by explicit --seed flags. Each subcommand imports the modules it runs when
-it runs, so keyrate, sweep and optimize, which need only the scalar layer,
-never load numpy. The others run small (4x4 to 16x16) algebra, on one BLAS
-thread unless the environment asks for more.
+by explicit --seed flags. Each subcommand imports what it runs when it
+runs: keyrate, sweep (protosim.error_rate for backward noise) and optimize
+never load numpy; simulate loads it for its one draw, and verify for small
+(4x4 to 16x16) algebra, on one BLAS thread unless the environment asks.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 from typing import TYPE_CHECKING
@@ -34,8 +33,6 @@ class ConfigError(ValueError):
 
 def _fmt(x: float) -> str:
     """12 significant digits, the sweep-file number format."""
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
     return f"{x:.12g}"
 
 
@@ -44,10 +41,8 @@ def _fmt_bool(b: bool) -> str:
 
 
 def _print_report(report: KeyRateReport) -> None:
-    doc = report.to_dict()
     for key in ("xi", "e", "r_pa", "r_final", "r_final_raw", "r_bb84"):
-        val = doc[key]
-        print(f"{key:<12} = {'nan' if val is None else _fmt(val)}")
+        print(f"{key:<12} = {_fmt(getattr(report, key))}")
     print(f"{'boundary_ok':<12} = {_fmt_bool(report.boundary_ok)}")
     print(f"{'aborted':<12} = {_fmt_bool(report.aborted)}")
 
@@ -97,9 +92,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.var == "xi":
         reports = [final_rate(v, 0.0 if args.e is None else args.e) for v in grid]
     elif args.var == "backward_noise":
-        # a key bit is announced wrong after a forward or a backward flip,
-        # not both; the four states' mean forward fidelity is (1 + xi)/2
-        reports = [final_rate(args.xi, v + (1.0 - args.xi) * (1.0 - 2.0 * v) / 2.0) for v in grid]
+        from .protosim import error_rate
+
+        reports = [final_rate(args.xi, error_rate((1.0 + args.xi) / 2.0, v)) for v in grid]
     else:
         reports = [final_rate(1.0 - 2.0 * v if args.symmetric else args.xi, v) for v in grid]
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
@@ -214,12 +209,12 @@ def _load_config(path: str | None, args: argparse.Namespace) -> ProtocolConfig:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    from .protosim import run_protocol
+    from .protosim import STATE_LABELS, run_protocol
 
     config = _load_config(args.config, args)
     stats, report = run_protocol(config)
 
-    trials_for = {label: 0 for label in ("0", "1", "+", "-")}
+    trials_for = dict.fromkeys(STATE_LABELS, 0)
     for key, count in stats.counts.items():
         trials_for[key.split("|")[0]] += count
     rows = [

@@ -22,10 +22,11 @@ encodings decode wrongly with probability 1 - f, because the flip Y maps
 each basis state to its complement, and the backward flip b folds in as
 e = (1 - f)(1 - b) + f b.
 
-The 24 probabilities and every estimate are a few dozen scalar products,
-so they are computed on Python floats; numpy only seeds the generator and
-makes the one draw. The float fields of a config are stored as Python
-floats, so a numpy scalar cannot carry its own precision into the cells.
+It is the one home of the state labels and of e (error_rate, which sweep
+reads too). Cells and estimates are a few dozen scalar products on Python
+floats; only run_protocol imports numpy, to seed the generator and make
+the one draw. A config stores its float fields as Python floats, so a
+numpy scalar cannot carry its own precision into the cells.
 """
 
 from __future__ import annotations
@@ -34,11 +35,12 @@ import math
 import numbers
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from .attack import AttackParams, ChannelFidelities, forward_fidelities
-from .qstate import BASIS_OF, COMPLEMENT, STATE_LABELS
 from .rates import BOUNDARY_ATOL, BOUNDARY_XI, KeyRateReport, final_rate
+
+STATE_LABELS = ("0", "1", "+", "-")
+BASIS_OF = {"0": "Z", "1": "Z", "+": "X", "-": "X"}
+COMPLEMENT = {"0": "1", "1": "0", "+": "-", "-": "+"}
 
 
 class InsufficientDataError(ValueError):
@@ -72,7 +74,7 @@ class ProtocolConfig:
             raise TypeError(f"attack must be an AttackParams, got {self.attack!r}")
         for name in ("n", "seed"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            if isinstance(value, bool) or not isinstance(value, (int, numbers.Integral)):
                 raise TypeError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))  # a numpy integer is not JSON
         for name in ("check_fraction", "announce_fraction", "backward_noise", "abort_slack_z"):
@@ -152,6 +154,11 @@ def estimate_with_se(successes: int, trials: int) -> tuple[float, float]:
     return p, math.sqrt(p * (1.0 - p) / trials)
 
 
+def error_rate(f: float, b: float) -> float:
+    """e = (1 - f)(1 - b) + f b in [0, 1]: linear in f, so the mean of e is e at the mean f."""
+    return min(max((1.0 - f) * (1.0 - b) + f * b, 0.0), 1.0)
+
+
 def _cell_probabilities(config: ProtocolConfig, fids: ChannelFidelities) -> list[float]:
     """The 24 cell probabilities, flat and row by row.
 
@@ -171,7 +178,7 @@ def _cell_probabilities(config: ProtocolConfig, fids: ChannelFidelities) -> list
     for fid in (fids.f0, fids.f1, fids.fplus, fids.fminus):
         # validation lets overlaps exceed 1 by float slack, and f with them
         f = min(max(fid, 0.0), 1.0)
-        e = min(max((1.0 - f) * (1.0 - b) + f * b, 0.0), 1.0)
+        e = error_rate(f, b)
         cells += (
             0.25 * (check * f),
             0.25 * (check * (1.0 - f)),
@@ -197,6 +204,8 @@ def run_protocol(config: ProtocolConfig) -> tuple[ProtocolStats, KeyRateReport]:
             one trial (every fidelity needs consistent-basis checks and
             the error rate needs announced bits).
     """
+    import numpy as np
+
     cells = _cell_probabilities(config, forward_fidelities(config.attack))
     rng = np.random.default_rng(config.seed)
     tally = rng.multinomial(config.n, cells).tolist()

@@ -1,4 +1,4 @@
-"""Qubit states, operators and dense linear algebra shared by the whole package.
+"""Linear algebra only: dense kets, operators and density matrices.
 
 Conventions used everywhere:
 
@@ -29,10 +29,6 @@ HERMITIAN_ATOL = 1e-12
 TRACE_ATOL = 1e-12
 # matrices per slice of the stacked Hermitian check
 HERMITIAN_SLICE = 16
-
-STATE_LABELS = ("0", "1", "+", "-")
-BASIS_OF = {"0": "Z", "1": "Z", "+": "X", "-": "X"}
-COMPLEMENT = {"0": "1", "1": "0", "+": "-", "-": "+"}
 
 
 class NotHermitianError(ValueError):

@@ -62,11 +62,15 @@ from dqkd.optimizer import (
     entropy_objective,
 )
 from dqkd.keyrate import attack_rows, branch_stack, realize_ancilla
-from dqkd.protosim import ProtocolConfig, ProtocolStats, estimate_with_se
-from dqkd.qstate import (
+from dqkd.protosim import (
     BASIS_OF,
     COMPLEMENT,
     STATE_LABELS,
+    ProtocolConfig,
+    ProtocolStats,
+    estimate_with_se,
+)
+from dqkd.qstate import (
     ComplexMatrix,
     DensityMatrix,
     Ket,
@@ -453,3 +457,14 @@ def array_run_protocol(config: ProtocolConfig) -> tuple[ProtocolStats, KeyRateRe
         aborted=aborted,
     )
     return stats, report
+
+
+def bernstein_halfwidth(n: int, p: float, level: float) -> float:
+    """Half-width t of a two-sided Bernstein interval for a Binomial(n, p) count X.
+
+    A sum of n independent [0, 1] draws obeys
+    P(|X - n p| >= t) <= 2 exp(-t^2 / (2 (n p (1 - p) + t/3))), which is
+    2 exp(-level) at t = level/3 + sqrt(level^2/9 + 2 level n p (1 - p)).
+    """
+    var = n * p * (1.0 - p)
+    return level / 3.0 + math.sqrt(level * level / 9.0 + 2.0 * level * var)

@@ -7,11 +7,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from oracles import bernstein_halfwidth
 
 from dqkd.attack import named_attack
 from dqkd.cli import main
 from dqkd.optimizer import FidelityConstraint, maximize_s_be
-from dqkd.protosim import ProtocolConfig, run_protocol
+from dqkd.protosim import ProtocolConfig, error_rate, run_protocol
 from dqkd.rates import binary_entropy, final_rate
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -21,6 +22,9 @@ def test_keyrate_table(capsys):
     assert main(["keyrate", "--xi", "0.9", "--e", "0.05"]) == 0
     out = capsys.readouterr().out
     assert "r_final" in out and "aborted" in out
+    # below xi = 0 the raw rate has no curve value
+    assert main(["keyrate", "--xi", "-0.5", "--e", "0.1"]) == 0
+    assert "\nr_final_raw  = nan\n" in capsys.readouterr().out
 
 
 def test_keyrate_json(capsys):
@@ -95,28 +99,35 @@ def test_sweep_backward_noise_defaults_to_clean_forward(tmp_path):
     assert all(float(row[2]) == 1.0 for row in rows)
 
 
-def test_sweep_backward_noise_adds_the_forward_errors(tmp_path, capsys):
+@pytest.mark.parametrize("xi", [0.0, 0.5, 0.9, 1.0])
+def test_sweep_backward_noise_adds_the_forward_errors(xi, tmp_path):
     # a key bit is announced wrong after a forward or a backward flip, not
-    # both: at xi = 0.9 and b = 0.05 the sweep reads what a long simulated
-    # run of the symmetric attack (e = 0.05, so xi = 0.9) estimates
+    # both: each row reads what a run of the symmetric attack with margin xi
+    # estimates at n = 2**63 - 1. e is held to a Bernstein interval at
+    # L = 30 (at most 2 exp(-30) = 1.9e-13 by chance per row, 8.2e-12 over
+    # the 44 rows of the four sweeps) plus the 12-digit print rounding, and
+    # r_final to that distance times the slope |dr/de| = log2((1 - e)/e)
     out = tmp_path / "noise.csv"
     assert main([
-        "sweep", "--var", "backward_noise", "--xi", "0.9", "--start", "0", "--stop", "0.1",
+        "sweep", "--var", "backward_noise", "--xi", repr(xi), "--start", "0", "--stop", "0.1",
         "--steps", "11", "--out", str(out),
     ]) == 0
     with open(out, newline="", encoding="utf-8") as fh:
-        row = list(csv.reader(fh))[6]
-    assert row[:2] == ["backward_noise", "0.05"]
-    config = ProtocolConfig(named_attack("symmetric", 0.05), n=10**15, backward_noise=0.05)
-    stats, report = run_protocol(config)
-    assert float(row[3]) == pytest.approx(stats.est_e, abs=1e-7)
-    assert float(row[5]) == pytest.approx(report.r_final, abs=1e-6)
-    # below xi = 0 the forward errors alone push e past 1/2
-    assert main([
-        "sweep", "--var", "backward_noise", "--xi", "-0.1", "--start", "0", "--stop", "0.1",
-        "--steps", "3", "--out", str(out),
-    ]) == 1
-    assert capsys.readouterr().err.startswith("error: --xi -0.1 ")
+        rows = list(csv.reader(fh))[1:]
+    assert len(rows) == 11
+    attack = named_attack("symmetric", (1.0 - xi) / 2.0)
+    for row in rows:
+        assert row[0] == "backward_noise" and float(row[2]) == xi
+        b, e, r = float(row[1]), float(row[3]), float(row[5])
+        stats, report = run_protocol(ProtocolConfig(attack, n=2**63 - 1, backward_noise=b))
+        rounding = 5e-12 * e  # half a unit in the 12th significant digit
+        ann = stats.n_announced
+        assert abs(stats.est_e - e) <= bernstein_halfwidth(ann, e, 30.0) / ann + rounding, row
+        # the slope is steepest at the end of [e, report.e] nearest 0
+        gap = abs(report.e - e) + rounding
+        low = min(e, report.e) - rounding
+        slope = math.log2((1.0 - low) / low) if gap else 0.0
+        assert abs(final_rate(xi, report.e).r_final - r) <= slope * gap + 5e-12 * r, row
 
 
 def test_sweep_argument_errors(tmp_path, capsys):
@@ -135,6 +146,10 @@ def test_sweep_argument_errors(tmp_path, capsys):
                  "--steps", "5", "--symmetric",
                  "--out", str(tmp_path / "missing" / "x.csv")]) == 1
     capsys.readouterr()
+    # below xi = 0 the forward errors alone push e past 1/2
+    assert main(["sweep", "--var", "backward_noise", "--xi", "-0.1", "--start", "0",
+                 "--stop", "0.1", "--steps", "3", "--out", out]) == 1
+    assert capsys.readouterr().err.startswith("error: --xi -0.1 ")
 
 
 @pytest.mark.parametrize(
@@ -205,6 +220,8 @@ COLD_COMMANDS = {
     "keyrate": ["keyrate", "--xi", "0.9", "--e", "0.01"],
     "sweep": ["sweep", "--var", "xi", "--start", "0.5", "--stop", "1", "--steps", "3",
               "--out", "rates.csv"],
+    "sweep_noise": ["sweep", "--var", "backward_noise", "--xi", "0.9", "--start", "0",
+                    "--stop", "0.1", "--steps", "3", "--out", "noise.csv"],
     "optimize": ["optimize", "--f01", "0.9", "--fpm", "0.9"],
     "simulate": ["simulate", "--attack", "identity", "--n", "1000"],
     "verify": ["verify", "--trials", "2"],
@@ -213,8 +230,9 @@ COLD_COMMANDS = {
 LOADS = {
     "keyrate": set(),
     "sweep": set(),
+    "sweep_noise": {"attack", "protosim"},
     "optimize": {"attack", "optimizer"},
-    "simulate": {"attack", "protosim", "qstate"},
+    "simulate": {"attack", "protosim"},
     "verify": {"attack", "keyrate", "qstate", "verify"},
 }
 
@@ -223,7 +241,8 @@ LOADS = {
 def test_cold_command_loads_only_what_it_runs(command, tmp_path):
     # `python -m dqkd.cli` in a fresh interpreter. scipy serves only the
     # tests' search oracle, so no subcommand loads it; keyrate, sweep and
-    # optimize evaluate a few scalars, so they do not load numpy either
+    # optimize evaluate a few scalars, so they do not load numpy either, and
+    # simulate loads protosim, which imports numpy only for its draw
     script = (
         "import runpy, sys\n"
         f"sys.argv = ['dqkd', *{COLD_COMMANDS[command]!r}]\n"
@@ -244,7 +263,7 @@ def test_cold_command_loads_only_what_it_runs(command, tmp_path):
     assert done.returncode == 0, done.stderr
     loaded = set(done.stderr.split())
     assert "scipy" not in loaded
-    assert ("numpy" in loaded) == (command not in ("keyrate", "sweep", "optimize"))
+    assert ("numpy" in loaded) == (command in ("simulate", "verify"))
     ours = {name for name in loaded if name.split(".")[0] == "dqkd"}
     assert ours == {"dqkd", "dqkd.rates"} | {f"dqkd.{m}" for m in LOADS[command]}
 
@@ -264,23 +283,27 @@ def _child(script: str, env: dict) -> subprocess.CompletedProcess:
 
 def test_scalar_layer_runs_without_numpy():
     # with numpy unimportable, the maximizer, one attack, its fidelities
-    # and its closed-form entropy still run: a numpy import slipped into
-    # the scalar modules fails here
+    # and its closed-form entropy still run, and so does the run model up to
+    # the draw: a numpy import slipped into the scalar modules or into
+    # protosim's module level fails here
     script = (
         "import sys\n"
         "sys.modules['numpy'] = None\n"
         "from dqkd import (AttackParams, FidelityConstraint, be_spectrum_closed_form,\n"
         "                  forward_fidelities, maximize_s_be, named_attack)\n"
+        "from dqkd.protosim import ProtocolConfig, error_rate\n"
         "result = maximize_s_be(FidelityConstraint(c0sq=0.9, cppsq=0.9))\n"
         "attack = AttackParams.from_dict(named_attack('symmetric', 0.1).to_dict())\n"
+        "config = ProtocolConfig(attack, n=10, backward_noise=0.05)\n"
         "print(result.best_entropy, forward_fidelities(attack).xi,\n"
-        "      be_spectrum_closed_form(attack).entropy())\n"
+        "      be_spectrum_closed_form(attack).entropy(), error_rate(0.9, config.backward_noise))\n"
     )
     done = _child(script, dict(os.environ))
-    best, xi, entropy = map(float, done.stdout.split())
+    best, xi, entropy, e = map(float, done.stdout.split())
     assert best == maximize_s_be(FidelityConstraint(c0sq=0.9, cppsq=0.9)).best_entropy
     assert xi == pytest.approx(0.8, abs=1e-12)
     assert entropy == pytest.approx(1.0 + binary_entropy(0.8), abs=1e-12)
+    assert e == error_rate(0.9, 0.05)
 
 
 @pytest.mark.parametrize("preset", [None, "3"])

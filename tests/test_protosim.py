@@ -1,9 +1,10 @@
+import dataclasses
 import json
 import re
 
 import numpy as np
 import pytest
-from oracles import array_run_protocol, column_stack_cells
+from oracles import array_run_protocol, bernstein_halfwidth, column_stack_cells
 
 from dqkd.attack import AttackParams, forward_fidelities, named_attack
 from dqkd.protosim import (
@@ -293,3 +294,30 @@ def test_float_cells_match_the_array_oracle_bit_for_bit():
         insufficient += doc.startswith("InsufficientDataError")
     # the cloud reaches both outcomes
     assert 0 < insufficient < len(configs) // 2
+
+
+def test_tallies_match_the_cell_model_at_the_largest_n():
+    # at n = 2**63 - 1 every count a run reports is Binomial(n, p) for a sum
+    # p of the model's cells, so a tally read into the wrong field or state
+    # lands ~1e17 off against intervals of ~1e10. Bernstein intervals at
+    # L = 30 fail by chance with probability at most 2 exp(-30) = 1.9e-13
+    # each; 11 comparisons on each of 2000 configs make 22,000, so the whole
+    # test fails by chance with probability at most 4.1e-9
+    level = 30.0
+    keys = (("0|Z|0", "0|Z|1"), ("1|Z|1", "1|Z|0"), ("+|X|+", "+|X|-"), ("-|X|-", "-|X|+"))
+    compared = 0
+    for config in config_cloud():
+        config = dataclasses.replace(config, n=2**63 - 1)
+        cells = _cell_probabilities(config, forward_fidelities(config.attack))
+        stats, _ = run_protocol(config)
+        pairs = [(stats.n_announced, sum(cells[3::6]) + sum(cells[4::6])),
+                 (round(stats.est_e * stats.n_announced), sum(cells[3::6])),
+                 (stats.m, sum(cells[5::6]))]
+        for row, (hit, miss) in enumerate(keys):
+            pairs += [(stats.counts.get(hit, 0), cells[6 * row]),
+                      (stats.counts.get(miss, 0), cells[6 * row + 1])]
+        for count, p in pairs:
+            bound = bernstein_halfwidth(config.n, p, level)
+            assert abs(count - config.n * p) <= bound, (config, count, p)
+        compared += len(pairs)
+    assert compared == 22_000
