@@ -113,7 +113,7 @@ def maximize_s_be(constraint: FidelityConstraint, budget: int = 1) -> OptResult:
         raise ValueError(f"budget={budget} is below the one evaluation the maximizer spends")
     c0sq, c1sq, cppsq = constraint.c0sq, constraint.c1sq, constraint.cppsq
     # first, so xi >= 1/2 (and with it c0sq >= 1/2) holds before the division
-    closed_form = s_be_max(c0sq, c1sq, cppsq)
+    closed_form = s_be_max(constraint.xi)
     c0, c1 = math.sqrt(c0sq), math.sqrt(c1sq)
     p0 = (2.0 * cppsq - 1.0 - c1sq) / c0sq
     best_params = AttackParams(c00=c0, c01=c1, c11=c0, c10=c1, p=complex(p0), q=1 + 0j)

@@ -9,8 +9,8 @@ strength backward_noise and is measured in the preparation basis, which
 decodes the key bit deterministically on a clean channel. A random subset
 of the decoded bits is announced to estimate the error rate; the rest form
 the raw key. Estimates feed the asymptotic rate formulas; the abort rule
-compares the estimated xi against 1/2, optionally slacked by a multiple of
-its standard error.
+rates.clears_boundary is applied once, to the estimated xi optionally
+slacked by a multiple of its standard error, and stats and report share it.
 
 Rounds are i.i.d., and every estimate is a function of how many rounds
 land in each of 24 cells: the prepared state times {consistent check that
@@ -33,10 +33,10 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 from .attack import AttackParams, ChannelFidelities, forward_fidelities
-from .rates import BOUNDARY_ATOL, BOUNDARY_XI, KeyRateReport, final_rate
+from .rates import KeyRateReport, clears_boundary, final_rate
 
 STATE_LABELS = ("0", "1", "+", "-")
 BASIS_OF = {"0": "Z", "1": "Z", "+": "X", "-": "X"}
@@ -197,7 +197,8 @@ def run_protocol(config: ProtocolConfig) -> tuple[ProtocolStats, KeyRateReport]:
     generator seeded with config.seed, so identical configs reproduce
     identical results bit for bit, and no array of size n is built. The
     cell probabilities before the draw and the estimates after it are
-    Python float arithmetic.
+    Python float arithmetic. The abort rule decides once, at est_xi -
+    abort_slack_z * se_xi; a run the slack alone aborts reports zero rates.
 
     Raises:
         InsufficientDataError: n too small for some estimator to see even
@@ -229,12 +230,12 @@ def run_protocol(config: ProtocolConfig) -> tuple[ProtocolStats, KeyRateReport]:
     # summed in state order; float addition is not associative
     se_xi = 0.5 * math.sqrt(se0 * se0 + se1 * se1 + se2 * se2 + se3 * se3)
 
-    report = final_rate(
-        min(max(est_xi, -1.0), 1.0),
-        min(max(est_e, 0.0), 0.5),
-    )
-    aborted = est_xi - config.abort_slack_z * se_xi < BOUNDARY_XI - BOUNDARY_ATOL
-    k_est = 0 if aborted else max(0, int(round(m * report.r_final)))
+    # estimates lie in [0, 1], so est_xi is in [-1, 1] exactly; only e is capped
+    report = final_rate(est_xi, min(est_e, 0.5))
+    aborted = not clears_boundary(est_xi - config.abort_slack_z * se_xi)
+    if aborted and report.boundary_ok:
+        report = replace(report, r_pa=0.0, r_final=0.0, boundary_ok=False)
+    k_est = round(m * report.r_final)
 
     stats = ProtocolStats(
         counts=counts,

@@ -1,10 +1,10 @@
 """The scalar formulas: entropies, the closed-form spectrum, the key rates.
 
 The privacy-amplification rate is 1 - h(xi) and the final rate
-1 - h(xi) - h(e), positive only above the abort boundary xi >= 1/2; the
-keyrate module derives the ceiling 1 + h(xi) and the closed-form spectrum
-behind them. These are a few scalar logarithms, so this module needs no
-numpy, and ``dqkd keyrate``, ``sweep`` and ``optimize`` load nothing
+1 - h(xi) - h(e), positive only where clears_boundary, the abort rule
+xi >= 1/2, passes; the keyrate module derives the ceiling 1 + h(xi) and
+the closed-form spectrum behind them. These few scalar logarithms need no
+numpy, so ``dqkd keyrate``, ``sweep`` and ``optimize`` load nothing
 heavier. It also holds the reference attack names and the positivity slack.
 """
 
@@ -13,10 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-# float slack on the [0, 1] domain of a probability argument
+# float slack on the domain checks below: a probability's [0, 1], xi's [-1, 1]
 DOMAIN_ATOL = 1e-12
 BOUNDARY_XI = 0.5
-# float slack on boundary comparisons and on the domain checks below
+# float slack on the abort rule, read by clears_boundary alone
 BOUNDARY_ATOL = 1e-12
 # the reference attacks built by attack.named_attack
 NAMED_ATTACKS = ("identity", "measure_z", "measure_x", "symmetric")
@@ -83,7 +83,12 @@ def be_spectrum_closed_form(params) -> BeSpectrumClosedForm:
     return BeSpectrumClosedForm(delta1=max(d_a, d_b), delta2=min(d_a, d_b))
 
 
-def s_be_max(c0sq: float, c1sq: float, cppsq: float) -> float:
+def clears_boundary(xi: float) -> bool:
+    """The abort rule: xi >= 1/2, within float slack. A NaN xi aborts."""
+    return xi >= BOUNDARY_XI - BOUNDARY_ATOL
+
+
+def s_be_max(xi: float) -> float:
     """Largest eavesdropper entropy compatible with observed fidelities.
 
     Over all attacks reproducing computational-basis fidelity c0sq (flip
@@ -91,28 +96,20 @@ def s_be_max(c0sq: float, c1sq: float, cppsq: float) -> float:
     averaged qubit-ancilla state reaches 1 + h(xi), xi = cppsq - c1sq.
 
     Args:
-        c0sq: observed undisturbed probability, equals 1 - c1sq.
-        c1sq: observed flip probability.
-        cppsq: observed diagonal-basis fidelity.
+        xi: observed forward margin cppsq - c1sq.
 
     Returns:
         The maximum entropy in bits.
 
     Raises:
-        ValueError: inputs outside [0, 1] or mutually inconsistent.
-        BoundaryViolationError: cppsq - c1sq < 1/2 (abort region).
+        ValueError: xi outside [-1, 1], NaN included.
+        BoundaryViolationError: xi < 1/2 (abort region).
     """
-    for name, val in (("c0sq", c0sq), ("c1sq", c1sq), ("cppsq", cppsq)):
-        if not -BOUNDARY_ATOL <= val <= 1.0 + BOUNDARY_ATOL:
-            raise ValueError(f"{name}={val} outside [0, 1]")
-    if abs(c0sq + c1sq - 1.0) > 1e-9:
-        raise ValueError(f"c0sq + c1sq = {c0sq + c1sq} is not 1")
-    xi = cppsq - c1sq
-    if xi < BOUNDARY_XI - BOUNDARY_ATOL:
-        raise BoundaryViolationError(
-            f"cppsq - c1sq = {xi} below the 1/2 boundary; no positive rate exists"
-        )
-    return 1.0 + binary_entropy(min(xi, 1.0))
+    if not -1.0 - DOMAIN_ATOL <= xi <= 1.0 + DOMAIN_ATOL:
+        raise ValueError(f"xi={xi} outside [-1, 1]")
+    if not clears_boundary(xi):
+        raise BoundaryViolationError(f"xi = {xi} below the 1/2 boundary; no positive rate exists")
+    return 1.0 + binary_entropy(xi)
 
 
 @dataclass(frozen=True)
@@ -127,7 +124,7 @@ class KeyRateReport:
         r_final_raw: unclamped 1 - h(xi) - h(e), kept for rate curves; NaN
             when xi < 0 leaves it undefined.
         r_bb84: comparator rate 1 - 2 h(e).
-        boundary_ok: xi >= 1/2.
+        boundary_ok: the abort rule passed, slack included in a simulated run.
     """
 
     xi: float
@@ -163,9 +160,9 @@ def final_rate(xi: float, e: float) -> KeyRateReport:
     Raises:
         ValueError: xi or e outside their domains.
     """
-    if not -1.0 - BOUNDARY_ATOL <= xi <= 1.0 + BOUNDARY_ATOL:
+    if not -1.0 - DOMAIN_ATOL <= xi <= 1.0 + DOMAIN_ATOL:
         raise ValueError(f"xi={xi} outside [-1, 1]")
-    if not -BOUNDARY_ATOL <= e <= 0.5 + BOUNDARY_ATOL:
+    if not -DOMAIN_ATOL <= e <= 0.5 + DOMAIN_ATOL:
         raise ValueError(f"e={e} outside [0, 1/2]")
     xi = min(max(xi, -1.0), 1.0)
     e = min(max(e, 0.0), 0.5)
@@ -174,7 +171,7 @@ def final_rate(xi: float, e: float) -> KeyRateReport:
         r_final_raw = 1.0 - binary_entropy(xi) - binary_entropy(e)
     else:
         r_final_raw = math.nan
-    boundary_ok = xi >= BOUNDARY_XI - BOUNDARY_ATOL
+    boundary_ok = clears_boundary(xi)
     if boundary_ok:
         r_pa = 1.0 - binary_entropy(xi)
         r_final = max(0.0, r_final_raw)

@@ -291,9 +291,8 @@ def search_s_be(constraint: FidelityConstraint, budget: int = 20000) -> OptResul
     if budget < MIN_BUDGET:
         raise ValueError(f"budget={budget} is below the minimum {MIN_BUDGET}")
     c0sq = constraint.c0sq
-    c1sq = constraint.c1sq
     cppsq = constraint.cppsq
-    closed_form = s_be_max(c0sq, c1sq, cppsq)
+    closed_form = s_be_max(constraint.xi)
     space = _Slice(constraint)
     lo, hi = space.lo, space.hi
 
@@ -433,6 +432,11 @@ def array_run_protocol(config: ProtocolConfig) -> tuple[ProtocolStats, KeyRateRe
         min(max(float(est_e), 0.0), 0.5),
     )
     aborted = bool(est_xi - config.abort_slack_z * se_xi < BOUNDARY_XI - BOUNDARY_ATOL)
+    if aborted:
+        # an aborted run reports no key, whichever of point estimate and slack aborted it
+        report = KeyRateReport(xi=report.xi, e=report.e, r_pa=0.0, r_final=0.0,
+                               r_final_raw=report.r_final_raw, r_bb84=report.r_bb84,
+                               boundary_ok=False)
     k_est = 0 if aborted else max(0, int(round(m * report.r_final)))
 
     stats = ProtocolStats(

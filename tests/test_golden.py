@@ -56,6 +56,11 @@ CASES = {
         ("run.json",),
     ),
     "simulate_config": (["simulate", "--config", "run_config.json"], ()),
+    "simulate_slack": (
+        ["simulate", "--attack", "symmetric", "--attack-e", "0.24", "--n", "20000",
+         "--seed", "0", "--abort-slack-z", "3"],
+        (),
+    ),
     "verify": (["verify", "--trials", "200"], ()),
 }
 

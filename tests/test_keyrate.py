@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,11 +19,13 @@ from dqkd.keyrate import (
     joint_states,
     s_be_numeric,
 )
+from dqkd.optimizer import FidelityConstraint, maximize_s_be
 from dqkd.qstate import outer, trace_distance, von_neumann_entropy
 from dqkd.rates import (
     BoundaryViolationError,
     be_spectrum_closed_form,
     binary_entropy,
+    clears_boundary,
     entropy_bits,
     final_rate,
     s_be_max,
@@ -146,7 +150,7 @@ def test_closed_form_symmetric_family():
         assert closed.entropy() == pytest.approx(1.0 + binary_entropy(xi), abs=1e-12)
     closed = be_spectrum_closed_form(named_attack("symmetric", e=0.1))
     assert closed.entropy() == pytest.approx(1.0 + H_08, abs=1e-14)
-    assert closed.entropy() == pytest.approx(s_be_max(0.9, 0.1, 0.9), abs=1e-12)
+    assert closed.entropy() == pytest.approx(s_be_max(0.8), abs=1e-12)
 
 
 def test_closed_form_real_overlap_slice():
@@ -194,15 +198,51 @@ def test_closed_form_asymmetric_real_slice():
 
 
 def test_entropy_ceiling():
-    assert s_be_max(1.0, 0.0, 1.0) == pytest.approx(1.0, abs=1e-12)
-    assert s_be_max(0.75, 0.25, 0.75) == pytest.approx(2.0, abs=1e-12)  # xi = 1/2
-    assert s_be_max(0.9, 0.1, 0.9) == pytest.approx(1.0 + H_08, abs=1e-14)
-    with pytest.raises(ValueError):
-        s_be_max(0.9, 0.2, 0.9)  # probabilities do not sum to 1
-    with pytest.raises(ValueError):
-        s_be_max(1.2, -0.2, 0.9)
+    assert s_be_max(1.0) == pytest.approx(1.0, abs=1e-12)
+    assert s_be_max(0.5) == pytest.approx(2.0, abs=1e-12)
+    assert s_be_max(0.8) == pytest.approx(1.0 + H_08, abs=1e-14)
+    for xi in (1.2, 1.0 + 2e-12, math.nan):
+        with pytest.raises(ValueError, match="outside"):
+            s_be_max(xi)
     with pytest.raises(BoundaryViolationError):
-        s_be_max(0.9, 0.1, 0.55)  # xi = 0.45 is in the abort region
+        s_be_max(0.45)  # in the abort region
+
+
+def test_abort_rule_at_the_boundary_edge():
+    # the rule's slack admits 1/2 - 1e-12 and no less; final_rate, s_be_max
+    # and maximize_s_be (whose xi is cppsq at c0sq = 1) all read the one rule
+    ladder = (0.5 - 2e-12, 0.5 - 1e-12, 0.5 - 1e-13, 0.5, 0.5 + 1e-13)
+    assert [clears_boundary(xi) for xi in ladder] == [False, True, True, True, True]
+    for xi in ladder:
+        assert final_rate(xi, 0.0).boundary_ok == clears_boundary(xi)
+        if clears_boundary(xi):
+            assert maximize_s_be(FidelityConstraint(1.0, xi)).closed_form_entropy == s_be_max(xi)
+            continue
+        with pytest.raises(BoundaryViolationError):
+            s_be_max(xi)
+        with pytest.raises(BoundaryViolationError):
+            maximize_s_be(FidelityConstraint(1.0, xi))
+    assert not clears_boundary(math.nan)
+
+
+def test_only_clears_boundary_reads_the_abort_rule():
+    # the rule's constants are read by rates.clears_boundary alone: another
+    # module importing them, or another function of rates reading them,
+    # would be a second copy of the rule to keep in step
+    rule = {"BOUNDARY_XI", "BOUNDARY_ATOL"}
+    reads = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "dqkd").glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if isinstance(node, ast.ImportFrom):
+                    reads += [(path.name, "import", a.name) for a in node.names if a.name in rule]
+                elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    if node.id in rule:
+                        reads.append((path.name, owner, node.id))
+                elif isinstance(node, ast.Attribute) and node.attr in rule:
+                    reads.append((path.name, owner, node.attr))
+    assert sorted(reads) == [("rates.py", "clears_boundary", name) for name in sorted(rule)]
 
 
 def test_xi_from_fidelities():
@@ -301,5 +341,5 @@ def test_observed_attacks_respect_the_ceiling():
         xi = forward_fidelities(params).xi
         if xi < 0.5:
             continue  # observed fidelities in the abort region
-        ceiling = s_be_max(params.c00**2, params.c01**2, forward_fidelities(params).fpm)
+        ceiling = s_be_max(xi)
         assert s_be_numeric(params) <= ceiling + 1e-9

@@ -15,6 +15,7 @@ from dqkd.protosim import (
     estimate_with_se,
     run_protocol,
 )
+from dqkd.rates import clears_boundary
 from dqkd.verify import sample_valid
 
 def at_slack_attack() -> AttackParams:
@@ -264,6 +265,34 @@ def test_abort_decisions():
         ProtocolConfig(attack=named_attack("symmetric", e=0.3), n=10**5)
     )
     assert stats.aborted and report.aborted
+
+
+def test_slack_abort_reaches_the_report():
+    # the point estimate xi = 0.5196 clears the boundary and xi - 3 se = 0.4834
+    # does not: the slack alone aborts the run, and the report says so too
+    config = ProtocolConfig(attack=named_attack("symmetric", e=0.24), n=20000, seed=0,
+                            abort_slack_z=3.0)
+    stats, report = run_protocol(config)
+    assert clears_boundary(stats.est_xi)
+    assert not clears_boundary(stats.est_xi - 3.0 * stats.se_xi)
+    assert stats.aborted and report.aborted and not report.boundary_ok
+    assert report.r_pa == report.r_final == 0.0
+    assert stats.k_est == 0
+
+
+def test_report_carries_the_run_abort_decision():
+    slack_only = 0
+    for config in config_cloud():
+        try:
+            stats, report = run_protocol(config)
+        except InsufficientDataError:
+            continue
+        assert report.aborted == stats.aborted, config
+        if stats.aborted:
+            assert stats.k_est == 0 and report.r_pa == report.r_final == 0.0, config
+            slack_only += clears_boundary(stats.est_xi)
+    # the cloud reaches runs the slack alone aborts
+    assert slack_only > 0
 
 
 def test_insufficient_data():
