@@ -35,6 +35,7 @@ sampled and realized, as stacks, in the numpy modules verify and keyrate.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 from .rates import DOMAIN_ATOL, NAMED_ATTACKS, PSD_SLACK
@@ -299,6 +300,10 @@ def named_attack(name: str, e: float | None = None) -> AttackParams:
 
     Returns:
         The named AttackParams.
+
+    Raises:
+        TypeError: e is a bool or not a real number (a string included).
+        ValueError: an unknown name, or e missing, misplaced or out of range.
     """
     if e is not None and name != "symmetric" and name in NAMED_ATTACKS:
         raise ValueError(f"the {name} attack takes no disturbance e, got e={e}")
@@ -315,6 +320,8 @@ def named_attack(name: str, e: float | None = None) -> AttackParams:
     elif name == "symmetric":
         if e is None:
             raise ValueError("the symmetric attack needs a disturbance e")
+        if isinstance(e, bool) or not isinstance(e, (float, int, numbers.Real)):
+            raise TypeError(f"symmetric disturbance e must be a real number, got {e!r}")
         e = float(e)
         if not 0.0 <= e <= 0.5:
             raise ValueError(f"symmetric disturbance e={e} outside [0, 1/2]")

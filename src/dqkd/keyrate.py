@@ -18,10 +18,10 @@ two halved branches on the diagonal, and the key-1 branch is the key-0
 branch with its qubit blocks [[A, B], [C, D]] rearranged to [[D, -C],
 [-B, A]]. Only the joint state and its qubit-ancilla reduction are
 validated as density matrices.
-A stack of k attacks is two arrays, the (k, 4) amplitudes and (k, 6)
-overlaps of ``attack_rows``, whose rows come from attacks AttackParams
-accepted. ``realize_ancillas``, ``branch_stack`` and ``joint_states`` take
-them, with one eigensolver call per matrix size for the whole stack;
+A stack of k attacks enters as a list of AttackParams: ``joint_states``
+reads it through ``attack_rows`` into two arrays, the (k, 4) amplitudes
+and (k, 6) overlaps, that ``realize_ancillas`` and ``branch_stack`` take,
+with one eigensolver call per matrix size for the whole stack;
 ``realize_ancilla`` and ``build_rho_abe`` are their one-attack cases.
 
 That reduced state is 1/4 sum_i |v_i><v_i| over v = (phi0, phi1, Y phi0,
@@ -53,7 +53,6 @@ from .qstate import (
     DensityMatrix,
     density_matrices,
     outer,
-    trace_out,
     trace_distance,
     von_neumann_entropy,
 )
@@ -71,8 +70,7 @@ def _gram_stack(overlaps: np.ndarray) -> np.ndarray:
 
 def gram_matrix(params: AttackParams) -> ComplexMatrix:
     """Gram matrix of (|E00>, |E01>, |E11>, |E10>) with unit diagonal."""
-    ov = [params.s, params.u, params.p, params.r, params.v, params.q]
-    return _gram_stack(np.array([ov], dtype=complex))[0]
+    return _gram_stack(attack_rows([params])[1])[0]
 
 
 def attack_rows(attacks: list[AttackParams]) -> tuple[np.ndarray, np.ndarray]:
@@ -131,7 +129,7 @@ class JointStateBundle:
     rho_be: DensityMatrix
 
 
-def joint_states(amps: np.ndarray, overlaps: np.ndarray) -> list[JointStateBundle]:
+def joint_states(attacks: list[AttackParams]) -> list[JointStateBundle]:
     """Assemble the joint key-qubit-ancilla states of many attacks at once.
 
     The forward channel turns the maximally mixed qubit into the key-0
@@ -142,38 +140,39 @@ def joint_states(amps: np.ndarray, overlaps: np.ndarray) -> list[JointStateBundl
     most significant factor, so the two branches, halved, are the diagonal
     blocks of rho_abe.
 
-    Every step runs on the whole (k, ...) stack: one eigendecomposition of
-    the k Gram matrices realizes the ancillas, and the two returned states
-    are validated as density matrices with one stacked eigensolver call
-    each, rho_abe on assembly and rho_be after tracing out the key bit.
-    Each stacked call runs the same routine on each matrix, so entry i
-    equals the bundle of attack i built alone, bit for bit.
+    Every step runs on the whole (k, ...) stack of the attacks' attack_rows
+    arrays: one eigendecomposition of the k Gram matrices realizes the
+    ancillas, and the two returned states are validated as density
+    matrices with one stacked eigensolver call each, rho_abe on assembly
+    and rho_be after tracing out the key bit, the sum of its two diagonal
+    blocks. Each stacked call runs the same routine on each matrix, so
+    entry i equals the bundle of attack i built alone, bit for bit.
 
     Args:
-        amps, overlaps: at least one valid attack, in the attack_rows layout.
+        attacks: at least one AttackParams.
 
     Returns:
         One JointStateBundle per attack, in order, with both states as
         validated density matrices.
     """
-    phi = branch_stack(amps, overlaps)
+    phi = branch_stack(*attack_rows(attacks))
     be0 = 0.5 * (outer(phi[:, 0]) + outer(phi[:, 1]))
-    abe = np.zeros((len(amps), 16, 16), dtype=complex)
+    abe = np.zeros((len(attacks), 16, 16), dtype=complex)
     abe[:, :8, :8] = 0.5 * be0
     # key 1 from key 0: qubit blocks [[A, B], [C, D]] -> [[D, -C], [-B, A]]
     abe[:, 8:12, 8:12] = abe[:, 4:8, 4:8]
     abe[:, 8:12, 12:] = -abe[:, 4:8, :4]
     abe[:, 12:, 8:12] = -abe[:, :4, 4:8]
     abe[:, 12:, 12:] = abe[:, :4, :4]
-    dims = (2, 2, 4)
-    rho_abe = density_matrices(abe, dims)
-    rho_be = density_matrices(trace_out(abe, dims, keep=(1, 2)), dims[1:])
+    rho_abe = density_matrices(abe, (2, 2, 4))
+    # tracing out the key bit adds its two diagonal blocks
+    rho_be = density_matrices(abe[:, :8, :8] + abe[:, 8:, 8:], (2, 4))
     return [JointStateBundle(rho_abe=a, rho_be=b) for a, b in zip(rho_abe, rho_be)]
 
 
 def build_rho_abe(params: AttackParams) -> JointStateBundle:
     """The joint states of one attack: joint_states for k = 1."""
-    return joint_states(*attack_rows([params]))[0]
+    return joint_states([params])[0]
 
 
 def backward_indistinguishability() -> float:

@@ -8,7 +8,10 @@ Conventions used everywhere:
   system ``a`` on the most significant index,
 * spectra are returned sorted in descending order,
 * a stack of k matrices is a (k, d, d) array; ``density_matrices``
-  validates a whole stack with one eigensolver call.
+  validates a whole stack with one eigensolver call,
+* ``partial_trace`` reduces one density matrix; tracing out the most
+  significant factor of a stack is the sum of its diagonal blocks, which
+  is how ``keyrate.joint_states`` drops the key bit.
 """
 
 from __future__ import annotations
@@ -113,13 +116,14 @@ def density_matrices(stack: np.ndarray, dims: tuple[int, ...]) -> list[DensityMa
     return out
 
 
-def trace_out(stack: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...]) -> np.ndarray:
-    """Partial trace of every matrix of a (k, d, d) stack, unvalidated.
+def partial_trace(rho: DensityMatrix, keep: tuple[int, ...]) -> DensityMatrix:
+    """Trace out every subsystem not listed in ``keep``.
 
     ``keep`` names the subsystems to keep, strictly increasing; the result
-    is the (k, d', d') stack over them in their original order.
+    is over them in their original order.
     """
     keep = tuple(int(k) for k in keep)
+    dims = rho.dims
     n = len(dims)
     if not keep:
         raise ValueError("keep must name at least one subsystem")
@@ -127,22 +131,13 @@ def trace_out(stack: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...]) -
         raise ValueError(f"keep={keep} is not a subset of subsystems 0..{n - 1}")
     if tuple(sorted(keep)) != keep:
         raise ValueError("keep indices must be strictly increasing")
-    t = stack.reshape((len(stack),) + dims + dims)
-    # contract row/column indices of each traced subsystem, highest index
-    # first; axis 0 is the stack
+    t = rho.matrix.reshape(dims + dims)
+    # contract row/column indices of each traced subsystem, highest index first
     for i in sorted(set(range(n)) - set(keep), reverse=True):
-        t = np.trace(t, axis1=1 + i, axis2=1 + i + (t.ndim - 1) // 2)
-    d = int(np.prod([dims[k] for k in keep]))
-    return t.reshape(len(stack), d, d)
-
-
-def partial_trace(rho: DensityMatrix, keep: tuple[int, ...]) -> DensityMatrix:
-    """Trace out every subsystem not listed in ``keep``.
-
-    ``keep`` preserves the original relative order of the kept subsystems.
-    """
-    reduced = trace_out(rho.matrix[None], rho.dims, keep)
-    return DensityMatrix(matrix=reduced[0], dims=tuple(rho.dims[int(k)] for k in keep))
+        t = np.trace(t, axis1=i, axis2=i + t.ndim // 2)
+    kept = tuple(dims[k] for k in keep)
+    d = int(np.prod(kept))
+    return DensityMatrix(matrix=t.reshape(d, d), dims=kept)
 
 
 def von_neumann_entropy(rho: DensityMatrix | ComplexMatrix) -> float:

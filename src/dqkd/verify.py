@@ -13,24 +13,25 @@ The sampled checks run in one pass over one draw: ``trials`` attacks,
 each seeded by its own child seed, together with their neighbours along
 the cancelling directions. The seeds go in chunks of ``_SEED_CHUNK``, so
 memory stays flat in ``trials``. Every attack in a chunk, draw or
-neighbour, is an AttackParams, validated by its constructor: each
-neighbour's step-halving ladder keeps the first step the constructor
-accepts. The joint states of the draws and their neighbours are one
-``keyrate.joint_states`` call on their stacked arrays
-(``keyrate.attack_rows``), one eigensolver call per matrix size, and
-every check reads its deviations from that stack. A draw's deviations
-depend on its seed alone, so each check's witness, the seed of the first
-draw that reaches its worst deviation, replays it by itself.
+neighbour, is an AttackParams, validated by its constructor: each draw
+has three neighbours, one per move, whose step-halving ladder keeps the
+first step the constructor accepts, and a move with no valid step
+contributes the draw itself. The joint states of the draws and their
+neighbours are one ``keyrate.joint_states`` call on the list of them, one
+eigensolver call per matrix size, and every check reads its deviations
+from that stack. A draw's deviations depend on its seed alone, so each
+check's witness, the seed of the first draw that reaches its worst
+deviation, replays it by itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .attack import AttackParams, AttackValidationError
-from .keyrate import attack_rows, backward_indistinguishability, gram_matrix, joint_states
+from .keyrate import backward_indistinguishability, gram_matrix, joint_states
 from .qstate import Ket, von_neumann_entropy
 from .rates import be_spectrum_closed_form
 
@@ -53,7 +54,7 @@ def _unit_vector(rng: np.random.Generator, dim: int) -> Ket:
     return v / np.linalg.norm(v)
 
 
-def sample_valid(seed: int | None = None, symmetric: bool = False) -> AttackParams:
+def sample_valid(seed: int, symmetric: bool = False) -> AttackParams:
     """Draw a random valid attack.
 
     Three ancilla kets and the amplitudes are drawn freely; <E00|E10> is
@@ -62,7 +63,8 @@ def sample_valid(seed: int | None = None, symmetric: bool = False) -> AttackPara
     the unit disc are rejected.
 
     Args:
-        seed: seed for the deterministic generator.
+        seed: seed for the deterministic generator, required: the draw
+            depends on it alone.
         symmetric: force c00 = c11, hence c01 = c10.
 
     Raises:
@@ -139,35 +141,35 @@ def _child_seeds(seed: int, count: int) -> list[int]:
 
 
 def _neighbors(attack: AttackParams, seed: int) -> list[AttackParams]:
-    """Valid neighbours of an attack along the spectrum-cancelling directions.
+    """Three valid neighbours of an attack along spectrum-cancelling directions.
 
-    Each move (u and v together, Re s, Re r) starts at a step of 0.05 and
-    halves it after each step the AttackParams constructor rejects, trying
-    at most 14 steps, and keeps its first valid one; a move with no valid
-    step is left out. The phase of the u-v move is drawn from
-    default_rng([seed, 1]), and the move is skipped when c01 c11 vanishes.
+    Each move (u and v together, then Re s, then Re r) starts at a step of
+    0.05 and halves it after each step the AttackParams constructor
+    rejects, trying at most 14 steps, and keeps its first valid one. A move
+    with no valid step contributes the attack itself, and so does the u-v
+    move when c01 c11 vanishes; either way its deviation is exactly 0. The
+    phase of the u-v move is drawn from default_rng([seed, 1]).
     """
-    amps = (attack.c00, attack.c01, attack.c11, attack.c10)
-    s, u, p, r, v, q = attack.s, attack.u, attack.p, attack.r, attack.v, attack.q
-    moves = [lambda d: (s + d, u, p, r, v, q), lambda d: (s, u, p, r + d, v, q)]
+
+    def step(move) -> AttackParams:
+        for j in range(14):
+            try:
+                return replace(attack, **move(0.05 * 0.5**j))
+            except AttackValidationError:
+                continue
+        return attack
+
+    near = [attack]  # the u-v move's stand-in when c01 c11 vanishes
     if attack.c01 * attack.c11 > 1e-9:
         phase = complex(np.exp(2j * np.pi * np.random.default_rng([seed, 1]).random()))
         ratio = -(attack.c00 * attack.c10) / (attack.c01 * attack.c11)
 
-        def uv(d: float) -> tuple[complex, ...]:
-            w = u + d * phase
-            return s, w, p, r, ratio * w, q
+        def uv(d: float) -> dict[str, complex]:
+            w = attack.u + d * phase
+            return {"u": w, "v": ratio * w}
 
-        moves.insert(0, uv)
-    near = []
-    for move in moves:
-        for j in range(14):
-            try:
-                near.append(AttackParams(*amps, *move(0.05 * 0.5**j)))
-                break
-            except AttackValidationError:
-                continue
-    return near
+        near = [step(uv)]
+    return near + [step(lambda d: {"s": attack.s + d}), step(lambda d: {"r": attack.r + d})]
 
 
 def _gram_fpm(a: AttackParams) -> float:
@@ -199,20 +201,15 @@ def _deviations(seeds: list[int]) -> dict[str, np.ndarray]:
 def _chunk_deviations(seeds: list[int]) -> dict[str, np.ndarray]:
     """_deviations of one chunk: one stacked joint-state pass."""
     attacks = [sample_valid(s, bool(s % 2)) for s in seeds]
-    near, owner = [], []
-    for i, (a, s) in enumerate(zip(attacks, seeds)):
-        moved = _neighbors(a, s)
-        near += moved
-        owner += [i] * len(moved)
-    # one stack: the draws, then their neighbours
-    states = joint_states(*attack_rows(attacks + near))
+    near = [n for a, s in zip(attacks, seeds) for n in _neighbors(a, s)]
+    # one stack: the draws, then their neighbours, three to a draw
+    states = joint_states(attacks + near)
     k = len(attacks)
     spectra = np.array([b.rho_be.spectrum() for b in states])
     # the closed form's four nonzero eigenvalues and four zeros
     closed = [be_spectrum_closed_form(a).spectrum() + (0.0,) * 4 for a in attacks]
-    # each neighbour's spectrum against the spectrum of its own base attack
-    insensitivity = np.zeros(k)
-    np.maximum.at(insensitivity, owner, np.max(np.abs(spectra[k:] - spectra[owner]), axis=1))
+    # each neighbour's spectrum against the spectrum of its own draw
+    insensitivity = np.max(np.abs(spectra[k:].reshape(k, 3, 8) - spectra[:k, None]), axis=(1, 2))
     return {
         # the joint-state entropy is exactly two bits, symmetric or not
         "joint-entropy-two-bits": np.array(

@@ -178,6 +178,9 @@ def test_sampler_is_deterministic():
     assert sample_valid(seed=0) == sample_valid(seed=0)
     assert sample_valid(seed=0, symmetric=True) == sample_valid(seed=0, symmetric=True)
     assert sample_valid(seed=0) != sample_valid(seed=1)
+    # no seed, no draw: an unseeded generator would read OS entropy
+    with pytest.raises(TypeError):
+        sample_valid()
 
 
 def test_sampler_bulk_validity():
@@ -323,6 +326,15 @@ def test_named_attack_errors():
             named_attack(name, e=0.3)
         with pytest.raises(ValueError, match="takes no disturbance"):
             named_attack(name, e=0.0)
+    # e is a real number: a string or bytes that float() would parse, a
+    # bool or a complex is a type error
+    for e in ("0.1", b"0.1", True, False, 0.1j):
+        with pytest.raises(TypeError, match="must be a real number"):
+            named_attack("symmetric", e)
+    # a numpy float or an int is a real number
+    assert named_attack("symmetric", np.float64(0.1)) == named_attack("symmetric", 0.1)
+    assert named_attack("symmetric", np.float32(0.25)) == named_attack("symmetric", 0.25)
+    assert named_attack("symmetric", 0) == named_attack("symmetric", 0.0)
 
 
 def _scalar_outcome(amps, overlaps) -> tuple[type | None, str]:
@@ -424,9 +436,13 @@ def test_gram_stack_matches_gram_matrix_bytes():
     rows = _validation_cloud(np.random.default_rng(17))
     overlaps = np.array([o for _, o in rows], dtype=complex)
     assert np.isnan(overlaps).any() and np.isinf(overlaps).any()
+    # gram_matrix reads its overlaps through attack_rows, which reads the
+    # amplitudes too
+    amps = {"c00": 1.0, "c01": 0.0, "c11": 1.0, "c10": 0.0}
     for g, o in zip(_gram_stack(overlaps), overlaps):
         assert g.tobytes() == _gram_literal(*o).tobytes()
-        assert g.tobytes() == gram_matrix(SimpleNamespace(**dict(zip(OVERLAP_NAMES, o)))).tobytes()
+        row = SimpleNamespace(**amps, **dict(zip(OVERLAP_NAMES, o)))
+        assert g.tobytes() == gram_matrix(row).tobytes()
 
 
 def test_overflowing_overlap_leaves_the_unit_disc():

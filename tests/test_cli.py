@@ -6,9 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from oracles import bernstein_halfwidth
 
+from dqkd import verify
 from dqkd.attack import named_attack
 from dqkd.cli import main
 from dqkd.optimizer import FidelityConstraint, maximize_s_be
@@ -150,6 +152,12 @@ def test_sweep_argument_errors(tmp_path, capsys):
     assert main(["sweep", "--var", "backward_noise", "--xi", "-0.1", "--start", "0",
                  "--stop", "0.1", "--steps", "3", "--out", out]) == 1
     assert capsys.readouterr().err.startswith("error: --xi -0.1 ")
+    # an empty range is an input error, and nothing is written
+    empty = tmp_path / "empty.csv"
+    assert main(["sweep", "--var", "e", "--start", "0.1", "--stop", "0.1", "--steps", "3",
+                 "--symmetric", "--out", str(empty)]) == 1
+    assert capsys.readouterr().err == "error: start=0.1 must be below stop=0.1\n"
+    assert not empty.exists()
 
 
 @pytest.mark.parametrize(
@@ -390,6 +398,22 @@ def test_simulate_config_errors(tmp_path, capsys):
     bad.write_text(json.dumps({"n": 100}), encoding="utf-8")
     assert main(["simulate", "--config", str(bad)]) == 1
     assert "attack" in capsys.readouterr().err
+    # an attack that is neither a name nor a document
+    bad.write_text(json.dumps({"attack": 5, "n": 100}), encoding="utf-8")
+    assert main(["simulate", "--config", str(bad)]) == 1
+    assert capsys.readouterr().err == (
+        "error: config field 'attack': expected name or object, got 5\n"
+    )
+    # a file that is not JSON, and JSON that is not an object
+    bad.write_text("not json", encoding="utf-8")
+    assert main(["simulate", "--config", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: config file {bad}: Expecting value")
+    bad.write_text(json.dumps([1, 2]), encoding="utf-8")
+    assert main(["simulate", "--config", str(bad)]) == 1
+    assert capsys.readouterr().err == f"error: config file {bad}: top level must be an object\n"
+    # no n anywhere
+    assert main(["simulate", "--attack", "identity"]) == 1
+    assert capsys.readouterr().err == "error: config field 'n': missing (no --n either)\n"
     # symmetric as a bare name lacks its disturbance
     bad.write_text(json.dumps({"attack": "symmetric", "n": 100}), encoding="utf-8")
     assert main(["simulate", "--config", str(bad)]) == 1
@@ -505,11 +529,24 @@ def test_simulate_accepts_full_attack_document(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_verify_command(capsys):
+def test_verify_command(capsys, monkeypatch):
     assert main(["verify", "--trials", "20"]) == 0
     out = capsys.readouterr().out
     assert out.count("[PASS]") == 5
     assert "all checks passed" in out
+    # one failing check: its line says FAIL, the summary counts it, exit 1
+    deviations = verify._deviations
+
+    def nan_diagonal(seeds):
+        return {**deviations(seeds), "diagonal-fidelity-identity": np.full(len(seeds), math.nan)}
+
+    monkeypatch.setattr(verify, "_deviations", nan_diagonal)
+    assert main(["verify", "--trials", "4"]) == 1
+    out = capsys.readouterr().out
+    assert out.count("[PASS]") == 4
+    assert "\n[FAIL] diagonal-fidelity-identity: max deviation nan " in out
+    assert out.endswith("\nFAILED: 1 of 5 checks\n")
+    assert "all checks passed" not in out
 
 
 def test_unknown_subcommand_exits_two():

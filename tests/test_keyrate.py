@@ -13,14 +13,13 @@ from dqkd.attack import (
     validate,
 )
 from dqkd.keyrate import (
-    attack_rows,
     backward_indistinguishability,
     build_rho_abe,
     joint_states,
     s_be_numeric,
 )
 from dqkd.optimizer import FidelityConstraint, maximize_s_be
-from dqkd.qstate import outer, trace_distance, von_neumann_entropy
+from dqkd.qstate import outer, partial_trace, trace_distance, von_neumann_entropy
 from dqkd.rates import (
     BoundaryViolationError,
     be_spectrum_closed_form,
@@ -84,12 +83,17 @@ def test_joint_states_equal_one_at_a_time():
     # the stacked build runs the same routines on each matrix, so entry i
     # is the bundle of attack i built alone, bit for bit
     attacks = [sample_valid(seed=seed, symmetric=bool(seed % 2)) for seed in range(64)]
-    for params, bundle in zip(attacks, joint_states(*attack_rows(attacks))):
+    for params, bundle in zip(attacks, joint_states(attacks)):
         alone = build_rho_abe(params)
         for got, want in ((bundle.rho_abe, alone.rho_abe), (bundle.rho_be, alone.rho_be)):
             assert got.dims == want.dims
             assert np.array_equal(got.matrix, want.matrix)
             assert np.array_equal(got.spectrum(), want.spectrum())
+        # the key bit traced by its two diagonal blocks is the generic
+        # partial trace, bit for bit
+        traced = partial_trace(bundle.rho_abe, keep=(1, 2))
+        assert traced.dims == bundle.rho_be.dims
+        assert np.array_equal(bundle.rho_be.matrix, traced.matrix)
 
 
 def test_stored_spectrum_matches_fresh_diagonalization():
@@ -243,6 +247,23 @@ def test_only_clears_boundary_reads_the_abort_rule():
                 elif isinstance(node, ast.Attribute) and node.attr in rule:
                     reads.append((path.name, owner, node.attr))
     assert sorted(reads) == [("rates.py", "clears_boundary", name) for name in sorted(rule)]
+
+
+def test_only_keyrate_reads_attack_rows():
+    # attack lists enter the numpy layer through keyrate alone: a library
+    # caller building the stacked arrays itself would skip the attacks that
+    # vouch for their rows (dqkd/__init__.py names it only as an export string)
+    users = set()
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "dqkd").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                if any(a.name == "attack_rows" for a in node.names):
+                    users.add(path.name)
+            elif isinstance(node, ast.Name) and node.id == "attack_rows":
+                users.add(path.name)
+            elif isinstance(node, ast.Attribute) and node.attr == "attack_rows":
+                users.add(path.name)
+    assert users == {"keyrate.py"}
 
 
 def test_xi_from_fidelities():

@@ -112,6 +112,10 @@ def test_partial_trace_preserves_trace_and_checks_indices():
         partial_trace(rho, keep=(3,))
     with pytest.raises(ValueError):
         partial_trace(rho, keep=())
+    with pytest.raises(ValueError, match="strictly increasing"):
+        partial_trace(rho, keep=(1, 0))
+    with pytest.raises(ValueError, match=r"keep=\(1, 1\) is not a subset"):
+        partial_trace(rho, keep=(1, 1))
 
 
 def _loop_partial_trace(mat, dims, keep):

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from dqkd import attack, verify
-from dqkd.keyrate import attack_rows
+from dqkd.attack import named_attack
 from dqkd.cli import main
+from dqkd.keyrate import joint_states
 from dqkd.verify import VerificationCheck, VerificationReport, run_verification
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -171,36 +172,46 @@ def test_eigensolver_census(monkeypatch, trials):
 
 
 def test_every_stacked_attack_is_validated(monkeypatch):
-    # every row of every joint-state stack, draw or neighbour, is the
-    # attack_rows row of an attack that validate accepted
-    accepted = set()
+    # every attack of every joint-state stack, draw or neighbour, is an
+    # object that validate accepted: three neighbours to each of 40 draws
+    accepted = {}
     validate = attack.validate
 
     def recorded(params):
         validate(params)
-        amps, overlaps = attack_rows([params])
-        accepted.add((amps.tobytes(), overlaps.tobytes()))
+        # holding the object keeps its id from being reused
+        accepted[id(params)] = params
         return params
 
     stacks = []
-    joint_states = verify.joint_states
 
-    def captured(amps, overlaps):
-        stacks.append((amps, overlaps))
-        return joint_states(amps, overlaps)
+    def captured(attacks):
+        stacks.append(list(attacks))
+        return joint_states(attacks)
 
     monkeypatch.setattr(attack, "validate", recorded)
     monkeypatch.setattr(verify, "joint_states", captured)
     run_verification(trials=40, seed=3)
     assert len(stacks) == 1
-    amps, overlaps = stacks[0]
-    # the 40 draws and at least two neighbours of each
-    assert len(amps) >= 3 * 40
-    strays = [
-        i for i, (a, o) in enumerate(zip(amps, overlaps))
-        if (a[None].tobytes(), o[None].tobytes()) not in accepted
-    ]
-    assert strays == []
+    assert len(stacks[0]) == 4 * 40
+    assert [i for i, a in enumerate(stacks[0]) if accepted.get(id(a)) is not a] == []
+
+
+def test_every_draw_has_three_neighbours():
+    # a move with no valid step contributes the draw itself, and so does the
+    # u-v move when c01 c11 vanishes; the stand-in's deviation is exactly 0
+    identity = named_attack("identity")  # every Re s and Re r step leaves the disc
+    assert [n is identity for n in verify._neighbors(identity, 0)] == [True, True, True]
+    measure_z = named_attack("measure_z")  # c01 = 0
+    near = verify._neighbors(measure_z, 0)
+    assert [n is measure_z for n in near] == [True, False, False]
+    assert (near[1].s, near[2].r) == (0.05, 0.05)
+    spectra = [b.rho_be.spectrum() for b in joint_states([measure_z] + near)]
+    assert spectra[1].tobytes() == spectra[0].tobytes()
+    for seed in _draws(64, 0):
+        draw = verify.sample_valid(seed, bool(seed % 2))
+        near = verify._neighbors(draw, seed)
+        assert len(near) == 3 and all(n is not draw for n in near)
 
 
 def test_chunks_concatenate_to_one_stack(monkeypatch):
