@@ -3,9 +3,11 @@
 The privacy-amplification rate is 1 - h(xi) and the final rate
 1 - h(xi) - h(e), positive only where clears_boundary, the abort rule
 xi >= 1/2, passes; the keyrate module derives the ceiling 1 + h(xi) and
-the closed-form spectrum behind them. These few scalar logarithms need no
-numpy, so ``dqkd keyrate``, ``sweep`` and ``optimize`` load nothing
-heavier. It also holds the reference attack names and the positivity slack.
+the closed-form spectrum behind them, and bound_certificate breaks the
+ceiling's proof for one attack into named terms. These few scalar
+logarithms need no numpy, so ``dqkd keyrate``, ``sweep`` and ``optimize``
+load nothing heavier. It also holds the reference attack names and the
+positivity slack.
 """
 
 from __future__ import annotations
@@ -71,16 +73,66 @@ class BeSpectrumClosedForm:
         return entropy_bits(self.spectrum())
 
 
-def be_spectrum_closed_form(params) -> BeSpectrumClosedForm:
-    """Closed-form spectrum of the averaged qubit-ancilla state of any
-    valid AttackParams, symmetric or not, from the 2x2 block
-    B = [[2i a, m], [-conj(m), -2i b]] that the keyrate module docstring
-    derives; it matches brute-force diagonalization within 1e-10."""
+def _block(params) -> tuple[complex, float, float]:
+    """m of the 2x2 block B = [[2i a, m], [-conj(m), -2i b]] that the
+    keyrate module docstring derives, and its two candidate deltas
+    sqrt(|m|^2 + (a + b)^2) and |a - b|."""
     m = params.c00 * params.c11 * params.p - params.c01 * params.c10 * params.q
     a = params.c00 * params.c01 * params.s.imag
     b = params.c10 * params.c11 * params.r.imag
-    d_a, d_b = math.sqrt(abs(m) ** 2 + (a + b) ** 2), abs(a - b)
+    return m, math.sqrt(abs(m) ** 2 + (a + b) ** 2), abs(a - b)
+
+
+def be_spectrum_closed_form(params) -> BeSpectrumClosedForm:
+    """Closed-form spectrum of the averaged qubit-ancilla state of any
+    valid AttackParams, symmetric or not, from the block B; it matches
+    brute-force diagonalization within 1e-10."""
+    _, d_a, d_b = _block(params)
     return BeSpectrumClosedForm(delta1=max(d_a, d_b), delta2=min(d_a, d_b))
+
+
+@dataclass(frozen=True)
+class BoundCertificate:
+    """The upper bound S(rho_BE) <= 1 + h(xi) for one attack, as a chain.
+
+    The spectrum (1 +/- D1 +/- D2)/4 is majorized by the one with D2 = 0,
+    so S <= 1 + h((1 + D1)/2); since D1 <= 1 and xi >= 1/2, the bound
+    follows once D1 >= 2 xi - 1. With d_a = sqrt(|m|^2 + (a + b)^2) and
+    the normalization defects n0 = c00^2 + c01^2 - 1 and n1 = c11^2 +
+    c10^2 - 1, the margin D1 - (2 xi - 1) is exactly the sum of six terms:
+
+        (D1 - d_a) + (d_a - |m|) + (|m| - Re m) + (c01 - c10)^2
+        + 2 c01 c10 (1 - Re q) - (n0 + n1).
+
+    The first four are >= 0; the fifth is >= -2 c01 c10 times the overlap
+    slack of validation, which admits |q| up to 1 plus that slack; the
+    sixth, the defect term, has either sign.
+
+    Attributes:
+        terms: the six terms, in the order above.
+        gap: the majorization gap 1 + h((1 + D1)/2) - S, >= 0.
+        xi: the attack's forward margin, forward_fidelities(params).xi.
+        delta1: D1, as be_spectrum_closed_form gives it.
+    """
+
+    terms: tuple[float, float, float, float, float, float]
+    gap: float
+    xi: float
+    delta1: float
+
+
+def bound_certificate(params) -> BoundCertificate:
+    """The chain of BoundCertificate, evaluated on one valid AttackParams."""
+    from .attack import forward_fidelities  # attack imports this module
+
+    m, d_a, d_b = _block(params)
+    d1, d2 = max(d_a, d_b), min(d_a, d_b)
+    c00, c01, c11, c10 = params.c00, params.c01, params.c11, params.c10
+    defect = (c00**2 + c01**2 - 1.0) + (c11**2 + c10**2 - 1.0)
+    terms = (d1 - d_a, d_a - abs(m), abs(m) - m.real, (c01 - c10) ** 2,
+             2.0 * c01 * c10 * (1.0 - params.q.real), -defect)
+    gap = 1.0 + binary_entropy((1.0 + d1) / 2.0) - BeSpectrumClosedForm(d1, d2).entropy()
+    return BoundCertificate(terms, gap, forward_fidelities(params).xi, d1)
 
 
 def clears_boundary(xi: float) -> bool:

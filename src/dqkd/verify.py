@@ -3,42 +3,37 @@
 Each check replays one proven identity on freshly sampled valid attacks
 (``sample_valid``) and records the worst deviation: the joint-state
 entropy is exactly 2 bits, the closed-form spectrum matches brute-force
-diagonalization, the diagonal-basis fidelity, by the Gram route, is a
-fixed combination of the overlaps, a backward-only eavesdropper sees
-nothing (the identity attack's two key blocks are equal), and the
-spectrum does not move when the cancelling overlap directions (u and v
-together, and the real parts of s and r) are perturbed.
+diagonalization, the diagonal-basis fidelities f+ and f-, by the Gram
+route, match forward_fidelities, the spectrum does not move when the
+cancelling overlap directions (u and v together, and the real parts of s
+and r) are perturbed, the upper bound's chain (rates.bound_certificate)
+holds term by term, and a backward-only eavesdropper sees nothing (the
+identity attack's two key blocks are equal).
 
 The sampled checks run in one pass over one draw: ``trials`` attacks,
-each seeded by its own child seed, together with their neighbours along
-the cancelling directions. The seeds go in chunks of ``_SEED_CHUNK``, so
-memory stays flat in ``trials``. Every attack in a chunk, draw or
-neighbour, is an AttackParams, validated by its constructor: each draw
-has three neighbours, one per move, whose step-halving ladder keeps the
-first step the constructor accepts, and a move with no valid step
-contributes the draw itself. The joint states of the draws and their
-neighbours are one ``keyrate.joint_states`` call on the list of them, one
-eigensolver call per matrix size, and every check reads its deviations
-from that stack. A draw's deviations depend on its seed alone, so each
-check's witness, the seed of the first draw that reaches its worst
-deviation, replays it by itself.
+each seeded by its own child seed, with three neighbours each, one per
+cancelling move (``_neighbors``), every one an AttackParams validated by
+its constructor. The seeds go in chunks of ``_SEED_CHUNK``, so memory
+stays flat in ``trials``; a chunk's attacks are one stack, one
+``keyrate.joint_states`` call and one eigensolver call per matrix size,
+and each sampled check, one row of ``CHECKS``, reads its deviations from
+it. A draw's deviations depend on its seed alone, so each check's
+witness, the seed of the first draw that reaches its worst deviation,
+replays it by itself.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .attack import AttackParams, AttackValidationError
+from .attack import OVERLAP_ATOL, AttackParams, AttackValidationError, forward_fidelities
 from .keyrate import backward_indistinguishability, gram_matrix, joint_states
 from .qstate import Ket, von_neumann_entropy
-from .rates import be_spectrum_closed_form
+from .rates import be_spectrum_closed_form, bound_certificate
 
-JOINT_ENTROPY_ATOL = 1e-9
-SPECTRUM_ATOL = 1e-10
-IDENTITY_ATOL = 1e-10
-BACKWARD_ATOL = 1e-12
 # seeds per chunk of _deviations; each chunk's joint states are one stack
 _SEED_CHUNK = 64
 # rejection bound of sample_valid
@@ -147,8 +142,8 @@ def _neighbors(attack: AttackParams, seed: int) -> list[AttackParams]:
     0.05 and halves it after each step the AttackParams constructor
     rejects, trying at most 14 steps, and keeps its first valid one. A move
     with no valid step contributes the attack itself, and so does the u-v
-    move when c01 c11 vanishes; either way its deviation is exactly 0. The
-    phase of the u-v move is drawn from default_rng([seed, 1]).
+    move when c01 c11 vanishes; either way its spectrum moves by exactly 0.
+    The phase of the u-v move is drawn from default_rng([seed, 1]).
     """
 
     def step(move) -> AttackParams:
@@ -172,59 +167,86 @@ def _neighbors(attack: AttackParams, seed: int) -> list[AttackParams]:
     return near + [step(lambda d: {"s": attack.s + d}), step(lambda d: {"r": attack.r + d})]
 
 
-def _gram_fpm(a: AttackParams) -> float:
-    """fpm by the Gram route, a reference independent of forward_fidelities:
-    w^+ G w / 4 for the (+,+,+,+) and (+,-,+,-) signed amplitudes w."""
-    g = gram_matrix(a)
-    amps = (a.c00, a.c01, a.c11, a.c10)
-    fids = []
-    for signs in ((1, 1, 1, 1), (1, -1, 1, -1)):
-        w = np.array([sign * c for sign, c in zip(signs, amps)], dtype=complex)
-        fids.append(float(np.real(np.conjugate(w) @ g @ w)) / 4.0)
-    return 0.5 * (fids[0] + fids[1])
+def _gram_fidelities(a: AttackParams) -> tuple[float, float]:
+    """f+ and f- by the Gram route, a reference independent of
+    forward_fidelities: w^+ G w / 4 for the (+,+,+,+) and (+,-,+,-) signed
+    amplitudes w, each an fsum of the sixteen real products w_i Re G_ij
+    w_j, so its bits depend on no summation order or memory layout."""
+    g = gram_matrix(a).real.tolist()
+    plus, minus = (a.c00, a.c01, a.c11, a.c10), (a.c00, -a.c01, a.c11, -a.c10)
+    return tuple(
+        math.fsum(w[i] * g[i][j] * w[j] for i in range(4) for j in range(4)) / 4.0
+        for w in (plus, minus)
+    )
+
+
+class _Stack:
+    """One chunk: k draws, then three neighbours to each; their joint states and rho_be spectra."""
+
+    def __init__(self, seeds: list[int]):
+        draws = [sample_valid(s, bool(s % 2)) for s in seeds]
+        self.attacks = draws + [n for a, s in zip(draws, seeds) for n in _neighbors(a, s)]
+        self.k, self.states = len(draws), joint_states(self.attacks)
+        self.spectra = np.array([b.rho_be.spectrum() for b in self.states])
+
+    def read(self) -> list[np.ndarray]:
+        """Every row of CHECKS, in order, read on this stack."""
+        return [deviation(self) for _, _, deviation in CHECKS]
+
+    def joint_entropy(self) -> np.ndarray:
+        """The joint-state entropy is exactly two bits, symmetric or not."""
+        return np.array([abs(von_neumann_entropy(b.rho_abe) - 2.0) for b in self.states[: self.k]])
+
+    def closed_form(self) -> np.ndarray:
+        """The closed form, four zeros appended, against brute force: a draw's worst row."""
+        closed = [be_spectrum_closed_form(a).spectrum() + (0.0,) * 4 for a in self.attacks]
+        rows, k = np.max(np.abs(np.sort(closed)[:, ::-1] - self.spectra), axis=1), self.k
+        return np.maximum(rows[:k], rows[k:].reshape(k, 3).max(axis=1))
+
+    def diagonal(self) -> np.ndarray:
+        """f+ and f- by the Gram route, each against forward_fidelities."""
+        pairs = [(forward_fidelities(a), _gram_fidelities(a)) for a in self.attacks[: self.k]]
+        return np.max(np.abs([(p - f.fplus, m - f.fminus) for f, (p, m) in pairs]), axis=1)
+
+    def insensitivity(self) -> np.ndarray:
+        """Each neighbour's spectrum against its draw's: flat along the cancelling directions."""
+        k, spectra = self.k, self.spectra
+        return np.max(np.abs(spectra[k:].reshape(k, 3, 8) - spectra[:k, None]), axis=(1, 2))
+
+    def bound(self) -> np.ndarray:
+        """How far each draw's BoundCertificate misses its chain: a term or
+        the majorization gap below its floor, or six terms that do not sum
+        to D1 - (2 xi - 1). The defect term has no floor."""
+        misses = []
+        for a in self.attacks[: self.k]:
+            cert = bound_certificate(a)
+            t = cert.terms
+            overlap_floor = -2.0 * a.c01 * a.c10 * OVERLAP_ATOL
+            closure = abs(math.fsum(t) - (cert.delta1 - (2.0 * cert.xi - 1.0)))
+            misses.append((-t[0], -t[1], -t[2], -t[3], overlap_floor - t[4], -cert.gap, closure))
+        return np.max(misses, axis=1)
+
+
+# every sampled check: its name, its tolerance, and the _Stack method reading it per draw
+CHECKS = (
+    ("joint-entropy-two-bits", 1e-9, _Stack.joint_entropy),
+    ("closed-form-spectrum", 1e-10, _Stack.closed_form),
+    ("diagonal-fidelity-identity", 1e-10, _Stack.diagonal),
+    ("overlap-insensitivity", 1e-10, _Stack.insensitivity),
+    ("general-attack-bound", 1e-12, _Stack.bound),
+)
 
 
 def _deviations(seeds: list[int]) -> dict[str, np.ndarray]:
-    """Every sampled identity's deviation at each seed, keyed by check name.
+    """Every sampled check's deviation at each seed, keyed by check name.
 
-    Seed s draws the attack sample_valid(s, symmetric=bool(s % 2)) and its
-    neighbours. The seeds run in chunks of _SEED_CHUNK, the joint states of
-    a chunk's attacks and neighbours are one stack, and each stacked step
-    treats each entry alone, so entry i depends on seeds[i] only and
+    Seed s draws sample_valid(s, symmetric=bool(s % 2)) and its neighbours.
+    The seeds run in chunks of _SEED_CHUNK, one _Stack at a time, whose
+    steps treat each entry alone, so entry i depends on seeds[i] only and
     _deviations([seeds[i]]) replays it bit for bit.
     """
-    starts = range(0, len(seeds), _SEED_CHUNK)
-    parts = [_chunk_deviations(seeds[i : i + _SEED_CHUNK]) for i in starts]
-    return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
-
-
-def _chunk_deviations(seeds: list[int]) -> dict[str, np.ndarray]:
-    """_deviations of one chunk: one stacked joint-state pass."""
-    attacks = [sample_valid(s, bool(s % 2)) for s in seeds]
-    near = [n for a, s in zip(attacks, seeds) for n in _neighbors(a, s)]
-    # one stack: the draws, then their neighbours, three to a draw
-    states = joint_states(attacks + near)
-    k = len(attacks)
-    spectra = np.array([b.rho_be.spectrum() for b in states])
-    # the closed form's four nonzero eigenvalues and four zeros
-    closed = [be_spectrum_closed_form(a).spectrum() + (0.0,) * 4 for a in attacks]
-    # each neighbour's spectrum against the spectrum of its own draw
-    insensitivity = np.max(np.abs(spectra[k:].reshape(k, 3, 8) - spectra[:k, None]), axis=(1, 2))
-    return {
-        # the joint-state entropy is exactly two bits, symmetric or not
-        "joint-entropy-two-bits": np.array(
-            [abs(von_neumann_entropy(b.rho_abe) - 2.0) for b in states[:k]]
-        ),
-        # the closed-form spectrum against brute force, symmetric or not
-        "closed-form-spectrum": np.max(np.abs(np.sort(closed)[:, ::-1] - spectra[:k]), axis=1),
-        # fpm = (1 + c00 c11 p0 + c01 c10 q0) / 2, any valid attack
-        "diagonal-fidelity-identity": np.array([
-            abs(_gram_fpm(a) - 0.5 * (1.0 + a.c00 * a.c11 * a.p.real + a.c01 * a.c10 * a.q.real))
-            for a in attacks
-        ]),
-        # the spectrum is flat along the cancelling overlap directions
-        "overlap-insensitivity": insensitivity,
-    }
+    parts = [_Stack(seeds[i : i + _SEED_CHUNK]).read() for i in range(0, len(seeds), _SEED_CHUNK)]
+    return {name: np.concatenate(devs) for (name, _, _), devs in zip(CHECKS, zip(*parts))}
 
 
 def _worst(name: str, tolerance: float, deviations: dict, seeds: list[int]) -> VerificationCheck:
@@ -235,11 +257,11 @@ def _worst(name: str, tolerance: float, deviations: dict, seeds: list[int]) -> V
 
 
 def run_verification(trials: int = 200, seed: int = 0) -> VerificationReport:
-    """Run every certified identity on `trials` sampled attacks.
+    """Run every row of CHECKS on `trials` sampled attacks, then the backward line.
 
     Deterministic for fixed (trials, seed). Returns per-check worst
-    deviations and their witness seeds against the library's declared
-    tolerances.
+    deviations and their witness seeds against the tolerances of CHECKS,
+    in its order, and the unsampled backward line last.
 
     Raises:
         TypeError: trials or seed is not an integer (a bool included).
@@ -254,15 +276,8 @@ def run_verification(trials: int = 200, seed: int = 0) -> VerificationReport:
         raise ValueError(f"seed={seed} must be non-negative")
     seeds = _child_seeds(_child_seeds(seed, 1)[0], trials)
     devs = _deviations(seeds)
-    return VerificationReport(
-        checks=(
-            _worst("joint-entropy-two-bits", JOINT_ENTROPY_ATOL, devs, seeds),
-            _worst("closed-form-spectrum", SPECTRUM_ATOL, devs, seeds),
-            _worst("diagonal-fidelity-identity", IDENTITY_ATOL, devs, seeds),
-            # backward-only eavesdropping sees identical encodings
-            VerificationCheck(
-                "backward-indistinguishability", 1, backward_indistinguishability(), BACKWARD_ATOL
-            ),
-            _worst("overlap-insensitivity", SPECTRUM_ATOL, devs, seeds),
-        )
-    )
+    checks = [_worst(name, tol, devs, seeds) for name, tol, _ in CHECKS]
+    # backward-only eavesdropping sees identical encodings: one unsampled trial
+    backward = backward_indistinguishability()
+    checks.append(VerificationCheck("backward-indistinguishability", 1, backward, 1e-12))
+    return VerificationReport(checks=tuple(checks))

@@ -1,5 +1,6 @@
 import ast
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from dqkd.rates import (
     BoundaryViolationError,
     be_spectrum_closed_form,
     binary_entropy,
+    bound_certificate,
     clears_boundary,
     entropy_bits,
     final_rate,
@@ -182,6 +184,35 @@ def test_closed_form_matches_diagonalization():
             brute = build_rho_abe(params).rho_be.spectrum()
             assert np.max(np.abs(np.sort(full)[::-1] - brute)) <= 1e-10
             assert abs(closed.entropy() - s_be_numeric(params)) <= 1e-9
+
+
+def test_bound_certificate_closes_at_the_amplitude_slack():
+    # validation accepts amplitudes scaled by sqrt(1 +/- 9e-13); the defect
+    # term carries the scaling, so the six terms still sum to D1 - (2 xi - 1)
+    for seed in range(100):
+        base = sample_valid(seed, symmetric=bool(seed % 2))
+        for e0, e1 in ((9e-13, 9e-13), (-9e-13, -9e-13), (9e-13, -9e-13)):
+            f0, f1 = math.sqrt(1.0 + e0), math.sqrt(1.0 + e1)
+            params = replace(base, c00=base.c00 * f0, c01=base.c01 * f0,
+                             c11=base.c11 * f1, c10=base.c10 * f1)
+            cert = bound_certificate(params)
+            margin = cert.delta1 - (2.0 * cert.xi - 1.0)
+            assert abs(math.fsum(cert.terms) - margin) <= 1e-12, (seed, e0, e1)
+            assert cert.terms[5] == pytest.approx(-(e0 + e1), abs=1e-14)
+            assert min(cert.terms[:4]) >= -1e-15 and cert.gap >= -1e-15
+            if e0 == e1 == 9e-13:
+                # five terms alone miss the margin by the defect
+                assert abs(math.fsum(cert.terms[:5]) - margin) > 1e-12
+
+
+def test_bound_certificate_is_tight_at_the_maximizer():
+    # the maximizer has c01 = c10, q0 = 1, Im m = 0 and a = b = 0: every
+    # term and the majorization gap vanish, to rounding
+    for c0sq, cppsq in ((0.9, 0.9), (0.95, 0.85), (0.8, 0.99)):
+        params = maximize_s_be(FidelityConstraint(c0sq, cppsq)).best_params
+        cert = bound_certificate(params)
+        assert max(map(abs, (*cert.terms, cert.gap))) <= 1e-15
+        assert cert.xi == pytest.approx(FidelityConstraint(c0sq, cppsq).xi, abs=1e-15)
 
 
 def test_closed_form_asymmetric_real_slice():

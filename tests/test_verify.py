@@ -1,3 +1,4 @@
+import inspect
 import math
 import os
 import subprocess
@@ -11,6 +12,7 @@ from dqkd import attack, verify
 from dqkd.attack import named_attack
 from dqkd.cli import main
 from dqkd.keyrate import joint_states
+from dqkd.rates import be_spectrum_closed_form
 from dqkd.verify import VerificationCheck, VerificationReport, run_verification
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -23,8 +25,9 @@ def test_all_checks_pass():
         "joint-entropy-two-bits",
         "closed-form-spectrum",
         "diagonal-fidelity-identity",
-        "backward-indistinguishability",
         "overlap-insensitivity",
+        "general-attack-bound",
+        "backward-indistinguishability",
     ]
     for check in report.checks:
         assert check.passed
@@ -50,12 +53,12 @@ def test_verification_is_deterministic():
 @pytest.mark.parametrize(
     "trials, seed, deviations",
     [
-        (16, 0, ("0x1.0000000000000p-51", "0x1.c000000000000p-52", "0x1.0000000000000p-53",
-                 "0x0.0p+0", "0x1.2000000000000p-51")),
+        (16, 0, ("0x1.0000000000000p-51", "0x1.0000000000000p-51", "0x1.0000000000000p-53",
+                 "0x1.2000000000000p-51", "0x1.0000000000000p-51", "0x0.0p+0")),
         (30, 7, ("0x1.0000000000000p-52", "0x1.c000000000000p-52", "0x1.0000000000000p-53",
-                 "0x0.0p+0", "0x1.8000000000000p-51")),
-        (200, 0, ("0x1.0000000000000p-51", "0x1.2000000000000p-51", "0x1.0000000000000p-53",
-                  "0x0.0p+0", "0x1.a000000000000p-51")),
+                 "0x1.8000000000000p-51", "0x1.0000000000000p-51", "0x0.0p+0")),
+        (200, 0, ("0x1.0000000000000p-51", "0x1.2000000000000p-51", "0x1.0000000000000p-52",
+                  "0x1.a000000000000p-51", "0x1.0000000000000p-51", "0x0.0p+0")),
     ],
 )
 def test_pinned_deviations(trials, seed, deviations):
@@ -119,6 +122,55 @@ def test_stacking_couples_no_entries():
         assert shorter.keys() == longer.keys()
         for name, devs in shorter.items():
             assert devs.tobytes() == longer[name][:k].tobytes(), (k, name)
+
+
+def test_each_check_is_named_once():
+    # a check is one row of CHECKS, or the backward line after them, and
+    # its name is spelled nowhere else in the module
+    source = Path(verify.__file__).read_text(encoding="utf-8")
+    names = [c.name for c in run_verification(trials=1, seed=0).checks]
+    assert names == [name for name, _, _ in verify.CHECKS] + ["backward-indistinguishability"]
+    assert {name: source.count(name) for name in names} == dict.fromkeys(names, 1)
+
+
+def test_neighbours_share_their_draws_closed_form():
+    # the moves change only u, v, Re s and Re r, which the closed form never
+    # reads, so the closed form on a neighbour's row is its draw's, bit for
+    # bit, and each of its rows checks the brute-force spectrum against it
+    for seed in _draws(64, 0):
+        draw = verify.sample_valid(seed, bool(seed % 2))
+        closed = be_spectrum_closed_form(draw)
+        for near in verify._neighbors(draw, seed):
+            assert be_spectrum_closed_form(near) == closed
+
+
+# each mutant: the function of dqkd.attack it edits, the source text it
+# replaces, the replacement, and the lines of run_verification(16, 0) it fails
+MUTANTS = [
+    ("forward_fidelities", "c00 * c01 * params.s.real", "c00 * c01 * params.s.imag",
+     {"diagonal-fidelity-identity"}),
+    ("forward_fidelities", "+ c01 * c11 * params.v.real", "- c01 * c11 * params.v.real",
+     {"diagonal-fidelity-identity"}),
+    ("forward_fidelities", "+ c01 * c10 * params.q.real", "- c01 * c10 * params.q.real",
+     {"diagonal-fidelity-identity", "general-attack-bound"}),
+    # the last LDL pivot with its d3 term halved admits Grams that are not PSD
+    ("gram_pivots", "- (rr * rr + ri * ri) / d3", "- 0.5 * (rr * rr + ri * ri) / d3",
+     {"closed-form-spectrum", "overlap-insensitivity"}),
+]
+
+
+@pytest.mark.parametrize("function, old, new, failed", MUTANTS)
+def test_verify_catches_each_mutant(monkeypatch, function, old, new, failed):
+    source = inspect.getsource(getattr(attack, function))
+    assert source.count(old) == 1
+    namespace = dict(vars(attack))
+    exec(compile(source.replace(old, new), attack.__file__, "exec"), namespace)
+    # patched in its module and wherever verify reads it by name
+    for module in (attack, verify):
+        if hasattr(module, function):
+            monkeypatch.setattr(module, function, namespace[function])
+    report = run_verification(trials=16, seed=0)
+    assert {c.name for c in report.checks if not c.passed} == failed
 
 
 def test_run_verification_argument_contract():
