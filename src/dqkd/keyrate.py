@@ -22,7 +22,11 @@ A stack of k attacks enters as a list of AttackParams: ``joint_states``
 reads it through ``attack_rows`` into two arrays, the (k, 4) amplitudes
 and (k, 6) overlaps, that ``realize_ancillas`` and ``branch_stack`` take,
 with one eigensolver call per matrix size for the whole stack;
-``realize_ancilla`` and ``build_rho_abe`` are their one-attack cases.
+``be_states`` builds the same key blocks but validates only their sum,
+rho_be, so it never forms or diagonalizes a 16x16 state, and
+``gram_matrices`` reads the same overlaps into the k Gram matrices.
+``realize_ancilla``, ``build_rho_abe`` and ``gram_matrix`` are their
+one-attack cases.
 
 That reduced state is 1/4 sum_i |v_i><v_i| over v = (phi0, phi1, Y phi0,
 Y phi1), phi0 and phi1 being the orthonormal attacked branches, so its four
@@ -68,9 +72,15 @@ def _gram_stack(overlaps: np.ndarray) -> np.ndarray:
     return np.concatenate([ones, overlaps, overlaps.conj()], axis=1)[:, _GRAM_TABLE]
 
 
+def gram_matrices(attacks: list[AttackParams]) -> np.ndarray:
+    """The (k, 4, 4) Gram matrices of (|E00>, |E01>, |E11>, |E10>), unit
+    diagonal, of a stack of attacks."""
+    return _gram_stack(attack_rows(attacks)[1])
+
+
 def gram_matrix(params: AttackParams) -> ComplexMatrix:
-    """Gram matrix of (|E00>, |E01>, |E11>, |E10>) with unit diagonal."""
-    return _gram_stack(attack_rows([params])[1])[0]
+    """Gram matrix of one attack: gram_matrices for k = 1."""
+    return gram_matrices([params])[0]
 
 
 def attack_rows(attacks: list[AttackParams]) -> tuple[np.ndarray, np.ndarray]:
@@ -129,24 +139,40 @@ class JointStateBundle:
     rho_be: DensityMatrix
 
 
-def joint_states(attacks: list[AttackParams]) -> list[JointStateBundle]:
-    """Assemble the joint key-qubit-ancilla states of many attacks at once.
+def _key_blocks(attacks: list[AttackParams]) -> tuple[np.ndarray, np.ndarray]:
+    """The (k, 8, 8) key-0 and key-1 diagonal blocks of each attack's rho_abe.
 
     The forward channel turns the maximally mixed qubit into the key-0
     branch be0, an equal mixture of the two attacked branch vectors. The
     key-1 branch is be0 conjugated by Y on the qubit factor: with be0 split
     into qubit blocks [[A, B], [C, D]] of 4x4 ancilla blocks, that is
-    [[D, -C], [-B, A]], filled in by slicing. The classical key bit is the
-    most significant factor, so the two branches, halved, are the diagonal
-    blocks of rho_abe.
+    [[D, -C], [-B, A]], filled in by slicing. Each block is half its branch.
+    """
+    phi = branch_stack(*attack_rows(attacks))
+    be0 = 0.5 * (outer(phi[:, 0]) + outer(phi[:, 1]))
+    key0 = 0.5 * be0
+    key1 = np.empty_like(key0)
+    key1[:, :4, :4] = key0[:, 4:, 4:]
+    key1[:, :4, 4:] = -key0[:, 4:, :4]
+    key1[:, 4:, :4] = -key0[:, :4, 4:]
+    key1[:, 4:, 4:] = key0[:, :4, :4]
+    return key0, key1
+
+
+def joint_states(attacks: list[AttackParams]) -> list[JointStateBundle]:
+    """Assemble the joint key-qubit-ancilla states of many attacks at once.
+
+    The classical key bit is the most significant factor, so the two halved
+    branches of _key_blocks are the diagonal blocks of rho_abe, and tracing
+    out the key bit adds them.
 
     Every step runs on the whole (k, ...) stack of the attacks' attack_rows
     arrays: one eigendecomposition of the k Gram matrices realizes the
     ancillas, and the two returned states are validated as density
     matrices with one stacked eigensolver call each, rho_abe on assembly
-    and rho_be after tracing out the key bit, the sum of its two diagonal
-    blocks. Each stacked call runs the same routine on each matrix, so
-    entry i equals the bundle of attack i built alone, bit for bit.
+    and rho_be after tracing out the key bit. Each stacked call runs the
+    same routine on each matrix, so entry i equals the bundle of attack i
+    built alone, bit for bit.
 
     Args:
         attacks: at least one AttackParams.
@@ -155,19 +181,22 @@ def joint_states(attacks: list[AttackParams]) -> list[JointStateBundle]:
         One JointStateBundle per attack, in order, with both states as
         validated density matrices.
     """
-    phi = branch_stack(*attack_rows(attacks))
-    be0 = 0.5 * (outer(phi[:, 0]) + outer(phi[:, 1]))
+    key0, key1 = _key_blocks(attacks)
     abe = np.zeros((len(attacks), 16, 16), dtype=complex)
-    abe[:, :8, :8] = 0.5 * be0
-    # key 1 from key 0: qubit blocks [[A, B], [C, D]] -> [[D, -C], [-B, A]]
-    abe[:, 8:12, 8:12] = abe[:, 4:8, 4:8]
-    abe[:, 8:12, 12:] = -abe[:, 4:8, :4]
-    abe[:, 12:, 8:12] = -abe[:, :4, 4:8]
-    abe[:, 12:, 12:] = abe[:, :4, :4]
+    abe[:, :8, :8], abe[:, 8:, 8:] = key0, key1
     rho_abe = density_matrices(abe, (2, 2, 4))
-    # tracing out the key bit adds its two diagonal blocks
-    rho_be = density_matrices(abe[:, :8, :8] + abe[:, 8:, 8:], (2, 4))
+    rho_be = density_matrices(key0 + key1, (2, 4))
     return [JointStateBundle(rho_abe=a, rho_be=b) for a, b in zip(rho_abe, rho_be)]
+
+
+def be_states(attacks: list[AttackParams]) -> list[DensityMatrix]:
+    """The qubit-ancilla state rho_be of each attack, without rho_abe.
+
+    The sum of the two key blocks, validated with one stacked eigensolver
+    call: entry i equals joint_states(attacks)[i].rho_be, bit for bit.
+    """
+    key0, key1 = _key_blocks(attacks)
+    return density_matrices(key0 + key1, (2, 4))
 
 
 def build_rho_abe(params: AttackParams) -> JointStateBundle:
@@ -192,4 +221,4 @@ def backward_indistinguishability() -> float:
 
 def s_be_numeric(params: AttackParams) -> float:
     """Entropy of the averaged qubit-ancilla state by diagonalization."""
-    return von_neumann_entropy(build_rho_abe(params).rho_be)
+    return von_neumann_entropy(be_states([params])[0])

@@ -11,7 +11,8 @@ Conventions used everywhere:
   validates a whole stack with one eigensolver call,
 * ``partial_trace`` reduces one density matrix; tracing out the most
   significant factor of a stack is the sum of its diagonal blocks, which
-  is how ``keyrate.joint_states`` drops the key bit.
+  is how ``keyrate.joint_states`` and ``keyrate.be_states`` drop the key
+  bit, the latter without forming the joint state.
 """
 
 from __future__ import annotations

@@ -14,23 +14,25 @@ The sampled checks run in one pass over one draw: ``trials`` attacks,
 each seeded by its own child seed, with three neighbours each, one per
 cancelling move (``_neighbors``), every one an AttackParams validated by
 its constructor. The seeds go in chunks of ``_SEED_CHUNK``, so memory
-stays flat in ``trials``; a chunk's attacks are one stack, one
-``keyrate.joint_states`` call and one eigensolver call per matrix size,
-and each sampled check, one row of ``CHECKS``, reads its deviations from
-it. A draw's deviations depend on its seed alone, so each check's
-witness, the seed of the first draw that reaches its worst deviation,
-replays it by itself.
+stays flat in ``trials``. A chunk builds each state only where a check
+reads it: the draws' joint states come from one ``keyrate.joint_states``
+call, and the neighbours' rho_be alone from one ``keyrate.be_states``
+call, each with one eigensolver call per matrix size, and the draws'
+Gram matrices from one ``keyrate.gram_matrices`` call; each sampled
+check, one row of ``CHECKS``, reads its deviations from them. A draw's
+deviations depend on its seed alone, so each check's witness, the seed
+of the first draw that reaches its worst deviation, replays it by itself.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .attack import OVERLAP_ATOL, AttackParams, AttackValidationError, forward_fidelities
-from .keyrate import backward_indistinguishability, gram_matrix, joint_states
+from .keyrate import backward_indistinguishability, be_states, gram_matrices, joint_states
 from .qstate import Ket, von_neumann_entropy
 from .rates import be_spectrum_closed_form, bound_certificate
 
@@ -44,9 +46,14 @@ class SamplingBudgetError(RuntimeError):
     """Rejection sampling failed to produce a valid parameter set."""
 
 
-def _unit_vector(rng: np.random.Generator, dim: int) -> Ket:
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
+def _norm(v: Ket) -> float:
+    """The norm of a complex ket by np.linalg.norm's own arithmetic."""
+    return math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
+
+
+def _unit_vector(re: np.ndarray, im: np.ndarray) -> Ket:
+    v = re + 1j * im
+    return v / _norm(v)
 
 
 def sample_valid(seed: int, symmetric: bool = False) -> AttackParams:
@@ -67,29 +74,29 @@ def sample_valid(seed: int, symmetric: bool = False) -> AttackParams:
     """
     rng = np.random.default_rng(seed)
     for _ in range(DRAW_BUDGET):
-        e00 = _unit_vector(rng, 4)
-        e01 = _unit_vector(rng, 4)
-        e11 = _unit_vector(rng, 4)
-        c00 = rng.uniform(0.0, 1.0)
-        c11 = c00 if symmetric else rng.uniform(0.0, 1.0)
-        c01 = np.sqrt(1.0 - c00**2)
-        c10 = np.sqrt(1.0 - c11**2)
+        # the real, then imaginary, parts of e00, e01 and e11 in turn
+        z = rng.standard_normal(24)
+        e00, e01, e11 = (_unit_vector(z[i : i + 4], z[i + 4 : i + 8]) for i in (0, 8, 16))
+        c00 = rng.random()
+        c11 = c00 if symmetric else rng.random()
+        c01 = math.sqrt(1.0 - c00**2)
+        c10 = math.sqrt(1.0 - c11**2)
         if c00 * c10 < 1e-6:
             continue
         v = complex(np.vdot(e01, e11))
         u = -(c01 * c11 / (c00 * c10)) * v
         if abs(u) > 1.0 - 1e-9:
             continue
-        w = _unit_vector(rng, 4)
+        z = rng.standard_normal(8)
+        w = _unit_vector(z[:4], z[4:])
         w = w - np.vdot(e00, w) * e00
-        norm = np.linalg.norm(w)
+        norm = _norm(w)
         if norm < 1e-6:
             continue
-        e10 = u * e00 + np.sqrt(1.0 - abs(u) ** 2) * (w / norm)
+        e10 = u * e00 + math.sqrt(1.0 - abs(u) ** 2) * (w / norm)
         s, p = complex(np.vdot(e00, e01)), complex(np.vdot(e00, e11))
         r, q = complex(np.vdot(e11, e10)), complex(np.vdot(e01, e10))
-        amps = float(c00), float(c01), float(c11), float(c10)
-        return AttackParams(*amps, s, complex(u), p, r, v, q)
+        return AttackParams(c00, c01, c11, c10, s, u, p, r, v, q)
     raise SamplingBudgetError(f"no valid draw within {DRAW_BUDGET} iterations")
 
 
@@ -145,11 +152,12 @@ def _neighbors(attack: AttackParams, seed: int) -> list[AttackParams]:
     move when c01 c11 vanishes; either way its spectrum moves by exactly 0.
     The phase of the u-v move is drawn from default_rng([seed, 1]).
     """
+    fields = vars(attack)
 
     def step(move) -> AttackParams:
         for j in range(14):
             try:
-                return replace(attack, **move(0.05 * 0.5**j))
+                return AttackParams(**{**fields, **move(0.05 * 0.5**j)})
             except AttackValidationError:
                 continue
         return attack
@@ -167,12 +175,13 @@ def _neighbors(attack: AttackParams, seed: int) -> list[AttackParams]:
     return near + [step(lambda d: {"s": attack.s + d}), step(lambda d: {"r": attack.r + d})]
 
 
-def _gram_fidelities(a: AttackParams) -> tuple[float, float]:
+def _gram_fidelities(a: AttackParams, gram: np.ndarray) -> tuple[float, float]:
     """f+ and f- by the Gram route, a reference independent of
-    forward_fidelities: w^+ G w / 4 for the (+,+,+,+) and (+,-,+,-) signed
-    amplitudes w, each an fsum of the sixteen real products w_i Re G_ij
-    w_j, so its bits depend on no summation order or memory layout."""
-    g = gram_matrix(a).real.tolist()
+    forward_fidelities: w^+ G w / 4, G the attack's Gram matrix, for the
+    (+,+,+,+) and (+,-,+,-) signed amplitudes w, each an fsum of the
+    sixteen real products w_i Re G_ij w_j, so its bits depend on no
+    summation order or memory layout."""
+    g = gram.real.tolist()
     plus, minus = (a.c00, a.c01, a.c11, a.c10), (a.c00, -a.c01, a.c11, -a.c10)
     return tuple(
         math.fsum(w[i] * g[i][j] * w[j] for i in range(4) for j in range(4)) / 4.0
@@ -181,13 +190,15 @@ def _gram_fidelities(a: AttackParams) -> tuple[float, float]:
 
 
 class _Stack:
-    """One chunk: k draws, then three neighbours to each; their joint states and rho_be spectra."""
+    """One chunk: k draws, then three neighbours to each; the draws' joint
+    states, and the rho_be spectra of every attack."""
 
     def __init__(self, seeds: list[int]):
         draws = [sample_valid(s, bool(s % 2)) for s in seeds]
         self.attacks = draws + [n for a, s in zip(draws, seeds) for n in _neighbors(a, s)]
-        self.k, self.states = len(draws), joint_states(self.attacks)
-        self.spectra = np.array([b.rho_be.spectrum() for b in self.states])
+        self.k, self.states = len(draws), joint_states(draws)
+        rho_be = [b.rho_be for b in self.states] + be_states(self.attacks[self.k :])
+        self.spectra = np.array([rho.spectrum() for rho in rho_be])
 
     def read(self) -> list[np.ndarray]:
         """Every row of CHECKS, in order, read on this stack."""
@@ -195,7 +206,7 @@ class _Stack:
 
     def joint_entropy(self) -> np.ndarray:
         """The joint-state entropy is exactly two bits, symmetric or not."""
-        return np.array([abs(von_neumann_entropy(b.rho_abe) - 2.0) for b in self.states[: self.k]])
+        return np.array([abs(von_neumann_entropy(b.rho_abe) - 2.0) for b in self.states])
 
     def closed_form(self) -> np.ndarray:
         """The closed form, four zeros appended, against brute force: a draw's worst row."""
@@ -205,7 +216,9 @@ class _Stack:
 
     def diagonal(self) -> np.ndarray:
         """f+ and f- by the Gram route, each against forward_fidelities."""
-        pairs = [(forward_fidelities(a), _gram_fidelities(a)) for a in self.attacks[: self.k]]
+        draws = self.attacks[: self.k]
+        grams = gram_matrices(draws)
+        pairs = [(forward_fidelities(a), _gram_fidelities(a, g)) for a, g in zip(draws, grams)]
         return np.max(np.abs([(p - f.fplus, m - f.fminus) for f, (p, m) in pairs]), axis=1)
 
     def insensitivity(self) -> np.ndarray:

@@ -15,6 +15,7 @@ from dqkd.attack import (
 )
 from dqkd.keyrate import (
     backward_indistinguishability,
+    be_states,
     build_rho_abe,
     joint_states,
     s_be_numeric,
@@ -64,33 +65,36 @@ def test_bundle_structure():
 
 def test_each_state_is_diagonalized_once(monkeypatch):
     # rho_abe and rho_be are diagonalized when validated; the spectrum and
-    # the entropy reuse those eigenvalues
+    # the entropy reuse those eigenvalues, and s_be_numeric builds rho_be alone
     params = sample_valid(seed=3)
-    calls = [0]
+    calls = []
     eigvalsh = np.linalg.eigvalsh
 
     def counted(m):
-        calls[0] += 1
+        calls.append(m.shape)
         return eigvalsh(m)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     s_be_numeric(params)
-    assert calls[0] == 2
-    calls[0] = 0
+    assert calls == [(1, 8, 8)]
+    calls.clear()
     build_rho_abe(params).rho_be.spectrum()
-    assert calls[0] == 2
+    assert len(calls) == 2
 
 
 def test_joint_states_equal_one_at_a_time():
     # the stacked build runs the same routines on each matrix, so entry i
     # is the bundle of attack i built alone, bit for bit
     attacks = [sample_valid(seed=seed, symmetric=bool(seed % 2)) for seed in range(64)]
-    for params, bundle in zip(attacks, joint_states(attacks)):
+    for params, bundle, rho_be in zip(attacks, joint_states(attacks), be_states(attacks)):
         alone = build_rho_abe(params)
-        for got, want in ((bundle.rho_abe, alone.rho_abe), (bundle.rho_be, alone.rho_be)):
+        pairs = [(bundle.rho_abe, alone.rho_abe), (bundle.rho_be, alone.rho_be)]
+        # rho_be without rho_abe is the bundle's, stacked or alone
+        pairs += [(rho_be, bundle.rho_be), (be_states([params])[0], bundle.rho_be)]
+        for got, want in pairs:
             assert got.dims == want.dims
-            assert np.array_equal(got.matrix, want.matrix)
-            assert np.array_equal(got.spectrum(), want.spectrum())
+            assert got.matrix.tobytes() == want.matrix.tobytes()
+            assert got.spectrum().tobytes() == want.spectrum().tobytes()
         # the key bit traced by its two diagonal blocks is the generic
         # partial trace, bit for bit
         traced = partial_trace(bundle.rho_abe, keep=(1, 2))

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import math
 import os
@@ -11,7 +12,7 @@ import pytest
 from dqkd import attack, verify
 from dqkd.attack import named_attack
 from dqkd.cli import main
-from dqkd.keyrate import joint_states
+from dqkd.keyrate import be_states, joint_states
 from dqkd.rates import be_spectrum_closed_form
 from dqkd.verify import VerificationCheck, VerificationReport, run_verification
 
@@ -197,16 +198,19 @@ def test_verify_command_rejects_a_negative_seed(capsys):
 
 @pytest.mark.parametrize("trials", [16, 40, 2 * verify._SEED_CHUNK + 8])
 def test_eigensolver_census(monkeypatch, trials):
-    # per chunk, one stack holds the joint states of every draw and every
-    # neighbour: one call per size diagonalizes them all and realizes their
-    # ancillas; the 4x4 Gram matrices are never diagonalized to validate,
-    # but checked by pivots, attack by attack, in AttackParams
-    calls = {}
+    # per chunk, one stack holds the joint states of the draws and one the
+    # rho_be of their neighbours: one call per size and stack diagonalizes
+    # them and realizes their ancillas, and only the draws' rho_abe are
+    # 16x16; the 4x4 Gram matrices are never diagonalized to validate, but
+    # checked by pivots, attack by attack, in AttackParams
+    calls, sizes16 = {}, []
 
     def counted(name, solver):
         def wrapper(m, *args, **kwargs):
             key = (name, m.shape[-1])
             calls[key] = calls.get(key, 0) + 1
+            if key == ("eigvalsh", 16):
+                sizes16.append(len(m))
             return solver(m, *args, **kwargs)
 
         return wrapper
@@ -218,14 +222,18 @@ def test_eigensolver_census(monkeypatch, trials):
     # the backward check builds the identity attack's states once more and
     # takes the trace distance of their two 8x8 key blocks
     assert calls[("eigvalsh", 16)] == chunks + 1
-    assert calls[("eigvalsh", 8)] == chunks + 2
-    assert calls[("eigh", 4)] == chunks + 1
+    assert calls[("eigvalsh", 8)] == 2 * chunks + 2
+    assert calls[("eigh", 4)] == 2 * chunks + 1
     assert ("eigvalsh", 4) not in calls
+    # each chunk's 16x16 stack is exactly its draws; the last is the backward check's
+    chunk = verify._SEED_CHUNK
+    assert sizes16 == [min(chunk, trials - i) for i in range(0, trials, chunk)] + [1]
 
 
 def test_every_stacked_attack_is_validated(monkeypatch):
-    # every attack of every joint-state stack, draw or neighbour, is an
-    # object that validate accepted: three neighbours to each of 40 draws
+    # every attack of every state stack, the draws' joint states and the
+    # neighbours' rho_be, is an object that validate accepted: three
+    # neighbours to each of 40 draws
     accepted = {}
     validate = attack.validate
 
@@ -235,18 +243,23 @@ def test_every_stacked_attack_is_validated(monkeypatch):
         accepted[id(params)] = params
         return params
 
-    stacks = []
+    stacks = {"joint_states": [], "be_states": []}
 
-    def captured(attacks):
-        stacks.append(list(attacks))
-        return joint_states(attacks)
+    def captured(build):
+        def wrapper(attacks):
+            stacks[build.__name__].append(list(attacks))
+            return build(attacks)
+
+        return wrapper
 
     monkeypatch.setattr(attack, "validate", recorded)
-    monkeypatch.setattr(verify, "joint_states", captured)
+    monkeypatch.setattr(verify, "joint_states", captured(joint_states))
+    monkeypatch.setattr(verify, "be_states", captured(be_states))
     run_verification(trials=40, seed=3)
-    assert len(stacks) == 1
-    assert len(stacks[0]) == 4 * 40
-    assert [i for i, a in enumerate(stacks[0]) if accepted.get(id(a)) is not a] == []
+    assert [len(stack) for stack in stacks["joint_states"]] == [40]
+    assert [len(stack) for stack in stacks["be_states"]] == [3 * 40]
+    for (stack,) in stacks.values():
+        assert [i for i, a in enumerate(stack) if accepted.get(id(a)) is not a] == []
 
 
 def test_every_draw_has_three_neighbours():
@@ -264,6 +277,29 @@ def test_every_draw_has_three_neighbours():
         draw = verify.sample_valid(seed, bool(seed % 2))
         near = verify._neighbors(draw, seed)
         assert len(near) == 3 and all(n is not draw for n in near)
+
+
+def _hexes(params) -> str:
+    """An attack's floats as exact hexes, in to_dict order."""
+    doc = params.to_dict()
+    floats = [doc[k] for k in ("c00", "c01", "c11", "c10")]
+    floats += [x for o in doc["overlaps"] for x in (o["re"], o["im"])]
+    return ",".join(x.hex() for x in floats)
+
+
+# seed 6 rejects its first three tries, each for |u| > 1, before it keeps one
+PINNED_SAMPLES_SHA256 = "652f3a9845da61e31f75676bcce97153205125d3e58888ef7daed78e06cc9c6f"
+
+
+def test_pinned_draws_and_neighbours():
+    # every draw and neighbour, to the last bit: the first 256 child seeds
+    # of seed 0, then a seed whose first try is rejected
+    lines = []
+    for seed in verify._child_seeds(0, 256) + [6]:
+        draw = verify.sample_valid(seed, bool(seed % 2))
+        lines += [_hexes(a) for a in [draw] + verify._neighbors(draw, seed)]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == PINNED_SAMPLES_SHA256
 
 
 def test_chunks_concatenate_to_one_stack(monkeypatch):
