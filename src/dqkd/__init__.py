@@ -24,9 +24,8 @@ _MODULE_OF = {
             "named_attack", "validate",
         ),
         "keyrate": (
-            "JointStateBundle", "attack_rows", "backward_indistinguishability", "be_states",
-            "build_rho_abe", "gram_matrices", "gram_matrix", "joint_states", "realize_ancilla",
-            "s_be_numeric",
+            "JointStateBundle", "attack_rows", "backward_indistinguishability", "be_stack",
+            "be_states", "build_rho_abe", "joint_states", "realize_ancilla", "s_be_numeric",
         ),
         "optimizer": ("FidelityConstraint", "OptResult", "entropy_objective", "maximize_s_be"),
         "protosim": ("ProtocolConfig", "ProtocolStats", "estimate_with_se", "run_protocol"),

@@ -22,11 +22,12 @@ A stack of k attacks enters as a list of AttackParams: ``joint_states``
 reads it through ``attack_rows`` into two arrays, the (k, 4) amplitudes
 and (k, 6) overlaps, that ``realize_ancillas`` and ``branch_stack`` take,
 with one eigensolver call per matrix size for the whole stack;
-``be_states`` builds the same key blocks but validates only their sum,
-rho_be, so it never forms or diagonalizes a 16x16 state, and
-``gram_matrices`` reads the same overlaps into the k Gram matrices.
-``realize_ancilla``, ``build_rho_abe`` and ``gram_matrix`` are their
-one-attack cases.
+``be_stack`` realizes the ancillas once and returns the (k, 2, 8)
+branches with rho_be, the validated sum of the same key blocks, so it
+never forms or diagonalizes a 16x16 state, and ``be_states`` is its
+states alone. ``realize_ancilla`` and ``build_rho_abe`` are their
+one-attack cases; the backward check reads the identity attack's two key
+blocks without assembling its joint state.
 
 That reduced state is 1/4 sum_i |v_i><v_i| over v = (phi0, phi1, Y phi0,
 Y phi1), phi0 and phi1 being the orthonormal attacked branches, so its four
@@ -53,7 +54,6 @@ import numpy as np
 
 from .attack import AttackParams, named_attack
 from .qstate import (
-    ComplexMatrix,
     DensityMatrix,
     density_matrices,
     outer,
@@ -67,20 +67,10 @@ _GRAM_TABLE = np.array([[0, 1, 3, 2], [7, 0, 5, 6], [9, 11, 0, 4], [8, 12, 10, 0
 
 
 def _gram_stack(overlaps: np.ndarray) -> np.ndarray:
-    """The (k, 4, 4) Gram matrices of (k, 6) overlaps, each as gram_matrix's."""
+    """The (k, 4, 4) Gram matrices of (|E00>, |E01>, |E11>, |E10>), unit
+    diagonal, of (k, 6) overlaps."""
     ones = np.ones((len(overlaps), 1))
     return np.concatenate([ones, overlaps, overlaps.conj()], axis=1)[:, _GRAM_TABLE]
-
-
-def gram_matrices(attacks: list[AttackParams]) -> np.ndarray:
-    """The (k, 4, 4) Gram matrices of (|E00>, |E01>, |E11>, |E10>), unit
-    diagonal, of a stack of attacks."""
-    return _gram_stack(attack_rows(attacks)[1])
-
-
-def gram_matrix(params: AttackParams) -> ComplexMatrix:
-    """Gram matrix of one attack: gram_matrices for k = 1."""
-    return gram_matrices([params])[0]
 
 
 def attack_rows(attacks: list[AttackParams]) -> tuple[np.ndarray, np.ndarray]:
@@ -139,8 +129,9 @@ class JointStateBundle:
     rho_be: DensityMatrix
 
 
-def _key_blocks(attacks: list[AttackParams]) -> tuple[np.ndarray, np.ndarray]:
-    """The (k, 8, 8) key-0 and key-1 diagonal blocks of each attack's rho_abe.
+def _key_blocks(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (k, 8, 8) key-0 and key-1 diagonal blocks of each attack's rho_abe,
+    from its (k, 2, 8) branch_stack.
 
     The forward channel turns the maximally mixed qubit into the key-0
     branch be0, an equal mixture of the two attacked branch vectors. The
@@ -148,7 +139,6 @@ def _key_blocks(attacks: list[AttackParams]) -> tuple[np.ndarray, np.ndarray]:
     into qubit blocks [[A, B], [C, D]] of 4x4 ancilla blocks, that is
     [[D, -C], [-B, A]], filled in by slicing. Each block is half its branch.
     """
-    phi = branch_stack(*attack_rows(attacks))
     be0 = 0.5 * (outer(phi[:, 0]) + outer(phi[:, 1]))
     key0 = 0.5 * be0
     key1 = np.empty_like(key0)
@@ -181,7 +171,7 @@ def joint_states(attacks: list[AttackParams]) -> list[JointStateBundle]:
         One JointStateBundle per attack, in order, with both states as
         validated density matrices.
     """
-    key0, key1 = _key_blocks(attacks)
+    key0, key1 = _key_blocks(branch_stack(*attack_rows(attacks)))
     abe = np.zeros((len(attacks), 16, 16), dtype=complex)
     abe[:, :8, :8], abe[:, 8:, 8:] = key0, key1
     rho_abe = density_matrices(abe, (2, 2, 4))
@@ -189,14 +179,23 @@ def joint_states(attacks: list[AttackParams]) -> list[JointStateBundle]:
     return [JointStateBundle(rho_abe=a, rho_be=b) for a, b in zip(rho_abe, rho_be)]
 
 
-def be_states(attacks: list[AttackParams]) -> list[DensityMatrix]:
-    """The qubit-ancilla state rho_be of each attack, without rho_abe.
+def be_stack(attacks: list[AttackParams]) -> tuple[np.ndarray, list[DensityMatrix]]:
+    """The realized branches and the qubit-ancilla state rho_be of each
+    attack, without rho_abe.
 
-    The sum of the two key blocks, validated with one stacked eigensolver
-    call: entry i equals joint_states(attacks)[i].rho_be, bit for bit.
+    The ancillas are realized once for the whole stack: the (k, 2, 8)
+    branch_stack comes back as it is, and rho_be, the sum of its two key
+    blocks, validated with one stacked eigensolver call. Entry i equals
+    joint_states(attacks)[i].rho_be, bit for bit.
     """
-    key0, key1 = _key_blocks(attacks)
-    return density_matrices(key0 + key1, (2, 4))
+    phi = branch_stack(*attack_rows(attacks))
+    key0, key1 = _key_blocks(phi)
+    return phi, density_matrices(key0 + key1, (2, 4))
+
+
+def be_states(attacks: list[AttackParams]) -> list[DensityMatrix]:
+    """The qubit-ancilla state rho_be of each attack: be_stack's states."""
+    return be_stack(attacks)[1]
 
 
 def build_rho_abe(params: AttackParams) -> JointStateBundle:
@@ -212,11 +211,14 @@ def backward_indistinguishability() -> float:
     identity attack's rho_abe, each renormalized, are equal, so their trace
     distance is 0 and a backward-only eavesdropper learns nothing.
 
+    The blocks come from _key_blocks alone: the identity attack's 16x16
+    state is never assembled or validated.
+
     Returns:
         Trace distance between the key-0 and key-1 qubit-ancilla states.
     """
-    abe = build_rho_abe(named_attack("identity")).rho_abe.matrix
-    return trace_distance(2 * abe[:8, :8], 2 * abe[8:, 8:])
+    key0, key1 = _key_blocks(branch_stack(*attack_rows([named_attack("identity")])))
+    return trace_distance(2 * key0[0], 2 * key1[0])
 
 
 def s_be_numeric(params: AttackParams) -> float:

@@ -4,8 +4,10 @@ Each of the n rounds sends a uniformly chosen state from {0, 1, +, -}
 through the forward attack. The receiver either check-measures it in a
 uniformly chosen basis (keeping only consistent-basis results for the
 fidelity estimates) or encodes a uniform key bit, I for 0 and the flip Y
-for 1. The encoded qubit returns through a classical bit-flip channel of
-strength backward_noise and is measured in the preparation basis, which
+for 1. The encoded qubit returns through a Pauli-Y flip channel, which
+applies Y with probability backward_noise and so maps each of the four
+states to its complement in either basis (a Pauli-X flip would leave the
+X-basis states alone), and is measured in the preparation basis, which
 decodes the key bit deterministically on a clean channel. A random subset
 of the decoded bits is announced to estimate the error rate; the rest form
 the raw key. Estimates feed the asymptotic rate formulas; the abort rule

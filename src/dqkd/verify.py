@@ -1,8 +1,8 @@
 """Bulk numerical certification of the analytic security identities.
 
 Each check replays one proven identity on freshly sampled valid attacks
-(``sample_valid``) and records the worst deviation: the joint-state
-entropy is exactly 2 bits, the closed-form spectrum matches brute-force
+(``sample_valid``) and records the worst deviation: the realized branch
+vectors are orthonormal, the closed-form spectrum matches brute-force
 diagonalization, the diagonal-basis fidelities f+ and f-, by the Gram
 route, match forward_fidelities, the spectrum does not move when the
 cancelling overlap directions (u and v together, and the real parts of s
@@ -13,15 +13,18 @@ identity attack's two key blocks are equal).
 The sampled checks run in one pass over one draw: ``trials`` attacks,
 each seeded by its own child seed, with three neighbours each, one per
 cancelling move (``_neighbors``), every one an AttackParams validated by
-its constructor. The seeds go in chunks of ``_SEED_CHUNK``, so memory
-stays flat in ``trials``. A chunk builds each state only where a check
-reads it: the draws' joint states come from one ``keyrate.joint_states``
-call, and the neighbours' rho_be alone from one ``keyrate.be_states``
-call, each with one eigensolver call per matrix size, and the draws'
-Gram matrices from one ``keyrate.gram_matrices`` call; each sampled
-check, one row of ``CHECKS``, reads its deviations from them. A draw's
-deviations depend on its seed alone, so each check's witness, the seed
-of the first draw that reaches its worst deviation, replays it by itself.
+its constructor. A draw and its neighbours share one generator: the u-v
+move's phase is the next number after the draw's accepted try. The
+sampler's norms and inner products are Python float operations in a fixed
+order, so the draws do not depend on the BLAS kernel. The seeds go in
+chunks of ``_SEED_CHUNK``, so memory stays flat in ``trials``. A chunk
+makes one ``keyrate.be_stack`` call on its draws and neighbours, which
+realizes their ancillas once and returns their branch vectors and
+validated rho_be, with one eigensolver call per matrix size and no 16x16
+state; each sampled check, one row of ``CHECKS``, reads its deviations
+from them or from the attacks' own fields. A draw's deviations depend on
+its seed alone, so each check's witness, the seed of the first draw that
+reaches its worst deviation, replays it by itself.
 """
 
 from __future__ import annotations
@@ -32,11 +35,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .attack import OVERLAP_ATOL, AttackParams, AttackValidationError, forward_fidelities
-from .keyrate import backward_indistinguishability, be_states, gram_matrices, joint_states
-from .qstate import Ket, von_neumann_entropy
+from .keyrate import backward_indistinguishability, be_stack
 from .rates import be_spectrum_closed_form, bound_certificate
 
-# seeds per chunk of _deviations; each chunk's joint states are one stack
+# seeds per chunk of _deviations; each chunk's attacks are one stack
 _SEED_CHUNK = 64
 # rejection bound of sample_valid
 DRAW_BUDGET = 10**6
@@ -46,14 +48,64 @@ class SamplingBudgetError(RuntimeError):
     """Rejection sampling failed to produce a valid parameter set."""
 
 
-def _norm(v: Ket) -> float:
-    """The norm of a complex ket by np.linalg.norm's own arithmetic."""
-    return math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
+def _dot(a: list[float], b: list[float]) -> float:
+    """Re <a|b> of two kets held as their four real parts, then their four
+    imaginary parts: eight products summed left to right."""
+    a0, a1, a2, a3, a4, a5, a6, a7 = a
+    b0, b1, b2, b3, b4, b5, b6, b7 = b
+    return a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3 + a4 * b4 + a5 * b5 + a6 * b6 + a7 * b7
 
 
-def _unit_vector(re: np.ndarray, im: np.ndarray) -> Ket:
-    v = re + 1j * im
-    return v / _norm(v)
+def _vdot(a: list[float], b: list[float]) -> complex:
+    """<a|b> of two kets held as _dot's, in a fixed order of float operations."""
+    a0, a1, a2, a3, a4, a5, a6, a7 = a
+    b0, b1, b2, b3, b4, b5, b6, b7 = b
+    im = a0 * b4 + a1 * b5 + a2 * b6 + a3 * b7 - a4 * b0 - a5 * b1 - a6 * b2 - a7 * b3
+    return complex(_dot(a, b), im)
+
+
+def _unit(a: list[float]) -> list[float]:
+    norm = math.sqrt(_dot(a, a))
+    return [x / norm for x in a]
+
+
+def _times(c: complex, a: list[float]) -> list[float]:
+    """c |a>, for a ket held as _dot's."""
+    cr, ci = c.real, c.imag
+    pairs = list(zip(a[:4], a[4:]))
+    return [cr * x - ci * y for x, y in pairs] + [cr * y + ci * x for x, y in pairs]
+
+
+def _draw(seed: int, symmetric: bool) -> tuple[AttackParams, np.random.Generator]:
+    """sample_valid's draw, and its generator after the accepted try."""
+    rng = np.random.default_rng(seed)
+    for _ in range(DRAW_BUDGET):
+        # the real, then imaginary, parts of e00, e01 and e11 in turn
+        z = rng.standard_normal(24).tolist()
+        e00, e01, e11 = _unit(z[:8]), _unit(z[8:16]), _unit(z[16:])
+        c00 = rng.random()
+        c11 = c00 if symmetric else rng.random()
+        c01 = math.sqrt(1.0 - c00 * c00)
+        c10 = math.sqrt(1.0 - c11 * c11)
+        if c00 * c10 < 1e-6:
+            continue
+        v = _vdot(e01, e11)
+        ratio = -(c01 * c11 / (c00 * c10))
+        u = complex(ratio * v.real, ratio * v.imag)
+        modulus = math.sqrt(u.real * u.real + u.imag * u.imag)
+        if modulus > 1.0 - 1e-9:
+            continue
+        w = _unit(rng.standard_normal(8).tolist())
+        w = [x - y for x, y in zip(w, _times(_vdot(e00, w), e00))]
+        norm = math.sqrt(_dot(w, w))
+        if norm < 1e-6:
+            continue
+        t = math.sqrt(1.0 - modulus * modulus)
+        e10 = [x + t * (y / norm) for x, y in zip(_times(u, e00), w)]
+        s, p = _vdot(e00, e01), _vdot(e00, e11)
+        r, q = _vdot(e11, e10), _vdot(e01, e10)
+        return AttackParams(c00, c01, c11, c10, s, u, p, r, v, q), rng
+    raise SamplingBudgetError(f"no valid draw within {DRAW_BUDGET} iterations")
 
 
 def sample_valid(seed: int, symmetric: bool = False) -> AttackParams:
@@ -62,7 +114,10 @@ def sample_valid(seed: int, symmetric: bool = False) -> AttackParams:
     Three ancilla kets and the amplitudes are drawn freely; <E00|E10> is
     solved from the orthogonality constraint and the fourth ket built to
     realize it, so the Gram matrix is PSD by construction. Draws that leave
-    the unit disc are rejected.
+    the unit disc are rejected. Every norm and inner product is a fixed
+    sequence of Python float operations on real and imaginary parts, so a
+    draw's bits depend on its seed and the generator's streams alone, not
+    on the BLAS kernel.
 
     Args:
         seed: seed for the deterministic generator, required: the draw
@@ -72,32 +127,7 @@ def sample_valid(seed: int, symmetric: bool = False) -> AttackParams:
     Raises:
         SamplingBudgetError: no valid draw within DRAW_BUDGET tries.
     """
-    rng = np.random.default_rng(seed)
-    for _ in range(DRAW_BUDGET):
-        # the real, then imaginary, parts of e00, e01 and e11 in turn
-        z = rng.standard_normal(24)
-        e00, e01, e11 = (_unit_vector(z[i : i + 4], z[i + 4 : i + 8]) for i in (0, 8, 16))
-        c00 = rng.random()
-        c11 = c00 if symmetric else rng.random()
-        c01 = math.sqrt(1.0 - c00**2)
-        c10 = math.sqrt(1.0 - c11**2)
-        if c00 * c10 < 1e-6:
-            continue
-        v = complex(np.vdot(e01, e11))
-        u = -(c01 * c11 / (c00 * c10)) * v
-        if abs(u) > 1.0 - 1e-9:
-            continue
-        z = rng.standard_normal(8)
-        w = _unit_vector(z[:4], z[4:])
-        w = w - np.vdot(e00, w) * e00
-        norm = _norm(w)
-        if norm < 1e-6:
-            continue
-        e10 = u * e00 + math.sqrt(1.0 - abs(u) ** 2) * (w / norm)
-        s, p = complex(np.vdot(e00, e01)), complex(np.vdot(e00, e11))
-        r, q = complex(np.vdot(e11, e10)), complex(np.vdot(e01, e10))
-        return AttackParams(c00, c01, c11, c10, s, u, p, r, v, q)
-    raise SamplingBudgetError(f"no valid draw within {DRAW_BUDGET} iterations")
+    return _draw(seed, symmetric)[0]
 
 
 @dataclass(frozen=True)
@@ -142,7 +172,7 @@ def _child_seeds(seed: int, count: int) -> list[int]:
     return [int(s) for s in rng.integers(0, 2**63, size=count)]
 
 
-def _neighbors(attack: AttackParams, seed: int) -> list[AttackParams]:
+def _neighbors(attack: AttackParams, rng: np.random.Generator) -> list[AttackParams]:
     """Three valid neighbours of an attack along spectrum-cancelling directions.
 
     Each move (u and v together, then Re s, then Re r) starts at a step of
@@ -150,7 +180,8 @@ def _neighbors(attack: AttackParams, seed: int) -> list[AttackParams]:
     rejects, trying at most 14 steps, and keeps its first valid one. A move
     with no valid step contributes the attack itself, and so does the u-v
     move when c01 c11 vanishes; either way its spectrum moves by exactly 0.
-    The phase of the u-v move is drawn from default_rng([seed, 1]).
+    The phase of the u-v move is the next number of rng, the generator
+    _draw returns with the attack.
     """
     fields = vars(attack)
 
@@ -164,7 +195,8 @@ def _neighbors(attack: AttackParams, seed: int) -> list[AttackParams]:
 
     near = [attack]  # the u-v move's stand-in when c01 c11 vanishes
     if attack.c01 * attack.c11 > 1e-9:
-        phase = complex(np.exp(2j * np.pi * np.random.default_rng([seed, 1]).random()))
+        angle = 2.0 * math.pi * rng.random()
+        phase = complex(math.cos(angle), math.sin(angle))
         ratio = -(attack.c00 * attack.c10) / (attack.c01 * attack.c11)
 
         def uv(d: float) -> dict[str, complex]:
@@ -175,13 +207,15 @@ def _neighbors(attack: AttackParams, seed: int) -> list[AttackParams]:
     return near + [step(lambda d: {"s": attack.s + d}), step(lambda d: {"r": attack.r + d})]
 
 
-def _gram_fidelities(a: AttackParams, gram: np.ndarray) -> tuple[float, float]:
+def _gram_fidelities(a: AttackParams) -> tuple[float, float]:
     """f+ and f- by the Gram route, a reference independent of
-    forward_fidelities: w^+ G w / 4, G the attack's Gram matrix, for the
-    (+,+,+,+) and (+,-,+,-) signed amplitudes w, each an fsum of the
-    sixteen real products w_i Re G_ij w_j, so its bits depend on no
-    summation order or memory layout."""
-    g = gram.real.tolist()
+    forward_fidelities: w^+ G w / 4, G the Gram matrix of (|E00>, |E01>,
+    |E11>, |E10>), for the (+,+,+,+) and (+,-,+,-) signed amplitudes w,
+    each an fsum of the sixteen real products w_i Re G_ij w_j, so its bits
+    depend on no summation order or memory layout. Re G is read off the
+    attack's own overlaps, laid out as keyrate's _GRAM_TABLE."""
+    s, u, p, r, v, q = a.s.real, a.u.real, a.p.real, a.r.real, a.v.real, a.q.real
+    g = ((1.0, s, p, u), (s, 1.0, v, q), (p, v, 1.0, r), (u, q, r, 1.0))
     plus, minus = (a.c00, a.c01, a.c11, a.c10), (a.c00, -a.c01, a.c11, -a.c10)
     return tuple(
         math.fsum(w[i] * g[i][j] * w[j] for i in range(4) for j in range(4)) / 4.0
@@ -190,35 +224,40 @@ def _gram_fidelities(a: AttackParams, gram: np.ndarray) -> tuple[float, float]:
 
 
 class _Stack:
-    """One chunk: k draws, then three neighbours to each; the draws' joint
-    states, and the rho_be spectra of every attack."""
+    """One chunk: k draws, then three neighbours to each; the realized
+    branches and the rho_be spectra of every attack, from one be_stack."""
 
     def __init__(self, seeds: list[int]):
-        draws = [sample_valid(s, bool(s % 2)) for s in seeds]
-        self.attacks = draws + [n for a, s in zip(draws, seeds) for n in _neighbors(a, s)]
-        self.k, self.states = len(draws), joint_states(draws)
-        rho_be = [b.rho_be for b in self.states] + be_states(self.attacks[self.k :])
-        self.spectra = np.array([rho.spectrum() for rho in rho_be])
+        drawn = [_draw(s, bool(s % 2)) for s in seeds]
+        draws = [a for a, _ in drawn]
+        self.attacks = draws + [n for a, rng in drawn for n in _neighbors(a, rng)]
+        self.k = len(draws)
+        self.branches, states = be_stack(self.attacks)
+        self.spectra = np.array([rho.spectrum() for rho in states])
 
     def read(self) -> list[np.ndarray]:
         """Every row of CHECKS, in order, read on this stack."""
         return [deviation(self) for _, _, deviation in CHECKS]
 
-    def joint_entropy(self) -> np.ndarray:
-        """The joint-state entropy is exactly two bits, symmetric or not."""
-        return np.array([abs(von_neumann_entropy(b.rho_abe) - 2.0) for b in self.states])
+    def _worst_row(self, rows: np.ndarray) -> np.ndarray:
+        """Each draw's worst of its four rows: its own and its neighbours'."""
+        k = self.k
+        return np.maximum(rows[:k], rows[k:].reshape(k, 3).max(axis=1))
+
+    def orthonormality(self) -> np.ndarray:
+        """The realized branches are orthonormal: max |<phi_i|phi_j> - delta_ij|."""
+        phi = self.branches
+        gram = (phi.conj()[:, :, None, :] * phi[:, None, :, :]).sum(axis=3)
+        return self._worst_row(np.max(np.abs(gram - np.eye(2)), axis=(1, 2)))
 
     def closed_form(self) -> np.ndarray:
         """The closed form, four zeros appended, against brute force: a draw's worst row."""
         closed = [be_spectrum_closed_form(a).spectrum() + (0.0,) * 4 for a in self.attacks]
-        rows, k = np.max(np.abs(np.sort(closed)[:, ::-1] - self.spectra), axis=1), self.k
-        return np.maximum(rows[:k], rows[k:].reshape(k, 3).max(axis=1))
+        return self._worst_row(np.max(np.abs(np.sort(closed)[:, ::-1] - self.spectra), axis=1))
 
     def diagonal(self) -> np.ndarray:
         """f+ and f- by the Gram route, each against forward_fidelities."""
-        draws = self.attacks[: self.k]
-        grams = gram_matrices(draws)
-        pairs = [(forward_fidelities(a), _gram_fidelities(a, g)) for a, g in zip(draws, grams)]
+        pairs = [(forward_fidelities(a), _gram_fidelities(a)) for a in self.attacks[: self.k]]
         return np.max(np.abs([(p - f.fplus, m - f.fminus) for f, (p, m) in pairs]), axis=1)
 
     def insensitivity(self) -> np.ndarray:
@@ -240,9 +279,17 @@ class _Stack:
         return np.max(misses, axis=1)
 
 
-# every sampled check: its name, its tolerance, and the _Stack method reading it per draw
+# every sampled check: its name, its tolerance, and the _Stack method reading it per draw.
+# The branch row's: realize_ancillas lifts Gram eigenvalues of at least PSD_SLACK to 0
+# and renormalizes each ket, which moves every realized overlap by at most
+# 2 |PSD_SLACK| from the validated one. A branch norm is c00^2 + c01^2 (or c10^2 +
+# c11^2), within AMPLITUDE_ATOL of 1; <phi0|phi1> is c00 c10 u + c01 c11 v at the
+# realized u and v, within UNITARITY_ATOL + 2 |PSD_SLACK| of 0, as c00 c10 + c01 c11
+# <= 1 + AMPLITUDE_ATOL. So AMPLITUDE_ATOL + UNITARITY_ATOL + 2 |PSD_SLACK| = 2.02e-10
+# bounds both, with AMPLITUDE_ATOL to spare on the off-diagonal for second-order terms
+# and rounding; the row takes it rounded up to the one digit dqkd verify prints
 CHECKS = (
-    ("joint-entropy-two-bits", 1e-9, _Stack.joint_entropy),
+    ("branch-orthonormality", 3e-10, _Stack.orthonormality),
     ("closed-form-spectrum", 1e-10, _Stack.closed_form),
     ("diagonal-fidelity-identity", 1e-10, _Stack.diagonal),
     ("overlap-insensitivity", 1e-10, _Stack.insensitivity),

@@ -25,9 +25,10 @@ paths. So the search keeps eigvalsh, the criterion its pinned results were
 found with, and its maximizer can lie a rounding error past the library's
 slack.
 
-The one-attack branch vectors (branch_vectors) and the encoding flip
-(Y_GATE) that the tests read live here too, since the library needs
-neither.
+The one-attack branch vectors (branch_vectors), the stacked Gram
+matrices the library's realization factorizes (gram_matrices, and
+gram_matrix for one attack) and the encoding flip (Y_GATE) that the tests
+read live here too, since the library needs none of them.
 
 The library's binary entropy is double-precision logarithms; the oracle
 here evaluates it in 50-digit decimal arithmetic.
@@ -61,7 +62,7 @@ from dqkd.optimizer import (
     OptResult,
     entropy_objective,
 )
-from dqkd.keyrate import attack_rows, branch_stack, realize_ancilla
+from dqkd.keyrate import _gram_stack, attack_rows, branch_stack, realize_ancilla
 from dqkd.protosim import (
     BASIS_OF,
     COMPLEMENT,
@@ -171,6 +172,17 @@ def gram_literal(s, u, p, r, v, q) -> np.ndarray:
         [[1.0, s, p, u], [c(s), 1.0, v, q], [c(p), c(v), 1.0, r], [c(u), c(q), c(r), 1.0]],
         dtype=complex,
     )
+
+
+def gram_matrices(attacks) -> np.ndarray:
+    """The (k, 4, 4) Gram matrices of (|E00>, |E01>, |E11>, |E10>), unit
+    diagonal, of a stack of attacks, as realize_ancillas factorizes them."""
+    return _gram_stack(attack_rows(attacks)[1])
+
+
+def gram_matrix(params) -> ComplexMatrix:
+    """Gram matrix of one attack: gram_matrices for k = 1."""
+    return gram_matrices([params])[0]
 
 
 def eigvalsh_gram_verdict(overlaps) -> np.ndarray:

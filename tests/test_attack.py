@@ -19,13 +19,14 @@ from dqkd.attack import (
     validate,
 )
 from dqkd import verify
-from dqkd.keyrate import _gram_stack, attack_rows, gram_matrix, realize_ancilla
+from dqkd.keyrate import _gram_stack, attack_rows, realize_ancilla
 from dqkd.rates import PSD_SLACK
 from dqkd.verify import SamplingBudgetError, sample_valid
 from oracles import (
     branch_vectors,
     build_unitary,
     eigvalsh_gram_verdict,
+    gram_matrix,
     kron_branch_vectors,
     probe_outcome_probability,
 )

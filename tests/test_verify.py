@@ -2,6 +2,7 @@ import hashlib
 import inspect
 import math
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -9,11 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dqkd import attack, verify
-from dqkd.attack import named_attack
+from dqkd import attack, keyrate, verify
+from dqkd.attack import AMPLITUDE_ATOL, UNITARITY_ATOL, named_attack
 from dqkd.cli import main
-from dqkd.keyrate import be_states, joint_states
-from dqkd.rates import be_spectrum_closed_form
+from dqkd.keyrate import be_stack, joint_states
+from dqkd.rates import PSD_SLACK, be_spectrum_closed_form
 from dqkd.verify import VerificationCheck, VerificationReport, run_verification
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -23,7 +24,7 @@ def test_all_checks_pass():
     report = run_verification(trials=30, seed=0)
     assert report.ok
     assert [c.name for c in report.checks] == [
-        "joint-entropy-two-bits",
+        "branch-orthonormality",
         "closed-form-spectrum",
         "diagonal-fidelity-identity",
         "overlap-insensitivity",
@@ -54,25 +55,25 @@ def test_verification_is_deterministic():
 @pytest.mark.parametrize(
     "trials, seed, deviations",
     [
-        (16, 0, ("0x1.0000000000000p-51", "0x1.0000000000000p-51", "0x1.0000000000000p-53",
+        (16, 0, ("0x1.61a36340b5b51p-51", "0x1.a000000000000p-52", "0x1.0000000000000p-53",
                  "0x1.2000000000000p-51", "0x1.0000000000000p-51", "0x0.0p+0")),
-        (30, 7, ("0x1.0000000000000p-52", "0x1.c000000000000p-52", "0x1.0000000000000p-53",
-                 "0x1.8000000000000p-51", "0x1.0000000000000p-51", "0x0.0p+0")),
-        (200, 0, ("0x1.0000000000000p-51", "0x1.2000000000000p-51", "0x1.0000000000000p-52",
-                  "0x1.a000000000000p-51", "0x1.0000000000000p-51", "0x0.0p+0")),
+        (30, 7, ("0x1.4b9fa7ff2eb3ep-51", "0x1.c000000000000p-52", "0x1.0000000000000p-53",
+                 "0x1.2000000000000p-51", "0x1.0000000000000p-51", "0x0.0p+0")),
+        (200, 0, ("0x1.05327e8c6b33dp-50", "0x1.4000000000000p-51", "0x1.0000000000000p-53",
+                  "0x1.8000000000000p-51", "0x1.0000000000000p-51", "0x0.0p+0")),
     ],
 )
 def test_pinned_deviations(trials, seed, deviations):
     # every check's worst deviation, to the last bit, in report order
     report = run_verification(trials=trials, seed=seed)
     assert tuple(c.max_deviation.hex() for c in report.checks) == deviations
-    # the joint-entropy check draws the attacks it has always drawn
-    joint_entropy_witness = {
-        (16, 0): 8490676843039873848,
-        (30, 7): 7491102830980345719,
-        (200, 0): 8490676843039873848,
+    # the branch check draws the attacks it has always drawn
+    branch_witness = {
+        (16, 0): 2337441392700648194,
+        (30, 7): 6977625692365915009,
+        (200, 0): 8423861911992909908,
     }
-    assert report.checks[0].witness_seed == joint_entropy_witness[trials, seed]
+    assert report.checks[0].witness_seed == branch_witness[trials, seed]
 
 
 def _draws(trials: int, seed: int) -> list[int]:
@@ -134,19 +135,28 @@ def test_each_check_is_named_once():
     assert {name: source.count(name) for name in names} == dict.fromkeys(names, 1)
 
 
+def test_branch_tolerance_covers_the_validation_slacks():
+    # the branch row's tolerance is its derived first-order bound, rounded
+    # up to the one digit `dqkd verify` prints
+    bound = AMPLITUDE_ATOL + UNITARITY_ATOL + 2.0 * abs(PSD_SLACK)
+    (tolerance,) = [tol for name, tol, _ in verify.CHECKS if name == "branch-orthonormality"]
+    assert bound <= tolerance == float(f"{tolerance:.0e}") < bound + 1e-10
+
+
 def test_neighbours_share_their_draws_closed_form():
     # the moves change only u, v, Re s and Re r, which the closed form never
     # reads, so the closed form on a neighbour's row is its draw's, bit for
     # bit, and each of its rows checks the brute-force spectrum against it
     for seed in _draws(64, 0):
-        draw = verify.sample_valid(seed, bool(seed % 2))
+        draw, rng = verify._draw(seed, bool(seed % 2))
         closed = be_spectrum_closed_form(draw)
-        for near in verify._neighbors(draw, seed):
+        for near in verify._neighbors(draw, rng):
             assert be_spectrum_closed_form(near) == closed
 
 
-# each mutant: the function of dqkd.attack it edits, the source text it
-# replaces, the replacement, and the lines of run_verification(16, 0) it fails
+# each mutant: the function of dqkd.attack or dqkd.keyrate it edits, the
+# source text it replaces, the replacement, and the lines of
+# run_verification(16, 0) it fails
 MUTANTS = [
     ("forward_fidelities", "c00 * c01 * params.s.real", "c00 * c01 * params.s.imag",
      {"diagonal-fidelity-identity"}),
@@ -156,18 +166,24 @@ MUTANTS = [
      {"diagonal-fidelity-identity", "general-attack-bound"}),
     # the last LDL pivot with its d3 term halved admits Grams that are not PSD
     ("gram_pivots", "- (rr * rr + ri * ri) / d3", "- 0.5 * (rr * rr + ri * ri) / d3",
-     {"closed-form-spectrum", "overlap-insensitivity"}),
+     {"branch-orthonormality", "closed-form-spectrum", "overlap-insensitivity"}),
+    # a first-order branch fault: 1e-7 times branch 0 added to branch 1, renormalized
+    ("branch_stack", "return scaled[:, [0, 1, 3, 2]].reshape(len(amps), 2, 8)",
+     "phi = scaled[:, [0, 1, 3, 2]].reshape(len(amps), 2, 8); phi[:, 1] += 1e-7 * phi[:, 0]; "
+     "phi[:, 1] /= np.linalg.norm(phi[:, 1], axis=1, keepdims=True); return phi",
+     {"branch-orthonormality", "closed-form-spectrum", "backward-indistinguishability"}),
 ]
 
 
 @pytest.mark.parametrize("function, old, new, failed", MUTANTS)
 def test_verify_catches_each_mutant(monkeypatch, function, old, new, failed):
-    source = inspect.getsource(getattr(attack, function))
+    home = next(module for module in (attack, keyrate) if hasattr(module, function))
+    source = inspect.getsource(getattr(home, function))
     assert source.count(old) == 1
-    namespace = dict(vars(attack))
-    exec(compile(source.replace(old, new), attack.__file__, "exec"), namespace)
+    namespace = dict(vars(home))
+    exec(compile(source.replace(old, new), home.__file__, "exec"), namespace)
     # patched in its module and wherever verify reads it by name
-    for module in (attack, verify):
+    for module in (home, verify):
         if hasattr(module, function):
             monkeypatch.setattr(module, function, namespace[function])
     report = run_verification(trials=16, seed=0)
@@ -198,19 +214,16 @@ def test_verify_command_rejects_a_negative_seed(capsys):
 
 @pytest.mark.parametrize("trials", [16, 40, 2 * verify._SEED_CHUNK + 8])
 def test_eigensolver_census(monkeypatch, trials):
-    # per chunk, one stack holds the joint states of the draws and one the
-    # rho_be of their neighbours: one call per size and stack diagonalizes
-    # them and realizes their ancillas, and only the draws' rho_abe are
-    # 16x16; the 4x4 Gram matrices are never diagonalized to validate, but
-    # checked by pivots, attack by attack, in AttackParams
-    calls, sizes16 = {}, []
+    # per chunk, one stack holds the draws and their neighbours: one eigh
+    # realizes their ancillas and one eigvalsh validates their rho_be, and
+    # no 16x16 state is diagonalized; the 4x4 Gram matrices are never
+    # diagonalized to validate, but checked by pivots, attack by attack, in
+    # AttackParams
+    calls = []
 
     def counted(name, solver):
         def wrapper(m, *args, **kwargs):
-            key = (name, m.shape[-1])
-            calls[key] = calls.get(key, 0) + 1
-            if key == ("eigvalsh", 16):
-                sizes16.append(len(m))
+            calls.append((name, m.shape[-1], m.shape[:-2]))
             return solver(m, *args, **kwargs)
 
         return wrapper
@@ -218,22 +231,18 @@ def test_eigensolver_census(monkeypatch, trials):
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     run_verification(trials=trials, seed=0)
-    chunks = -(-trials // verify._SEED_CHUNK)
-    # the backward check builds the identity attack's states once more and
-    # takes the trace distance of their two 8x8 key blocks
-    assert calls[("eigvalsh", 16)] == chunks + 1
-    assert calls[("eigvalsh", 8)] == 2 * chunks + 2
-    assert calls[("eigh", 4)] == 2 * chunks + 1
-    assert ("eigvalsh", 4) not in calls
-    # each chunk's 16x16 stack is exactly its draws; the last is the backward check's
+    # each chunk's stack is its draws and their three neighbours each; the
+    # backward check then realizes the identity attack once more and takes
+    # the trace distance of its two 8x8 key blocks
     chunk = verify._SEED_CHUNK
-    assert sizes16 == [min(chunk, trials - i) for i in range(0, trials, chunk)] + [1]
+    sizes = [(4 * min(chunk, trials - i),) for i in range(0, trials, chunk)]
+    per_chunk = [call for size in sizes for call in (("eigh", 4, size), ("eigvalsh", 8, size))]
+    assert calls == per_chunk + [("eigh", 4, (1,)), ("eigvalsh", 8, ())]
 
 
 def test_every_stacked_attack_is_validated(monkeypatch):
-    # every attack of every state stack, the draws' joint states and the
-    # neighbours' rho_be, is an object that validate accepted: three
-    # neighbours to each of 40 draws
+    # every attack of the one state stack, 40 draws and three neighbours to
+    # each, is an object that validate accepted
     accepted = {}
     validate = attack.validate
 
@@ -243,39 +252,34 @@ def test_every_stacked_attack_is_validated(monkeypatch):
         accepted[id(params)] = params
         return params
 
-    stacks = {"joint_states": [], "be_states": []}
+    stacks = []
 
-    def captured(build):
-        def wrapper(attacks):
-            stacks[build.__name__].append(list(attacks))
-            return build(attacks)
-
-        return wrapper
+    def captured(attacks):
+        stacks.append(list(attacks))
+        return be_stack(attacks)
 
     monkeypatch.setattr(attack, "validate", recorded)
-    monkeypatch.setattr(verify, "joint_states", captured(joint_states))
-    monkeypatch.setattr(verify, "be_states", captured(be_states))
+    monkeypatch.setattr(verify, "be_stack", captured)
     run_verification(trials=40, seed=3)
-    assert [len(stack) for stack in stacks["joint_states"]] == [40]
-    assert [len(stack) for stack in stacks["be_states"]] == [3 * 40]
-    for (stack,) in stacks.values():
-        assert [i for i, a in enumerate(stack) if accepted.get(id(a)) is not a] == []
+    assert [len(stack) for stack in stacks] == [4 * 40]
+    assert [i for i, a in enumerate(stacks[0]) if accepted.get(id(a)) is not a] == []
 
 
 def test_every_draw_has_three_neighbours():
     # a move with no valid step contributes the draw itself, and so does the
     # u-v move when c01 c11 vanishes; the stand-in's deviation is exactly 0
+    rng = np.random.default_rng(0)  # neither attack draws a phase from it
     identity = named_attack("identity")  # every Re s and Re r step leaves the disc
-    assert [n is identity for n in verify._neighbors(identity, 0)] == [True, True, True]
+    assert [n is identity for n in verify._neighbors(identity, rng)] == [True, True, True]
     measure_z = named_attack("measure_z")  # c01 = 0
-    near = verify._neighbors(measure_z, 0)
+    near = verify._neighbors(measure_z, rng)
     assert [n is measure_z for n in near] == [True, False, False]
     assert (near[1].s, near[2].r) == (0.05, 0.05)
     spectra = [b.rho_be.spectrum() for b in joint_states([measure_z] + near)]
     assert spectra[1].tobytes() == spectra[0].tobytes()
     for seed in _draws(64, 0):
-        draw = verify.sample_valid(seed, bool(seed % 2))
-        near = verify._neighbors(draw, seed)
+        draw, rng = verify._draw(seed, bool(seed % 2))
+        near = verify._neighbors(draw, rng)
         assert len(near) == 3 and all(n is not draw for n in near)
 
 
@@ -288,18 +292,68 @@ def _hexes(params) -> str:
 
 
 # seed 6 rejects its first three tries, each for |u| > 1, before it keeps one
-PINNED_SAMPLES_SHA256 = "652f3a9845da61e31f75676bcce97153205125d3e58888ef7daed78e06cc9c6f"
+PINNED_SAMPLES_SHA256 = "670f7366a567c7d53891b3d8d029befce3ba7a184009965c2d741878709cda25"
+
+
+def _draws_digest(seeds: list[int]) -> str:
+    """sha256 of the hexes of each seed's draw and its three neighbours."""
+    lines = []
+    for seed in seeds:
+        draw, rng = verify._draw(seed, bool(seed % 2))
+        assert draw == verify.sample_valid(seed, bool(seed % 2))
+        lines += [_hexes(a) for a in [draw] + verify._neighbors(draw, rng)]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 def test_pinned_draws_and_neighbours():
     # every draw and neighbour, to the last bit: the first 256 child seeds
     # of seed 0, then a seed whose first try is rejected
-    lines = []
-    for seed in verify._child_seeds(0, 256) + [6]:
-        draw = verify.sample_valid(seed, bool(seed % 2))
-        lines += [_hexes(a) for a in [draw] + verify._neighbors(draw, seed)]
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == PINNED_SAMPLES_SHA256
+    assert _draws_digest(verify._child_seeds(0, 256) + [6]) == PINNED_SAMPLES_SHA256
+
+
+def _openblas_kernels() -> list[str | None]:
+    """The OpenBLAS kernels this host can run: its default (None), the
+    Prescott baseline, and Haswell where the CPU has AVX2."""
+    cpuinfo = Path("/proc/cpuinfo")
+    avx2 = cpuinfo.is_file() and " avx2" in cpuinfo.read_text(encoding="utf-8")
+    return [None, "Prescott"] + (["Haswell"] if avx2 else [])
+
+
+def _numpy_blas() -> str:
+    return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"].lower()
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"), reason="x86-64 kernels")
+@pytest.mark.skipif("openblas" not in _numpy_blas(), reason="numpy's BLAS is not OpenBLAS")
+def test_draws_do_not_depend_on_the_blas_kernel():
+    # the draws, their neighbours and the two numpy-free rows read the same
+    # bits under every kernel OpenBLAS can select; the variable that forces
+    # one is set in the children's environment alone
+    script = (
+        "import hashlib\n"
+        "from dqkd import verify\n"
+        "from test_verify import _draws_digest\n"
+        "seeds = verify._child_seeds(0, 256)\n"
+        "devs = verify._deviations(seeds)\n"
+        "rows = ('diagonal-fidelity-identity', 'general-attack-bound')\n"
+        "print(_draws_digest(seeds + [6]),\n"
+        "      *(hashlib.sha256(devs[name].tobytes()).hexdigest() for name in rows))\n"
+    )
+    env = {key: val for key, val in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])
+    outputs = {}
+    for kernel in _openblas_kernels():
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env if kernel is None else {**env, "OPENBLAS_CORETYPE": kernel},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs[kernel] = done.stdout.split()
+    assert len({tuple(out) for out in outputs.values()}) == 1, outputs
+    assert outputs[None][0] == PINNED_SAMPLES_SHA256
 
 
 def test_chunks_concatenate_to_one_stack(monkeypatch):
