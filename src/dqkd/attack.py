@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from .rates import DOMAIN_ATOL, NAMED_ATTACKS, PSD_SLACK
 
@@ -69,12 +69,26 @@ class GramNotPositiveError(AttackValidationError):
     """The 4x4 Gram matrix of the ancilla kets is not positive semidefinite."""
 
 
-@dataclass(frozen=True)
-class AttackParams:
+class _AttackFields(NamedTuple):
+    c00: float
+    c01: float
+    c11: float
+    c10: float
+    s: complex
+    u: complex
+    p: complex
+    r: complex
+    v: complex
+    q: complex
+
+
+class AttackParams(_AttackFields):
     """Amplitudes and ancilla overlaps of a collective forward attack.
 
     Construction runs validate, so every instance is a physical attack; an
     invalid or NaN parameter raises its AttackValidationError subclass.
+    _replace, _make, copy and unpickling construct through it too, and
+    iterating yields the fields in the order below.
 
     Attributes:
         c00: amplitude of the undisturbed branch for an incoming |0>.
@@ -89,19 +103,17 @@ class AttackParams:
         q: overlap <E01|E10> between the two flipped records.
     """
 
-    c00: float
-    c01: float
-    c11: float
-    c10: float
-    s: complex = 0j
-    u: complex = 0j
-    p: complex = 0j
-    r: complex = 0j
-    v: complex = 0j
-    q: complex = 0j
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        validate(self)
+    def __new__(cls, c00, c01, c11, c10, s=0j, u=0j, p=0j, r=0j, v=0j, q=0j):
+        return validate(tuple.__new__(cls, (c00, c01, c11, c10, s, u, p, r, v, q)))
+
+    @classmethod
+    def _make(cls, iterable) -> "AttackParams":
+        return cls(*iterable)
+
+    def __reduce__(self):
+        return type(self), tuple(self)
 
     @property
     def overlaps(self) -> dict[str, complex]:
@@ -207,19 +219,16 @@ def validate(params: AttackParams) -> AttackParams:
             (gram_pivots), so G is not PSD within the slack.
         UnitarityConstraintError: branch vectors not orthogonal.
     """
-    amps = (params.c00, params.c01, params.c11, params.c10)
+    c00, c01, c11, c10, s, u, p, r, v, q = params
+    amps = (c00, c01, c11, c10)
     for a in amps:
         if not -AMPLITUDE_ATOL <= a <= 1.0 + AMPLITUDE_ATOL:
             raise AmplitudeNormalizationError(f"amplitudes {amps} outside [0, 1]")
-    if not abs(params.c00**2 + params.c01**2 - 1.0) <= AMPLITUDE_ATOL:
-        raise AmplitudeNormalizationError(
-            f"c00^2 + c01^2 = {params.c00**2 + params.c01**2} is not 1"
-        )
-    if not abs(params.c11**2 + params.c10**2 - 1.0) <= AMPLITUDE_ATOL:
-        raise AmplitudeNormalizationError(
-            f"c11^2 + c10^2 = {params.c11**2 + params.c10**2} is not 1"
-        )
-    overlaps = (params.s, params.u, params.p, params.r, params.v, params.q)
+    if not abs(c00**2 + c01**2 - 1.0) <= AMPLITUDE_ATOL:
+        raise AmplitudeNormalizationError(f"c00^2 + c01^2 = {c00**2 + c01**2} is not 1")
+    if not abs(c11**2 + c10**2 - 1.0) <= AMPLITUDE_ATOL:
+        raise AmplitudeNormalizationError(f"c11^2 + c10^2 = {c11**2 + c10**2} is not 1")
+    overlaps = (s, u, p, r, v, q)
     for name, val in zip(OVERLAP_NAMES, overlaps):
         try:
             modulus = abs(val)
@@ -232,7 +241,7 @@ def validate(params: AttackParams) -> AttackParams:
             raise GramNotPositiveError(
                 f"Gram pivot {k} = {pivot} of G - ({PSD_SLACK:g}) I is not positive"
             )
-    residual = params.c00 * params.c10 * params.u + params.c01 * params.c11 * params.v
+    residual = c00 * c10 * u + c01 * c11 * v
     if not abs(residual) <= UNITARITY_ATOL:
         raise UnitarityConstraintError(
             f"|c00 c10 u + c01 c11 v| = {abs(residual)} exceeds {UNITARITY_ATOL:g}"
@@ -240,8 +249,7 @@ def validate(params: AttackParams) -> AttackParams:
     return params
 
 
-@dataclass(frozen=True)
-class ChannelFidelities:
+class ChannelFidelities(NamedTuple):
     """Forward-channel fidelities observable in check mode.
 
     f0/f1 are the probabilities that a computational-basis probe comes out
@@ -266,13 +274,13 @@ class ChannelFidelities:
     @property
     def xi(self) -> float:
         """The rate parameter fpm + f01 - 1; each fidelity must lie in [0, 1]."""
-        for name, val in vars(self).items():
+        for name, val in zip(self._fields, self):
             if not -DOMAIN_ATOL <= val <= 1.0 + DOMAIN_ATOL:
                 raise ValueError(f"{name}={val} outside [0, 1]")
         return self.fpm + self.f01 - 1.0
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def forward_fidelities(params: AttackParams) -> ChannelFidelities:

@@ -7,13 +7,13 @@ by explicit --seed flags. Each subcommand imports what it runs when it
 runs: keyrate, sweep (protosim.error_rate for backward noise) and optimize
 never load numpy; simulate loads it for its one draw, and verify for small
 (4x4 to 16x16) algebra, on one BLAS thread unless the environment asks.
+Only sweep loads csv, and only a command that reads or writes JSON loads
+json.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
 from typing import TYPE_CHECKING
@@ -49,6 +49,8 @@ def _print_report(report: KeyRateReport) -> None:
 
 def _write_json(doc: dict, out: str | None, noun: str) -> None:
     """doc as sorted, indented JSON: into the --out file if given, else to stdout."""
+    import json
+
     text = json.dumps(doc, sort_keys=True, indent=2)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -61,7 +63,7 @@ def _write_json(doc: dict, out: str | None, noun: str) -> None:
 def cmd_keyrate(args: argparse.Namespace) -> int:
     report = final_rate(args.xi, args.e)
     if args.json:
-        print(json.dumps(report.to_dict(), sort_keys=True, indent=2))
+        _write_json(report.to_dict(), None, "report")
     else:
         _print_report(report)
     return 0
@@ -97,6 +99,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         reports = [final_rate(args.xi, error_rate((1.0 + args.xi) / 2.0, v)) for v in grid]
     else:
         reports = [final_rate(1.0 - 2.0 * v if args.symmetric else args.xi, v) for v in grid]
+    import csv
+
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SWEEP_HEADER)
@@ -168,6 +172,8 @@ def _load_config(path: str | None, args: argparse.Namespace) -> ProtocolConfig:
 
     doc: dict = {}
     if path is not None:
+        import json
+
         with open(path, encoding="utf-8") as fh:
             try:
                 doc = json.load(fh)
@@ -244,7 +250,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         verdict = "PASS" if check.passed else "FAIL"
         print(
             f"[{verdict}] {check.name}: max deviation {check.max_deviation:.3e} "
-            f"(tolerance {check.tolerance:.0e}) over {check.trials} trials"
+            f"(tolerance {check.tolerance}) over {check.trials} trials"
         )
     if report.ok:
         print("all checks passed")

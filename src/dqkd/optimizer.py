@@ -15,7 +15,7 @@ simplex is the tests' independent oracle (tests/oracles.py).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from .attack import AttackParams, forward_fidelities
 from .rates import be_spectrum_closed_form, s_be_max
@@ -29,22 +29,36 @@ class InfeasibleConstraintError(ValueError):
     """No attack parameters satisfy the fidelity constraint."""
 
 
-@dataclass(frozen=True)
-class FidelityConstraint:
+class _ConstraintFields(NamedTuple):
+    c0sq: float
+    cppsq: float
+
+
+class FidelityConstraint(_ConstraintFields):
     """Observed fidelities an attack must reproduce.
+
+    A fidelity outside [0, 1], NaN included, raises ValueError, also
+    through _replace, _make, copy and unpickling.
 
     Attributes:
         c0sq: computational-basis fidelity f01 (undisturbed probability).
         cppsq: diagonal-basis fidelity fpm.
     """
 
-    c0sq: float
-    cppsq: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name, val in (("c0sq", self.c0sq), ("cppsq", self.cppsq)):
+    def __new__(cls, c0sq, cppsq):
+        for name, val in (("c0sq", c0sq), ("cppsq", cppsq)):
             if not 0.0 <= val <= 1.0:
                 raise ValueError(f"{name}={val} outside [0, 1]")
+        return tuple.__new__(cls, (c0sq, cppsq))
+
+    @classmethod
+    def _make(cls, iterable) -> "FidelityConstraint":
+        return cls(*iterable)
+
+    def __reduce__(self):
+        return type(self), tuple(self)
 
     @property
     def c1sq(self) -> float:
@@ -55,8 +69,7 @@ class FidelityConstraint:
         return self.cppsq - self.c1sq
 
 
-@dataclass(frozen=True)
-class OptResult:
+class OptResult(NamedTuple):
     """Outcome of one constrained entropy maximization.
 
     Attributes:
@@ -76,7 +89,7 @@ class OptResult:
     converged: bool
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "best_params": self.best_params.to_dict()}
+        return {**self._asdict(), "best_params": self.best_params.to_dict()}
 
 
 def entropy_objective(params: AttackParams) -> float:

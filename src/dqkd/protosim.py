@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import asdict, dataclass, replace
+from typing import NamedTuple
 
 from .attack import AttackParams, ChannelFidelities, forward_fidelities
 from .rates import KeyRateReport, clears_boundary, final_rate
@@ -49,8 +49,17 @@ class InsufficientDataError(ValueError):
     """An estimator was asked for a rate with zero trials."""
 
 
-@dataclass(frozen=True)
-class ProtocolConfig:
+class _ConfigFields(NamedTuple):
+    attack: AttackParams
+    n: int
+    check_fraction: float = 0.5
+    announce_fraction: float = 0.5
+    backward_noise: float = 0.0
+    seed: int = 0
+    abort_slack_z: float = 0.0
+
+
+class ProtocolConfig(_ConfigFields):
     """One protocol run: attack, sample size, conventions, seed.
 
     check_fraction is the probability a received qubit is check-measured;
@@ -60,55 +69,59 @@ class ProtocolConfig:
     attack that is not an AttackParams, an n or seed that is not an integer,
     or another field that is not a real number (a bool included), raises
     TypeError. The integer fields are stored as int and the real ones as
-    float, whatever numeric type they were given in.
+    float, whatever numeric type they were given in. _replace, _make, copy
+    and unpickling construct through the same checks.
     """
 
-    attack: AttackParams
-    n: int
-    check_fraction: float = 0.5
-    announce_fraction: float = 0.5
-    backward_noise: float = 0.0
-    seed: int = 0
-    abort_slack_z: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.attack, AttackParams):
-            raise TypeError(f"attack must be an AttackParams, got {self.attack!r}")
+    def __new__(cls, *args, **kwargs):
+        fields = super().__new__(cls, *args, **kwargs)._asdict()
+        if not isinstance(fields["attack"], AttackParams):
+            raise TypeError(f"attack must be an AttackParams, got {fields['attack']!r}")
         for name in ("n", "seed"):
-            value = getattr(self, name)
+            value = fields[name]
             if isinstance(value, bool) or not isinstance(value, (int, numbers.Integral)):
                 raise TypeError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))  # a numpy integer is not JSON
+            fields[name] = int(value)  # a numpy integer is not JSON
         for name in ("check_fraction", "announce_fraction", "backward_noise", "abort_slack_z"):
-            value = getattr(self, name)
+            value = fields[name]
             # float and int first: they skip the abstract-class check, ~1 us each
             if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
                 raise TypeError(f"{name} must be a real number, got {value!r}")
             try:
                 # nor is a numpy float, and a float32 would round the cells to its precision
-                object.__setattr__(self, name, float(value))
+                fields[name] = float(value)
             except OverflowError:
                 raise ValueError(f"{name}={value} does not fit in a float") from None
-        if self.seed < 0:
-            raise ValueError(f"seed={self.seed} must be non-negative")
+        config = super().__new__(cls, **fields)
+        if config.seed < 0:
+            raise ValueError(f"seed={config.seed} must be non-negative")
         # numpy's multinomial draws n as a signed 64-bit integer
-        if not 1 <= self.n <= 2**63 - 1:
-            raise ValueError(f"n={self.n} outside [1, 2**63 - 1]")
+        if not 1 <= config.n <= 2**63 - 1:
+            raise ValueError(f"n={config.n} outside [1, 2**63 - 1]")
         for name in ("check_fraction", "announce_fraction"):
-            val = getattr(self, name)
+            val = getattr(config, name)
             if not 0.0 < val < 1.0:
                 raise ValueError(f"{name}={val} outside the open interval (0, 1)")
-        if not 0.0 <= self.backward_noise <= 0.5:
-            raise ValueError(f"backward_noise={self.backward_noise} outside [0, 1/2]")
-        if not 0.0 <= self.abort_slack_z < math.inf:
-            raise ValueError(f"abort_slack_z={self.abort_slack_z} must be finite and >= 0")
+        if not 0.0 <= config.backward_noise <= 0.5:
+            raise ValueError(f"backward_noise={config.backward_noise} outside [0, 1/2]")
+        if not 0.0 <= config.abort_slack_z < math.inf:
+            raise ValueError(f"abort_slack_z={config.abort_slack_z} must be finite and >= 0")
+        return config
+
+    @classmethod
+    def _make(cls, iterable) -> "ProtocolConfig":
+        return cls(*iterable)
+
+    def __reduce__(self):
+        return type(self), tuple(self)
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "attack": self.attack.to_dict()}
+        return {**self._asdict(), "attack": self.attack.to_dict()}
 
 
-@dataclass(frozen=True)
-class ProtocolStats:
+class ProtocolStats(NamedTuple):
     """Counts and estimates from one simulated run.
 
     counts holds the consistent-basis check tallies keyed
@@ -138,7 +151,7 @@ class ProtocolStats:
     aborted: bool
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {**self._asdict(), "counts": dict(self.counts)}
 
 
 def estimate_with_se(successes: int, trials: int) -> tuple[float, float]:
@@ -236,7 +249,7 @@ def run_protocol(config: ProtocolConfig) -> tuple[ProtocolStats, KeyRateReport]:
     report = final_rate(est_xi, min(est_e, 0.5))
     aborted = not clears_boundary(est_xi - config.abort_slack_z * se_xi)
     if aborted and report.boundary_ok:
-        report = replace(report, r_pa=0.0, r_final=0.0, boundary_ok=False)
+        report = report._replace(r_pa=0.0, r_final=0.0, boundary_ok=False)
     k_est = round(m * report.r_final)
 
     stats = ProtocolStats(

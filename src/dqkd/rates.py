@@ -13,7 +13,7 @@ positivity slack.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 # float slack on the domain checks below: a probability's [0, 1], xi's [-1, 1]
 DOMAIN_ATOL = 1e-12
@@ -53,8 +53,7 @@ def entropy_bits(weights) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class BeSpectrumClosedForm:
+class BeSpectrumClosedForm(NamedTuple):
     """Closed-form nonzero spectrum of the averaged qubit-ancilla state:
     (1 +/- delta1 +/- delta2)/4 with delta1 >= delta2 >= 0. The other four
     eigenvalues of the 8-dimensional state are exactly zero."""
@@ -77,9 +76,10 @@ def _block(params) -> tuple[complex, float, float]:
     """m of the 2x2 block B = [[2i a, m], [-conj(m), -2i b]] that the
     keyrate module docstring derives, and its two candidate deltas
     sqrt(|m|^2 + (a + b)^2) and |a - b|."""
-    m = params.c00 * params.c11 * params.p - params.c01 * params.c10 * params.q
-    a = params.c00 * params.c01 * params.s.imag
-    b = params.c10 * params.c11 * params.r.imag
+    c00, c01, c11, c10, s, _, p, r, _, q = params
+    m = c00 * c11 * p - c01 * c10 * q
+    a = c00 * c01 * s.imag
+    b = c10 * c11 * r.imag
     return m, math.sqrt(abs(m) ** 2 + (a + b) ** 2), abs(a - b)
 
 
@@ -91,8 +91,7 @@ def be_spectrum_closed_form(params) -> BeSpectrumClosedForm:
     return BeSpectrumClosedForm(delta1=max(d_a, d_b), delta2=min(d_a, d_b))
 
 
-@dataclass(frozen=True)
-class BoundCertificate:
+class BoundCertificate(NamedTuple):
     """The upper bound S(rho_BE) <= 1 + h(xi) for one attack, as a chain.
 
     The spectrum (1 +/- D1 +/- D2)/4 is majorized by the one with D2 = 0,
@@ -127,7 +126,7 @@ def bound_certificate(params) -> BoundCertificate:
 
     m, d_a, d_b = _block(params)
     d1, d2 = max(d_a, d_b), min(d_a, d_b)
-    c00, c01, c11, c10 = params.c00, params.c01, params.c11, params.c10
+    c00, c01, c11, c10 = params[:4]
     defect = (c00**2 + c01**2 - 1.0) + (c11**2 + c10**2 - 1.0)
     terms = (d1 - d_a, d_a - abs(m), abs(m) - m.real, (c01 - c10) ** 2,
              2.0 * c01 * c10 * (1.0 - params.q.real), -defect)
@@ -164,8 +163,7 @@ def s_be_max(xi: float) -> float:
     return 1.0 + binary_entropy(xi)
 
 
-@dataclass(frozen=True)
-class KeyRateReport:
+class KeyRateReport(NamedTuple):
     """Asymptotic rate summary for one observed (xi, e) pair.
 
     Attributes:
@@ -195,7 +193,7 @@ class KeyRateReport:
     def to_dict(self) -> dict:
         raw = self.r_final_raw
         # replacing r_final_raw keeps its place among the field keys
-        return {**asdict(self), "r_final_raw": raw if math.isfinite(raw) else None,
+        return {**self._asdict(), "r_final_raw": raw if math.isfinite(raw) else None,
                 "aborted": self.aborted}
 
 

@@ -183,12 +183,10 @@ def _neighbors(attack: AttackParams, rng: np.random.Generator) -> list[AttackPar
     The phase of the u-v move is the next number of rng, the generator
     _draw returns with the attack.
     """
-    fields = vars(attack)
-
     def step(move) -> AttackParams:
         for j in range(14):
             try:
-                return AttackParams(**{**fields, **move(0.05 * 0.5**j)})
+                return attack._replace(**move(0.05 * 0.5**j))
             except AttackValidationError:
                 continue
         return attack
@@ -287,7 +285,7 @@ class _Stack:
 # realized u and v, within UNITARITY_ATOL + 2 |PSD_SLACK| of 0, as c00 c10 + c01 c11
 # <= 1 + AMPLITUDE_ATOL. So AMPLITUDE_ATOL + UNITARITY_ATOL + 2 |PSD_SLACK| = 2.02e-10
 # bounds both, with AMPLITUDE_ATOL to spare on the off-diagonal for second-order terms
-# and rounding; the row takes it rounded up to the one digit dqkd verify prints
+# and rounding; the row takes it rounded up to one digit
 CHECKS = (
     ("branch-orthonormality", 3e-10, _Stack.orthonormality),
     ("closed-form-spectrum", 1e-10, _Stack.closed_form),

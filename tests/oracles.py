@@ -42,7 +42,7 @@ with ``from oracles import ...``.
 
 import decimal
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import minimize
@@ -192,12 +192,12 @@ def eigvalsh_gram_verdict(overlaps) -> np.ndarray:
     return np.linalg.eigvalsh(gram)[:, 0] >= PSD_SLACK
 
 
-@dataclass(frozen=True)
-class SliceAttack:
+class SliceAttack(NamedTuple):
     """An attack that the search oracle admits by its own checks: the
-    fields of an AttackParams, not validated by the library. The library's
-    functions of an attack (entropy_objective, forward_fidelities,
-    s_be_numeric) read its fields as they read an AttackParams'."""
+    fields of an AttackParams, in its order, not validated by the library.
+    The library's functions of an attack (entropy_objective,
+    forward_fidelities, s_be_numeric) read it as they read an AttackParams,
+    by field or by unpacking."""
 
     c00: float
     c01: float

@@ -7,7 +7,6 @@ values were precomputed once with 30-digit arithmetic.
 
 import json
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -90,8 +89,8 @@ def _perturb_insensitive(params: AttackParams, rng: np.random.Generator):
         u = params.u if pinned else params.u + step_u
         v = params.v if pinned else -(params.c00 * params.c10 * u) / (params.c01 * params.c11)
         try:
-            candidate = replace(
-                params, u=u, v=v, s=params.s + step_s, r=params.r + step_r
+            candidate = params._replace(
+                u=u, v=v, s=params.s + step_s, r=params.r + step_r
             )
             return validate(candidate), abs(step_s)
         except AttackValidationError:
@@ -127,7 +126,7 @@ def test_spectrum_ignores_the_cancelled_overlap_components():
             p=0.5 + 0j, q=0.9 + 0j,
         )
     )
-    moved = validate(replace(base, s=0.05j))
+    moved = validate(base._replace(s=0.05j))
     control = float(
         np.max(
             np.abs(

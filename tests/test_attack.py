@@ -1,5 +1,6 @@
+import copy
 import gc
-from dataclasses import replace
+import pickle
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,6 +21,8 @@ from dqkd.attack import (
 )
 from dqkd import verify
 from dqkd.keyrate import _gram_stack, attack_rows, realize_ancilla
+from dqkd.optimizer import FidelityConstraint
+from dqkd.protosim import ProtocolConfig
 from dqkd.rates import PSD_SLACK
 from dqkd.verify import SamplingBudgetError, sample_valid
 from oracles import (
@@ -144,11 +147,46 @@ def test_rejected_attack_leaves_no_reference_cycle():
 def test_replace_to_an_invalid_point_raises():
     params = named_attack("symmetric", e=0.1)
     with pytest.raises(OverlapMagnitudeError):
-        replace(params, q=complex(NAN, 0.0))
+        params._replace(q=complex(NAN, 0.0))
     with pytest.raises(AmplitudeNormalizationError):
-        replace(params, c00=1.0)
+        params._replace(c00=1.0)
     with pytest.raises(GramNotPositiveError):
-        replace(params, s=1 + 0j, q=-1 + 0j)
+        params._replace(s=1 + 0j, q=-1 + 0j)
+
+
+def _validated_record(kind: str):
+    """A valid record of a validating class, one invalid field for it, and
+    the error that field raises."""
+    attack = named_attack("symmetric", e=0.1)
+    if kind == "attack":
+        return attack, {"c00": 1.0}, AmplitudeNormalizationError
+    if kind == "constraint":
+        return FidelityConstraint(c0sq=0.9, cppsq=0.9), {"c0sq": 1.5}, ValueError
+    return ProtocolConfig(attack=attack, n=1000), {"n": True}, TypeError
+
+
+@pytest.mark.parametrize("kind", ["attack", "constraint", "config"])
+def test_every_construction_path_validates(kind):
+    # the records are tuples, so each path that rebuilds one from its
+    # values (_replace, _make, copy, deepcopy, unpickling) must go
+    # through the validating constructor
+    record, invalid, error = _validated_record(kind)
+    cls = type(record)
+    values = [invalid.get(name, value) for name, value in zip(record._fields, record)]
+    with pytest.raises(error):
+        record._replace(**invalid)
+    with pytest.raises(error):
+        cls._make(values)
+    # tuple.__new__ skips the constructor: the only way to an invalid record
+    forged = tuple.__new__(cls, values)
+    rebuilds = [copy.copy, copy.deepcopy]
+    rebuilds += [lambda r, proto=proto: pickle.loads(pickle.dumps(r, proto))
+                 for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for rebuild in rebuilds:
+        again = rebuild(record)
+        assert type(again) is cls and again == record
+        with pytest.raises(error):
+            rebuild(forged)
 
 
 def test_serialization_round_trip():
@@ -270,9 +308,9 @@ def test_gram_route_matches_simulation_route():
     attacks += [named_attack("symmetric", e=e) for e in (0.0, 0.05, 0.11, 0.25, 0.3, 0.4, 0.5)]
     for params in attacks:
         # the attack and its fidelities hold plain Python numbers
-        assert [type(val) for val in vars(params).values()] == [float] * 4 + [complex] * 6
+        assert [type(val) for val in params._asdict().values()] == [float] * 4 + [complex] * 6
         f = forward_fidelities(params)
-        assert [type(val) for val in vars(f).values()] == [float] * 4
+        assert [type(val) for val in f._asdict().values()] == [float] * 4
         g = gram_matrix(params)
         amps = np.array([params.c00, params.c01, params.c11, params.c10])
         for signs, closed in (((1, 1, 1, 1), f.fplus), ((1, -1, 1, -1), f.fminus)):
@@ -363,7 +401,7 @@ def _straddle(make, lo: float, hi: float) -> list[tuple[list, list]]:
 
 
 def _edited(params: AttackParams, **fields) -> tuple[list, list]:
-    values = {**vars(params), **fields}
+    values = {**params._asdict(), **fields}
     return ([values[n] for n in ("c00", "c01", "c11", "c10")],
             [values[n] for n in OVERLAP_NAMES])
 

@@ -250,7 +250,10 @@ def test_cold_command_loads_only_what_it_runs(command, tmp_path):
     # `python -m dqkd.cli` in a fresh interpreter. scipy serves only the
     # tests' search oracle, so no subcommand loads it; keyrate, sweep and
     # optimize evaluate a few scalars, so they do not load numpy either, and
-    # simulate loads protosim, which imports numpy only for its draw
+    # simulate loads protosim, which imports numpy only for its draw. The
+    # numpy-free modules' records are NamedTuples, so only verify's numpy
+    # modules load dataclasses (and with it inspect, ast and tokenize);
+    # csv is loaded only to write a sweep
     script = (
         "import runpy, sys\n"
         f"sys.argv = ['dqkd', *{COLD_COMMANDS[command]!r}]\n"
@@ -272,6 +275,8 @@ def test_cold_command_loads_only_what_it_runs(command, tmp_path):
     loaded = set(done.stderr.split())
     assert "scipy" not in loaded
     assert ("numpy" in loaded) == (command in ("simulate", "verify"))
+    assert ("dataclasses" in loaded) == (command == "verify")
+    assert ("csv" in loaded) == command.startswith("sweep")
     ours = {name for name in loaded if name.split(".")[0] == "dqkd"}
     assert ours == {"dqkd", "dqkd.rates"} | {f"dqkd.{m}" for m in LOADS[command]}
 
@@ -547,6 +552,16 @@ def test_verify_command(capsys, monkeypatch):
     assert "\n[FAIL] diagonal-fidelity-identity: max deviation nan " in out
     assert out.endswith("\nFAILED: 1 of 6 checks\n")
     assert "all checks passed" not in out
+
+
+def test_verify_prints_each_tolerance_in_full(capsys, monkeypatch):
+    # a derived tolerance keeps every digit: 2.02e-10 must not read 2e-10
+    name, _, deviation = verify.CHECKS[0]
+    monkeypatch.setattr(verify, "CHECKS", ((name, 2.02e-10, deviation), *verify.CHECKS[1:]))
+    assert main(["verify", "--trials", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith(f"[PASS] {name}: max deviation ")
+    assert lines[0].endswith(" (tolerance 2.02e-10) over 2 trials")
 
 
 def test_unknown_subcommand_exits_two():

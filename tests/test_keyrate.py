@@ -1,6 +1,5 @@
 import ast
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -197,8 +196,8 @@ def test_bound_certificate_closes_at_the_amplitude_slack():
         base = sample_valid(seed, symmetric=bool(seed % 2))
         for e0, e1 in ((9e-13, 9e-13), (-9e-13, -9e-13), (9e-13, -9e-13)):
             f0, f1 = math.sqrt(1.0 + e0), math.sqrt(1.0 + e1)
-            params = replace(base, c00=base.c00 * f0, c01=base.c01 * f0,
-                             c11=base.c11 * f1, c10=base.c10 * f1)
+            params = base._replace(c00=base.c00 * f0, c01=base.c01 * f0,
+                                   c11=base.c11 * f1, c10=base.c10 * f1)
             cert = bound_certificate(params)
             margin = cert.delta1 - (2.0 * cert.xi - 1.0)
             assert abs(math.fsum(cert.terms) - margin) <= 1e-12, (seed, e0, e1)

@@ -375,14 +375,16 @@ def test_chunks_concatenate_to_one_stack(monkeypatch):
 
 
 def test_witness_in_a_later_chunk_replays_alone():
-    trials, seed = 5 * verify._SEED_CHUNK // 2, 1
+    # at seed 6 the witnesses of the two rows that read no eigensolver, and
+    # so do not move with the BLAS kernel, lie in the second and third chunks
+    trials, seed = 5 * verify._SEED_CHUNK // 2, 6
     report = run_verification(trials=trials, seed=seed)
     draws = _draws(trials, seed)
     later = [
         check for check in report.checks
         if check.witness_seed is not None and draws.index(check.witness_seed) >= verify._SEED_CHUNK
     ]
-    assert later
+    assert {"diagonal-fidelity-identity", "general-attack-bound"} <= {c.name for c in later}
     for check in later:
         assert verify._deviations([check.witness_seed])[check.name][0] == check.max_deviation
 
