@@ -25,7 +25,8 @@ _MODULE_OF = {
         ),
         "keyrate": (
             "JointStateBundle", "attack_rows", "backward_indistinguishability", "be_stack",
-            "be_states", "build_rho_abe", "joint_states", "realize_ancilla", "s_be_numeric",
+            "be_states", "build_rho_abe", "choi_states", "joint_states", "omega_states",
+            "realize_ancilla", "s_be_numeric",
         ),
         "optimizer": ("FidelityConstraint", "OptResult", "entropy_objective", "maximize_s_be"),
         "protosim": ("ProtocolConfig", "ProtocolStats", "estimate_with_se", "run_protocol"),

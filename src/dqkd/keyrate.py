@@ -29,6 +29,17 @@ states alone. ``realize_ancilla`` and ``build_rho_abe`` are their
 one-attack cases; the backward check reads the identity attack's two key
 blocks without assembling its joint state.
 
+The same spectrum needs no realized ancilla. The attack is the Choi state
+of its forward channel (Choi, Linear Algebra Appl. 10, 285, 1975), rho_RQ
+= D G^T D / 2 with D = diag(c00, c01, c10, c11) and G the Gram matrix in
+that order, which ``choi_states`` reads off the attack's own fields
+through one index table. In a purification of the reduced qubit-ancilla
+state its complement is the key bit ox the reference, whose state omega
+is a fixed linear image of rho_RQ with the same nonzero spectrum;
+``omega_states`` forms and validates it for a whole stack with one 4x4
+eigensolver call. The verify module reads this route; the backward
+check, ``s_be_numeric`` and the tests' oracles read the realized one.
+
 That reduced state is 1/4 sum_i |v_i><v_i| over v = (phi0, phi1, Y phi0,
 Y phi1), phi0 and phi1 being the orthonormal attacked branches, so its four
 nonzero eigenvalues are those of the Gram matrix 1/4 [[I, B], [B^+, I]]:
@@ -64,13 +75,29 @@ from .qstate import (
 # entry (i, j) of the Gram matrix of (|E00>, |E01>, |E11>, |E10>) as an
 # index into (1, s, u, p, r, v, q, conj(s), conj(u), ..., conj(q))
 _GRAM_TABLE = np.array([[0, 1, 3, 2], [7, 0, 5, 6], [9, 11, 0, 4], [8, 12, 10, 0]])
+# entry (a, b) of the Choi state over c_a c_b / 2, <E_b|E_a> for a, b in the
+# reference-major order (00, 01, 10, 11), as an index into the same values:
+# _GRAM_TABLE reordered and transposed
+_CHOI_TABLE = _GRAM_TABLE[np.ix_([0, 1, 3, 2], [0, 1, 3, 2])].T
+# omega[k r, l r'] = (1/2) sum_q,a,b Y^k[q, a] Y^l[q, b] rho_RQ[r a, r' b], as
+# the (16, 16) matrix of the flattened map, transposed to act on row stacks; Y^k
+# is the receiver's encoding of key bit k
+_Y_POWERS = np.array([[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [-1.0, 0.0]]])
+_OMEGA_T = (
+    0.5 * np.einsum("kqa,lqb,rx,sy->krlsxayb", _Y_POWERS, _Y_POWERS, np.eye(2), np.eye(2))
+).reshape(16, 16).T.astype(complex)
+
+
+def _overlap_values(overlaps: np.ndarray) -> np.ndarray:
+    """The (k, 13) values the tables index: 1, the (k, 6) overlaps, their conjugates."""
+    ones = np.ones((len(overlaps), 1))
+    return np.concatenate([ones, overlaps, overlaps.conj()], axis=1)
 
 
 def _gram_stack(overlaps: np.ndarray) -> np.ndarray:
     """The (k, 4, 4) Gram matrices of (|E00>, |E01>, |E11>, |E10>), unit
     diagonal, of (k, 6) overlaps."""
-    ones = np.ones((len(overlaps), 1))
-    return np.concatenate([ones, overlaps, overlaps.conj()], axis=1)[:, _GRAM_TABLE]
+    return _overlap_values(overlaps)[:, _GRAM_TABLE]
 
 
 def attack_rows(attacks: list[AttackParams]) -> tuple[np.ndarray, np.ndarray]:
@@ -219,6 +246,34 @@ def backward_indistinguishability() -> float:
     """
     key0, key1 = _key_blocks(branch_stack(*attack_rows([named_attack("identity")])))
     return trace_distance(2 * key0[0], 2 * key1[0])
+
+
+def choi_states(attacks: list[AttackParams]) -> np.ndarray:
+    """The (k, 4, 4) Choi state rho_RQ of each attack's forward channel.
+
+    rho_RQ is the reference-qubit state after the channel acts on half of
+    a maximally entangled pair. Entry (a, b), in the order (00, 01, 10,
+    11), is c_a c_b <E_b|E_a> / 2, read off the attack's own fields. Tr_Q
+    rho_RQ = I/2 is amplitude normalization and branch orthogonality, and
+    rho_RQ >= 0 is Gram positivity; the stack is returned unvalidated.
+    """
+    amps, overlaps = attack_rows(attacks)
+    c = amps[:, [0, 1, 3, 2]]
+    return 0.5 * (c[:, :, None] * c[:, None, :]) * _overlap_values(overlaps)[:, _CHOI_TABLE]
+
+
+def omega_states(choi: np.ndarray) -> list[DensityMatrix]:
+    """The state omega on key ox reference, dims (2, 2), of each (k, 4, 4)
+    Choi state, validated with one stacked eigensolver call.
+
+    omega = (1/2) sum_kl |k><l| ox Tr_Q[(I ox Y^k) rho_RQ (I ox Y^l)^+] is
+    the complement of rho_BE in a purification, so its four eigenvalues
+    are rho_BE's nonzero ones. The map is one product with a (16, 16)
+    matrix, and each entry is the sum of two halved entries of rho_RQ, so
+    its bits do not depend on the BLAS kernel.
+    """
+    k = len(choi)
+    return density_matrices((choi.reshape(k, 16) @ _OMEGA_T).reshape(k, 4, 4), (2, 2))
 
 
 def s_be_numeric(params: AttackParams) -> float:

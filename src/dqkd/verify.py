@@ -1,14 +1,15 @@
 """Bulk numerical certification of the analytic security identities.
 
 Each check replays one proven identity on freshly sampled valid attacks
-(``sample_valid``) and records the worst deviation: the realized branch
-vectors are orthonormal, the closed-form spectrum matches brute-force
-diagonalization, the diagonal-basis fidelities f+ and f-, by the Gram
-route, match forward_fidelities, the spectrum does not move when the
-cancelling overlap directions (u and v together, and the real parts of s
-and r) are perturbed, the upper bound's chain (rates.bound_certificate)
-holds term by term, and a backward-only eavesdropper sees nothing (the
-identity attack's two key blocks are equal).
+(``sample_valid``) and records the worst deviation: each attack's Choi
+state is a channel's (Tr_Q rho_RQ = I/2 and rho_RQ >= 0), the closed-form
+spectrum matches brute-force diagonalization, the diagonal-basis
+fidelities f+ and f-, by the Gram route, match forward_fidelities, the
+spectrum does not move when the cancelling overlap directions (u and v
+together, and the real parts of s and r) are perturbed, the upper bound's
+chain (rates.bound_certificate) holds term by term, and a backward-only
+eavesdropper sees nothing (the identity attack's two key blocks are
+equal).
 
 The sampled checks run in one pass over one draw: ``trials`` attacks,
 each seeded by its own child seed, with three neighbours each, one per
@@ -18,13 +19,14 @@ move's phase is the next number after the draw's accepted try. The
 sampler's norms and inner products are Python float operations in a fixed
 order, so the draws do not depend on the BLAS kernel. The seeds go in
 chunks of ``_SEED_CHUNK``, so memory stays flat in ``trials``. A chunk
-makes one ``keyrate.be_stack`` call on its draws and neighbours, which
-realizes their ancillas once and returns their branch vectors and
-validated rho_be, with one eigensolver call per matrix size and no 16x16
-state; each sampled check, one row of ``CHECKS``, reads its deviations
-from them or from the attacks' own fields. A draw's deviations depend on
-its seed alone, so each check's witness, the seed of the first draw that
-reaches its worst deviation, replays it by itself.
+makes one ``keyrate.choi_states`` call on its draws and neighbours, 16
+products of each attack's own numbers with no ancilla realized, and
+validates their omega states, whose four eigenvalues are rho_be's
+nonzero ones, with one stacked 4x4 eigensolver call; each sampled check,
+one row of ``CHECKS``, reads its deviations from the Choi states, from
+the omega spectra or from the attacks' own fields. A draw's deviations
+depend on its seed alone, so each check's witness, the seed of the first
+draw that reaches its worst deviation, replays it by itself.
 """
 
 from __future__ import annotations
@@ -34,9 +36,16 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .attack import OVERLAP_ATOL, AttackParams, AttackValidationError, forward_fidelities
-from .keyrate import backward_indistinguishability, be_stack
-from .rates import be_spectrum_closed_form, bound_certificate
+from .attack import (
+    AMPLITUDE_ATOL,
+    OVERLAP_ATOL,
+    UNITARITY_ATOL,
+    AttackParams,
+    AttackValidationError,
+    forward_fidelities,
+)
+from .keyrate import backward_indistinguishability, choi_states, omega_states
+from .rates import PSD_SLACK, be_spectrum_closed_form, bound_certificate
 
 # seeds per chunk of _deviations; each chunk's attacks are one stack
 _SEED_CHUNK = 64
@@ -222,16 +231,16 @@ def _gram_fidelities(a: AttackParams) -> tuple[float, float]:
 
 
 class _Stack:
-    """One chunk: k draws, then three neighbours to each; the realized
-    branches and the rho_be spectra of every attack, from one be_stack."""
+    """One chunk: k draws, then three neighbours to each; the Choi state of
+    every attack, from one choi_states, and the spectrum of its omega."""
 
     def __init__(self, seeds: list[int]):
         drawn = [_draw(s, bool(s % 2)) for s in seeds]
         draws = [a for a, _ in drawn]
         self.attacks = draws + [n for a, rng in drawn for n in _neighbors(a, rng)]
         self.k = len(draws)
-        self.branches, states = be_stack(self.attacks)
-        self.spectra = np.array([rho.spectrum() for rho in states])
+        self.choi = choi_states(self.attacks)
+        self.spectra = np.array([rho.spectrum() for rho in omega_states(self.choi)])
 
     def read(self) -> list[np.ndarray]:
         """Every row of CHECKS, in order, read on this stack."""
@@ -242,15 +251,17 @@ class _Stack:
         k = self.k
         return np.maximum(rows[:k], rows[k:].reshape(k, 3).max(axis=1))
 
-    def orthonormality(self) -> np.ndarray:
-        """The realized branches are orthonormal: max |<phi_i|phi_j> - delta_ij|."""
-        phi = self.branches
-        gram = (phi.conj()[:, :, None, :] * phi[:, None, :, :]).sum(axis=3)
-        return self._worst_row(np.max(np.abs(gram - np.eye(2)), axis=(1, 2)))
+    def channel(self) -> np.ndarray:
+        """Each Choi state is a channel's: max |Tr_Q rho - I/2| and -lambda_min(rho),
+        a draw's worst row."""
+        choi = self.choi
+        marginal = choi.reshape(len(choi), 2, 2, 2, 2).trace(axis1=2, axis2=4)
+        traced = np.max(np.abs(marginal - 0.5 * np.eye(2)), axis=(1, 2))
+        return self._worst_row(np.maximum(traced, -np.linalg.eigvalsh(choi)[:, 0]))
 
     def closed_form(self) -> np.ndarray:
-        """The closed form, four zeros appended, against brute force: a draw's worst row."""
-        closed = [be_spectrum_closed_form(a).spectrum() + (0.0,) * 4 for a in self.attacks]
+        """The closed form against omega's spectrum: a draw's worst row."""
+        closed = [be_spectrum_closed_form(a).spectrum() for a in self.attacks]
         return self._worst_row(np.max(np.abs(np.sort(closed)[:, ::-1] - self.spectra), axis=1))
 
     def diagonal(self) -> np.ndarray:
@@ -261,7 +272,7 @@ class _Stack:
     def insensitivity(self) -> np.ndarray:
         """Each neighbour's spectrum against its draw's: flat along the cancelling directions."""
         k, spectra = self.k, self.spectra
-        return np.max(np.abs(spectra[k:].reshape(k, 3, 8) - spectra[:k, None]), axis=(1, 2))
+        return np.max(np.abs(spectra[k:].reshape(k, 3, 4) - spectra[:k, None]), axis=(1, 2))
 
     def bound(self) -> np.ndarray:
         """How far each draw's BoundCertificate misses its chain: a term or
@@ -278,16 +289,15 @@ class _Stack:
 
 
 # every sampled check: its name, its tolerance, and the _Stack method reading it per draw.
-# The branch row's: realize_ancillas lifts Gram eigenvalues of at least PSD_SLACK to 0
-# and renormalizes each ket, which moves every realized overlap by at most
-# 2 |PSD_SLACK| from the validated one. A branch norm is c00^2 + c01^2 (or c10^2 +
-# c11^2), within AMPLITUDE_ATOL of 1; <phi0|phi1> is c00 c10 u + c01 c11 v at the
-# realized u and v, within UNITARITY_ATOL + 2 |PSD_SLACK| of 0, as c00 c10 + c01 c11
-# <= 1 + AMPLITUDE_ATOL. So AMPLITUDE_ATOL + UNITARITY_ATOL + 2 |PSD_SLACK| = 2.02e-10
-# bounds both, with AMPLITUDE_ATOL to spare on the off-diagonal for second-order terms
-# and rounding; the row takes it rounded up to one digit
+# The channel row's: the diagonal of Tr_Q rho_RQ is (c00^2 + c01^2)/2 and (c10^2 +
+# c11^2)/2, within AMPLITUDE_ATOL/2 of 1/2, and its off-diagonal is conj(c00 c10 u +
+# c01 c11 v)/2, within UNITARITY_ATOL/2 of 0. rho_RQ = D G^T D / 2 with D the diagonal
+# of amplitudes, each at most sqrt(1 + AMPLITUDE_ATOL), and G's eigenvalues above
+# PSD_SLACK, so lambda_min(rho_RQ) >= PSD_SLACK (1 + AMPLITUDE_ATOL)/2. So
+# (|PSD_SLACK| + AMPLITUDE_ATOL + UNITARITY_ATOL)/2 = 5.1e-11 bounds both, with about
+# (AMPLITUDE_ATOL + UNITARITY_ATOL)/2 to spare for rounding
 CHECKS = (
-    ("branch-orthonormality", 3e-10, _Stack.orthonormality),
+    ("choi-channel", 0.5 * (abs(PSD_SLACK) + AMPLITUDE_ATOL + UNITARITY_ATOL), _Stack.channel),
     ("closed-form-spectrum", 1e-10, _Stack.closed_form),
     ("diagonal-fidelity-identity", 1e-10, _Stack.diagonal),
     ("overlap-insensitivity", 1e-10, _Stack.insensitivity),

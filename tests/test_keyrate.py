@@ -14,13 +14,22 @@ from dqkd.attack import (
 )
 from dqkd.keyrate import (
     backward_indistinguishability,
+    be_stack,
     be_states,
     build_rho_abe,
+    choi_states,
     joint_states,
+    omega_states,
     s_be_numeric,
 )
 from dqkd.optimizer import FidelityConstraint, maximize_s_be
-from dqkd.qstate import outer, partial_trace, trace_distance, von_neumann_entropy
+from dqkd.qstate import (
+    DensityMatrix,
+    outer,
+    partial_trace,
+    trace_distance,
+    von_neumann_entropy,
+)
 from dqkd.rates import (
     BoundaryViolationError,
     be_spectrum_closed_form,
@@ -32,7 +41,7 @@ from dqkd.rates import (
     s_be_max,
 )
 from dqkd.verify import sample_valid
-from oracles import Y_GATE, binary_entropy_decimal, branch_vectors
+from oracles import Y_GATE, binary_entropy_decimal, branch_vectors, kron_branch_vectors
 
 # precomputed with 30-digit arithmetic
 H_01 = 0.4689955935892812
@@ -99,6 +108,40 @@ def test_joint_states_equal_one_at_a_time():
         traced = partial_trace(bundle.rho_abe, keep=(1, 2))
         assert traced.dims == bundle.rho_be.dims
         assert np.array_equal(bundle.rho_be.matrix, traced.matrix)
+
+
+# bounds of the Choi route against the realization route, fixed before the
+# first run: entries and eigenvalues of states of norm <= 1 agree to a few
+# hundred ulps, and an entropy drops weights below 1e-12 on both sides
+CHOI_ENTRY_ATOL = 1e-14
+CHOI_MARGINAL_ATOL = 1e-15
+CHOI_ENTROPY_ATOL = 1e-12
+
+
+def test_choi_route_matches_the_realization_route():
+    # on 256 draws and the named attacks (measure_z has c01 = 0): the Choi
+    # state is the reference-qubit marginal of the realized branches, Tr_Q
+    # of it is I/2, omega's spectrum is rho_be's four nonzero eigenvalues,
+    # and S(omega) is s_be_numeric
+    attacks = [sample_valid(seed, symmetric=bool(seed % 2)) for seed in range(256)]
+    attacks += [named_attack(name) for name in ("identity", "measure_z", "measure_x")]
+    attacks.append(named_attack("symmetric", e=0.1))
+    choi = choi_states(attacks)
+    assert choi.shape == (len(attacks), 4, 4)
+    omega = omega_states(choi)
+    realized = be_stack(attacks)[1]
+    for params, rho, w, rho_be in zip(attacks, choi, omega, realized):
+        # (1/2) sum_e phi_r[a, e] conj(phi_r'[b, e]), phi_r = U(|r> ox |E>)
+        phi = np.array(kron_branch_vectors(params)).reshape(2, 2, 4)
+        explicit = 0.5 * np.einsum("rae,sbe->rasb", phi, phi.conj()).reshape(4, 4)
+        assert np.max(np.abs(rho - explicit)) <= CHOI_ENTRY_ATOL
+        marginal = partial_trace(DensityMatrix(rho, dims=(2, 2)), keep=(0,)).matrix
+        assert np.max(np.abs(marginal - 0.5 * np.eye(2))) <= CHOI_MARGINAL_ATOL
+        be = rho_be.spectrum()
+        assert w.dims == (2, 2)
+        assert np.max(np.abs(w.spectrum() - be[:4])) <= CHOI_ENTRY_ATOL
+        assert np.max(np.abs(be[4:])) <= CHOI_ENTRY_ATOL
+        assert abs(von_neumann_entropy(w) - s_be_numeric(params)) <= CHOI_ENTROPY_ATOL
 
 
 def test_stored_spectrum_matches_fresh_diagonalization():

@@ -13,7 +13,7 @@ import pytest
 from dqkd import attack, keyrate, verify
 from dqkd.attack import AMPLITUDE_ATOL, UNITARITY_ATOL, named_attack
 from dqkd.cli import main
-from dqkd.keyrate import be_stack, joint_states
+from dqkd.keyrate import choi_states, joint_states
 from dqkd.rates import PSD_SLACK, be_spectrum_closed_form
 from dqkd.verify import VerificationCheck, VerificationReport, run_verification
 
@@ -24,7 +24,7 @@ def test_all_checks_pass():
     report = run_verification(trials=30, seed=0)
     assert report.ok
     assert [c.name for c in report.checks] == [
-        "branch-orthonormality",
+        "choi-channel",
         "closed-form-spectrum",
         "diagonal-fidelity-identity",
         "overlap-insensitivity",
@@ -55,25 +55,25 @@ def test_verification_is_deterministic():
 @pytest.mark.parametrize(
     "trials, seed, deviations",
     [
-        (16, 0, ("0x1.61a36340b5b51p-51", "0x1.a000000000000p-52", "0x1.0000000000000p-53",
-                 "0x1.2000000000000p-51", "0x1.0000000000000p-51", "0x0.0p+0")),
-        (30, 7, ("0x1.4b9fa7ff2eb3ep-51", "0x1.c000000000000p-52", "0x1.0000000000000p-53",
-                 "0x1.2000000000000p-51", "0x1.0000000000000p-51", "0x0.0p+0")),
-        (200, 0, ("0x1.05327e8c6b33dp-50", "0x1.4000000000000p-51", "0x1.0000000000000p-53",
-                  "0x1.8000000000000p-51", "0x1.0000000000000p-51", "0x0.0p+0")),
+        (16, 0, ("0x1.0000000000000p-53", "0x1.8000000000000p-53", "0x1.0000000000000p-53",
+                 "0x1.8000000000000p-53", "0x1.0000000000000p-51", "0x0.0p+0")),
+        (30, 7, ("0x1.0000000000000p-53", "0x1.0000000000000p-52", "0x1.0000000000000p-53",
+                 "0x1.8000000000000p-53", "0x1.0000000000000p-51", "0x0.0p+0")),
+        (200, 0, ("0x1.0000000000000p-53", "0x1.4000000000000p-52", "0x1.0000000000000p-53",
+                  "0x1.1000000000000p-52", "0x1.0000000000000p-51", "0x0.0p+0")),
     ],
 )
 def test_pinned_deviations(trials, seed, deviations):
     # every check's worst deviation, to the last bit, in report order
     report = run_verification(trials=trials, seed=seed)
     assert tuple(c.max_deviation.hex() for c in report.checks) == deviations
-    # the branch check draws the attacks it has always drawn
-    branch_witness = {
-        (16, 0): 2337441392700648194,
-        (30, 7): 6977625692365915009,
-        (200, 0): 8423861911992909908,
+    # the channel check draws the attacks it has always drawn
+    channel_witness = {
+        (16, 0): 117553109793323584,
+        (30, 7): 273083634880134529,
+        (200, 0): 117553109793323584,
     }
-    assert report.checks[0].witness_seed == branch_witness[trials, seed]
+    assert report.checks[0].witness_seed == channel_witness[trials, seed]
 
 
 def _draws(trials: int, seed: int) -> list[int]:
@@ -135,12 +135,18 @@ def test_each_check_is_named_once():
     assert {name: source.count(name) for name in names} == dict.fromkeys(names, 1)
 
 
-def test_branch_tolerance_covers_the_validation_slacks():
-    # the branch row's tolerance is its derived first-order bound, rounded
-    # up to the one digit `dqkd verify` prints
-    bound = AMPLITUDE_ATOL + UNITARITY_ATOL + 2.0 * abs(PSD_SLACK)
-    (tolerance,) = [tol for name, tol, _ in verify.CHECKS if name == "branch-orthonormality"]
-    assert bound <= tolerance == float(f"{tolerance:.0e}") < bound + 1e-10
+def test_channel_tolerance_covers_the_validation_slacks(capsys):
+    # the channel row's tolerance is derived from the validation slacks: it
+    # covers the first-order bounds of the marginal and of the smallest
+    # eigenvalue, with less than 1e-12 to spare beyond their sum, and
+    # `dqkd verify` prints it in full
+    marginal = 0.5 * max(AMPLITUDE_ATOL, UNITARITY_ATOL)
+    eigenvalue = 0.5 * abs(PSD_SLACK) * (1.0 + AMPLITUDE_ATOL)
+    (tolerance,) = [tol for name, tol, _ in verify.CHECKS if name == "choi-channel"]
+    assert tolerance == 0.5 * (abs(PSD_SLACK) + AMPLITUDE_ATOL + UNITARITY_ATOL)
+    assert max(marginal, eigenvalue) <= tolerance < marginal + eigenvalue + 1e-12
+    assert main(["verify", "--trials", "1"]) == 0
+    assert f"(tolerance {tolerance!r})" in capsys.readouterr().out.splitlines()[0]
 
 
 def test_neighbours_share_their_draws_closed_form():
@@ -154,24 +160,42 @@ def test_neighbours_share_their_draws_closed_form():
             assert be_spectrum_closed_form(near) == closed
 
 
-# each mutant: the function of dqkd.attack or dqkd.keyrate it edits, the
-# source text it replaces, the replacement, and the lines of
-# run_verification(16, 0) it fails
+# each mutant, under a name of its own: the function of dqkd.attack or
+# dqkd.keyrate it edits, the source text it replaces, the replacement, and
+# the lines of run_verification(16, 0) it fails
 MUTANTS = [
-    ("forward_fidelities", "c00 * c01 * params.s.real", "c00 * c01 * params.s.imag",
-     {"diagonal-fidelity-identity"}),
-    ("forward_fidelities", "+ c01 * c11 * params.v.real", "- c01 * c11 * params.v.real",
-     {"diagonal-fidelity-identity"}),
-    ("forward_fidelities", "+ c01 * c10 * params.q.real", "- c01 * c10 * params.q.real",
-     {"diagonal-fidelity-identity", "general-attack-bound"}),
-    # the last LDL pivot with its d3 term halved admits Grams that are not PSD
-    ("gram_pivots", "- (rr * rr + ri * ri) / d3", "- 0.5 * (rr * rr + ri * ri) / d3",
-     {"branch-orthonormality", "closed-form-spectrum", "overlap-insensitivity"}),
-    # a first-order branch fault: 1e-7 times branch 0 added to branch 1, renormalized
-    ("branch_stack", "return scaled[:, [0, 1, 3, 2]].reshape(len(amps), 2, 8)",
-     "phi = scaled[:, [0, 1, 3, 2]].reshape(len(amps), 2, 8); phi[:, 1] += 1e-7 * phi[:, 0]; "
-     "phi[:, 1] /= np.linalg.norm(phi[:, 1], axis=1, keepdims=True); return phi",
-     {"branch-orthonormality", "closed-form-spectrum", "backward-indistinguishability"}),
+    pytest.param(
+        "forward_fidelities", "c00 * c01 * params.s.real", "c00 * c01 * params.s.imag",
+        {"diagonal-fidelity-identity"},
+        id="fidelity-s-imaginary",
+    ),
+    pytest.param(
+        "forward_fidelities", "+ c01 * c11 * params.v.real", "- c01 * c11 * params.v.real",
+        {"diagonal-fidelity-identity"},
+        id="fidelity-v-sign",
+    ),
+    pytest.param(
+        "forward_fidelities", "+ c01 * c10 * params.q.real", "- c01 * c10 * params.q.real",
+        {"diagonal-fidelity-identity", "general-attack-bound"},
+        id="fidelity-q-sign",
+    ),
+    # the last LDL pivot with its d3 term halved admits Grams that are not
+    # PSD; only the channel row reads positivity, as the spectral rows and
+    # the closed form read the same overlaps
+    pytest.param(
+        "gram_pivots", "- (rr * rr + ri * ri) / d3", "- 0.5 * (rr * rr + ri * ri) / d3",
+        {"choi-channel"},
+        id="gram-pivot-halved",
+    ),
+    # a first-order branch fault: 1e-7 times branch 0 added to branch 1,
+    # renormalized; of verify's lines only the backward one realizes branches
+    pytest.param(
+        "branch_stack", "return scaled[:, [0, 1, 3, 2]].reshape(len(amps), 2, 8)",
+        "phi = scaled[:, [0, 1, 3, 2]].reshape(len(amps), 2, 8); phi[:, 1] += 1e-7 * phi[:, 0]; "
+        "phi[:, 1] /= np.linalg.norm(phi[:, 1], axis=1, keepdims=True); return phi",
+        {"backward-indistinguishability"},
+        id="branch-first-order",
+    ),
 ]
 
 
@@ -214,11 +238,11 @@ def test_verify_command_rejects_a_negative_seed(capsys):
 
 @pytest.mark.parametrize("trials", [16, 40, 2 * verify._SEED_CHUNK + 8])
 def test_eigensolver_census(monkeypatch, trials):
-    # per chunk, one stack holds the draws and their neighbours: one eigh
-    # realizes their ancillas and one eigvalsh validates their rho_be, and
-    # no 16x16 state is diagonalized; the 4x4 Gram matrices are never
-    # diagonalized to validate, but checked by pivots, attack by attack, in
-    # AttackParams
+    # per chunk, one stack holds the draws and their neighbours: one 4x4
+    # eigvalsh validates their omega states and one reads their Choi
+    # states' smallest eigenvalues, and no ancilla is realized; the 4x4
+    # Gram matrices are never diagonalized to validate, but checked by
+    # pivots, attack by attack, in AttackParams
     calls = []
 
     def counted(name, solver):
@@ -236,12 +260,12 @@ def test_eigensolver_census(monkeypatch, trials):
     # the trace distance of its two 8x8 key blocks
     chunk = verify._SEED_CHUNK
     sizes = [(4 * min(chunk, trials - i),) for i in range(0, trials, chunk)]
-    per_chunk = [call for size in sizes for call in (("eigh", 4, size), ("eigvalsh", 8, size))]
+    per_chunk = [call for size in sizes for call in (("eigvalsh", 4, size),) * 2]
     assert calls == per_chunk + [("eigh", 4, (1,)), ("eigvalsh", 8, ())]
 
 
 def test_every_stacked_attack_is_validated(monkeypatch):
-    # every attack of the one state stack, 40 draws and three neighbours to
+    # every attack of the one Choi stack, 40 draws and three neighbours to
     # each, is an object that validate accepted
     accepted = {}
     validate = attack.validate
@@ -256,10 +280,10 @@ def test_every_stacked_attack_is_validated(monkeypatch):
 
     def captured(attacks):
         stacks.append(list(attacks))
-        return be_stack(attacks)
+        return choi_states(attacks)
 
     monkeypatch.setattr(attack, "validate", recorded)
-    monkeypatch.setattr(verify, "be_stack", captured)
+    monkeypatch.setattr(verify, "choi_states", captured)
     run_verification(trials=40, seed=3)
     assert [len(stack) for stack in stacks] == [4 * 40]
     assert [i for i, a in enumerate(stacks[0]) if accepted.get(id(a)) is not a] == []
@@ -326,18 +350,24 @@ def _numpy_blas() -> str:
 @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"), reason="x86-64 kernels")
 @pytest.mark.skipif("openblas" not in _numpy_blas(), reason="numpy's BLAS is not OpenBLAS")
 def test_draws_do_not_depend_on_the_blas_kernel():
-    # the draws, their neighbours and the two numpy-free rows read the same
-    # bits under every kernel OpenBLAS can select; the variable that forces
-    # one is set in the children's environment alone
+    # the draws, their neighbours, the first chunk's Choi and omega stacks
+    # (the eigensolver's inputs) and the three rows whose deviations no
+    # eigenvalue sets (the smallest Choi eigenvalue is above 1e-8 on every
+    # attack here, so the channel row's marginal sets it) read the same bits
+    # under every kernel OpenBLAS can select; the variable that forces one
+    # is set in the children's environment alone
     script = (
         "import hashlib\n"
-        "from dqkd import verify\n"
+        "import numpy as np\n"
+        "from dqkd import keyrate, verify\n"
         "from test_verify import _draws_digest\n"
         "seeds = verify._child_seeds(0, 256)\n"
         "devs = verify._deviations(seeds)\n"
-        "rows = ('diagonal-fidelity-identity', 'general-attack-bound')\n"
-        "print(_draws_digest(seeds + [6]),\n"
-        "      *(hashlib.sha256(devs[name].tobytes()).hexdigest() for name in rows))\n"
+        "rows = ('choi-channel', 'diagonal-fidelity-identity', 'general-attack-bound')\n"
+        "choi = verify._Stack(seeds[:verify._SEED_CHUNK]).choi\n"
+        "omega = np.array([w.matrix for w in keyrate.omega_states(choi)])\n"
+        "blobs = [devs[name].tobytes() for name in rows] + [choi.tobytes(), omega.tobytes()]\n"
+        "print(_draws_digest(seeds + [6]), *(hashlib.sha256(b).hexdigest() for b in blobs))\n"
     )
     env = {key: val for key, val in os.environ.items() if key != "OPENBLAS_CORETYPE"}
     env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])
