@@ -274,7 +274,8 @@ class ChannelFidelities(NamedTuple):
     @property
     def xi(self) -> float:
         """The rate parameter fpm + f01 - 1; each fidelity must lie in [0, 1]."""
-        for name, val in zip(self._fields, self):
+        f0, f1, fplus, fminus = self
+        for name, val in (("f0", f0), ("f1", f1), ("fplus", fplus), ("fminus", fminus)):
             if not -DOMAIN_ATOL <= val <= 1.0 + DOMAIN_ATOL:
                 raise ValueError(f"{name}={val} outside [0, 1]")
         return self.fpm + self.f01 - 1.0

@@ -88,7 +88,7 @@ def be_spectrum_closed_form(params) -> BeSpectrumClosedForm:
     valid AttackParams, symmetric or not, from the block B; it matches
     brute-force diagonalization within 1e-10."""
     _, d_a, d_b = _block(params)
-    return BeSpectrumClosedForm(delta1=max(d_a, d_b), delta2=min(d_a, d_b))
+    return BeSpectrumClosedForm(max(d_a, d_b), min(d_a, d_b))
 
 
 class BoundCertificate(NamedTuple):

@@ -13,8 +13,9 @@ equal).
 
 The sampled checks run in one pass over one draw: ``trials`` attacks,
 each seeded by its own child seed, with three neighbours each, one per
-cancelling move (``_neighbors``), every one an AttackParams validated by
-its constructor. A draw and its neighbours share one generator: the u-v
+cancelling move (``_neighbors``), every one an AttackParams built
+positionally from the draw's own fields and validated by its
+constructor. A draw and its neighbours share one generator: the u-v
 move's phase is the next number after the draw's accepted try. The
 sampler's norms and inner products are Python float operations in a fixed
 order, so the draws do not depend on the BLAS kernel. The seeds go in
@@ -22,11 +23,14 @@ chunks of ``_SEED_CHUNK``, so memory stays flat in ``trials``. A chunk
 makes one ``keyrate.choi_states`` call on its draws and neighbours, 16
 products of each attack's own numbers with no ancilla realized, and
 validates their omega states, whose four eigenvalues are rho_be's
-nonzero ones, with one stacked 4x4 eigensolver call; each sampled check,
+nonzero ones, with one Hermitian pass over the whole stack and one
+stacked 4x4 eigensolver call; each sampled check,
 one row of ``CHECKS``, reads its deviations from the Choi states, from
 the omega spectra or from the attacks' own fields. A draw's deviations
 depend on its seed alone, so each check's witness, the seed of the first
-draw that reaches its worst deviation, replays it by itself.
+draw that reaches its worst deviation, replays it by itself. A draw whose
+bound certificate cannot be evaluated reads NaN, so a faulty library
+fails lines instead of raising.
 """
 
 from __future__ import annotations
@@ -81,8 +85,9 @@ def _unit(a: list[float]) -> list[float]:
 def _times(c: complex, a: list[float]) -> list[float]:
     """c |a>, for a ket held as _dot's."""
     cr, ci = c.real, c.imag
-    pairs = list(zip(a[:4], a[4:]))
-    return [cr * x - ci * y for x, y in pairs] + [cr * y + ci * x for x, y in pairs]
+    a0, a1, a2, a3, a4, a5, a6, a7 = a
+    return [cr * a0 - ci * a4, cr * a1 - ci * a5, cr * a2 - ci * a6, cr * a3 - ci * a7,
+            cr * a4 + ci * a0, cr * a5 + ci * a1, cr * a6 + ci * a2, cr * a7 + ci * a3]
 
 
 def _draw(seed: int, symmetric: bool) -> tuple[AttackParams, np.random.Generator]:
@@ -177,8 +182,7 @@ class VerificationReport:
 
 
 def _child_seeds(seed: int, count: int) -> list[int]:
-    rng = np.random.default_rng(seed)
-    return [int(s) for s in rng.integers(0, 2**63, size=count)]
+    return np.random.default_rng(seed).integers(0, 2**63, size=count).tolist()
 
 
 def _neighbors(attack: AttackParams, rng: np.random.Generator) -> list[AttackParams]:
@@ -186,32 +190,39 @@ def _neighbors(attack: AttackParams, rng: np.random.Generator) -> list[AttackPar
 
     Each move (u and v together, then Re s, then Re r) starts at a step of
     0.05 and halves it after each step the AttackParams constructor
-    rejects, trying at most 14 steps, and keeps its first valid one. A move
-    with no valid step contributes the attack itself, and so does the u-v
-    move when c01 c11 vanishes; either way its spectrum moves by exactly 0.
-    The phase of the u-v move is the next number of rng, the generator
-    _draw returns with the attack.
+    rejects, trying at most 14 steps, and keeps its first valid one. Each
+    step is built positionally from the attack's unpacked fields, so the
+    constructor validates it as it would any attack. A move with no valid
+    step contributes the attack itself, and so does the u-v move when
+    c01 c11 vanishes; either way its spectrum moves by exactly 0. The phase
+    of the u-v move is the next number of rng, the generator _draw returns
+    with the attack.
     """
+    c00, c01, c11, c10, s, u, p, r, v, q = attack
+
     def step(move) -> AttackParams:
         for j in range(14):
             try:
-                return attack._replace(**move(0.05 * 0.5**j))
+                return move(0.05 * 0.5**j)
             except AttackValidationError:
                 continue
         return attack
 
     near = [attack]  # the u-v move's stand-in when c01 c11 vanishes
-    if attack.c01 * attack.c11 > 1e-9:
+    if c01 * c11 > 1e-9:
         angle = 2.0 * math.pi * rng.random()
         phase = complex(math.cos(angle), math.sin(angle))
-        ratio = -(attack.c00 * attack.c10) / (attack.c01 * attack.c11)
+        ratio = -(c00 * c10) / (c01 * c11)
 
-        def uv(d: float) -> dict[str, complex]:
-            w = attack.u + d * phase
-            return {"u": w, "v": ratio * w}
+        def uv(d: float) -> AttackParams:
+            w = u + d * phase
+            return AttackParams(c00, c01, c11, c10, s, w, p, r, ratio * w, q)
 
         near = [step(uv)]
-    return near + [step(lambda d: {"s": attack.s + d}), step(lambda d: {"r": attack.r + d})]
+    return near + [
+        step(lambda d: AttackParams(c00, c01, c11, c10, s + d, u, p, r, v, q)),
+        step(lambda d: AttackParams(c00, c01, c11, c10, s, u, p, r + d, v, q)),
+    ]
 
 
 def _gram_fidelities(a: AttackParams) -> tuple[float, float]:
@@ -220,14 +231,21 @@ def _gram_fidelities(a: AttackParams) -> tuple[float, float]:
     |E11>, |E10>), for the (+,+,+,+) and (+,-,+,-) signed amplitudes w,
     each an fsum of the sixteen real products w_i Re G_ij w_j, so its bits
     depend on no summation order or memory layout. Re G is read off the
-    attack's own overlaps, laid out as keyrate's _GRAM_TABLE."""
-    s, u, p, r, v, q = a.s.real, a.u.real, a.p.real, a.r.real, a.v.real, a.q.real
-    g = ((1.0, s, p, u), (s, 1.0, v, q), (p, v, 1.0, r), (u, q, r, 1.0))
-    plus, minus = (a.c00, a.c01, a.c11, a.c10), (a.c00, -a.c01, a.c11, -a.c10)
-    return tuple(
-        math.fsum(w[i] * g[i][j] * w[j] for i in range(4) for j in range(4)) / 4.0
-        for w in (plus, minus)
-    )
+    attack's own overlaps, laid out as keyrate's _GRAM_TABLE, with rows
+    (1, s, p, u), (s, 1, v, q), (p, v, 1, r) and (u, q, r, 1)."""
+    c00, c01, c11, c10, s, u, p, r, v, q = a
+    s, u, p, r, v, q = s.real, u.real, p.real, r.real, v.real, q.real
+
+    def form(w0: float, w1: float, w2: float, w3: float) -> float:
+        # w_i * 1.0 is w_i exactly, so each diagonal product is w_i * w_i
+        return math.fsum([
+            w0 * w0, w0 * s * w1, w0 * p * w2, w0 * u * w3,
+            w1 * s * w0, w1 * w1, w1 * v * w2, w1 * q * w3,
+            w2 * p * w0, w2 * v * w1, w2 * w2, w2 * r * w3,
+            w3 * u * w0, w3 * q * w1, w3 * r * w2, w3 * w3,
+        ]) / 4.0
+
+    return form(c00, c01, c11, c10), form(c00, -c01, c11, -c10)
 
 
 class _Stack:
@@ -262,6 +280,7 @@ class _Stack:
     def closed_form(self) -> np.ndarray:
         """The closed form against omega's spectrum: a draw's worst row."""
         closed = [be_spectrum_closed_form(a).spectrum() for a in self.attacks]
+        # sorted again: near a tie, the rounding of spectrum() can reorder its entries
         return self._worst_row(np.max(np.abs(np.sort(closed)[:, ::-1] - self.spectra), axis=1))
 
     def diagonal(self) -> np.ndarray:
@@ -277,10 +296,16 @@ class _Stack:
     def bound(self) -> np.ndarray:
         """How far each draw's BoundCertificate misses its chain: a term or
         the majorization gap below its floor, or six terms that do not sum
-        to D1 - (2 xi - 1). The defect term has no floor."""
+        to D1 - (2 xi - 1). The defect term has no floor. A draw whose
+        certificate raises ValueError, a fidelity outside [0, 1], reads NaN,
+        so its check fails with that draw as witness."""
         misses = []
         for a in self.attacks[: self.k]:
-            cert = bound_certificate(a)
+            try:
+                cert = bound_certificate(a)
+            except ValueError:
+                misses.append((math.nan,) * 7)
+                continue
             t = cert.terms
             overlap_floor = -2.0 * a.c01 * a.c10 * OVERLAP_ATOL
             closure = abs(math.fsum(t) - (cert.delta1 - (2.0 * cert.xi - 1.0)))

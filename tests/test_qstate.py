@@ -57,7 +57,7 @@ def test_density_matrix_validates():
 def test_density_matrices_validate_a_stack_at_once():
     rng = np.random.default_rng(5)
     stack = []
-    for _ in range(20):  # longer than one slice of the Hermitian check
+    for _ in range(20):  # several matrices, so each error must name the one it found
         m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         m = m @ m.conj().T
         stack.append(m / np.trace(m))
@@ -83,6 +83,18 @@ def test_density_matrices_validate_a_stack_at_once():
         density_matrices(scaled, dims=(2, 2))
     with pytest.raises(NotDensityMatrixError):
         density_matrices(stack, dims=(2,))  # dims mismatch
+
+
+@pytest.mark.parametrize("bad, first", [((15, 16, 63), 15), ((16, 63), 16), ((63,), 63)])
+def test_hermitian_check_names_the_first_bad_matrix_of_a_stack(bad, first):
+    # a 64-matrix stack, the omega states of 16 draws and their neighbours,
+    # is checked in one pass: a skew entry anywhere, the last matrix
+    # included, is found, and the error names the first such matrix
+    stack = np.array([np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)] * 64)
+    for i in bad:
+        stack[i, 1, 2] += 1e-6j
+    with pytest.raises(NotHermitianError, match=f"matrix {first} "):
+        density_matrices(stack, dims=(2, 2))
 
 
 def test_partial_trace_bell_state():

@@ -76,6 +76,19 @@ def test_pinned_deviations(trials, seed, deviations):
     assert report.checks[0].witness_seed == channel_witness[trials, seed]
 
 
+# the two rows that read no eigensolver, at every draw of run_verification(512, 0)
+PINNED_PLAIN_ROWS_SHA256 = "4a90b105a4cfa4dc51ef6eca1e1a68acd4558b896adc8914cad352d4282844ea"
+
+
+def test_pinned_plain_rows():
+    # every deviation of the diagonal and bound rows, to the last bit: they
+    # read no LAPACK, so this pin holds under every BLAS kernel
+    devs = verify._deviations(_draws(512, 0))
+    rows = ("diagonal-fidelity-identity", "general-attack-bound")
+    text = "\n".join(x.hex() for name in rows for x in devs[name].tolist())
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_PLAIN_ROWS_SHA256
+
+
 def _draws(trials: int, seed: int) -> list[int]:
     """The child seeds run_verification(trials, seed) draws its attacks from."""
     return verify._child_seeds(verify._child_seeds(seed, 1)[0], trials)
@@ -162,21 +175,29 @@ def test_neighbours_share_their_draws_closed_form():
 
 # each mutant, under a name of its own: the function of dqkd.attack or
 # dqkd.keyrate it edits, the source text it replaces, the replacement, and
-# the lines of run_verification(16, 0) it fails
+# the lines of run_verification it fails at each (trials, seed)
 MUTANTS = [
     pytest.param(
         "forward_fidelities", "c00 * c01 * params.s.real", "c00 * c01 * params.s.imag",
-        {"diagonal-fidelity-identity"},
+        {(16, 0): {"diagonal-fidelity-identity"}, (200, 0): {"diagonal-fidelity-identity"}},
         id="fidelity-s-imaginary",
     ),
+    # at (200, 0) a draw's f- leaves [0, 1], so its certificate raises and
+    # its bound row reads NaN
     pytest.param(
         "forward_fidelities", "+ c01 * c11 * params.v.real", "- c01 * c11 * params.v.real",
-        {"diagonal-fidelity-identity"},
+        {
+            (16, 0): {"diagonal-fidelity-identity"},
+            (200, 0): {"diagonal-fidelity-identity", "general-attack-bound"},
+        },
         id="fidelity-v-sign",
     ),
     pytest.param(
         "forward_fidelities", "+ c01 * c10 * params.q.real", "- c01 * c10 * params.q.real",
-        {"diagonal-fidelity-identity", "general-attack-bound"},
+        {
+            (16, 0): {"diagonal-fidelity-identity", "general-attack-bound"},
+            (200, 0): {"diagonal-fidelity-identity", "general-attack-bound"},
+        },
         id="fidelity-q-sign",
     ),
     # the last LDL pivot with its d3 term halved admits Grams that are not
@@ -184,7 +205,7 @@ MUTANTS = [
     # the closed form read the same overlaps
     pytest.param(
         "gram_pivots", "- (rr * rr + ri * ri) / d3", "- 0.5 * (rr * rr + ri * ri) / d3",
-        {"choi-channel"},
+        {(16, 0): {"choi-channel"}, (200, 0): {"choi-channel"}},
         id="gram-pivot-halved",
     ),
     # a first-order branch fault: 1e-7 times branch 0 added to branch 1,
@@ -193,7 +214,7 @@ MUTANTS = [
         "branch_stack", "return scaled[:, [0, 1, 3, 2]].reshape(len(amps), 2, 8)",
         "phi = scaled[:, [0, 1, 3, 2]].reshape(len(amps), 2, 8); phi[:, 1] += 1e-7 * phi[:, 0]; "
         "phi[:, 1] /= np.linalg.norm(phi[:, 1], axis=1, keepdims=True); return phi",
-        {"backward-indistinguishability"},
+        {(16, 0): {"backward-indistinguishability"}, (200, 0): {"backward-indistinguishability"}},
         id="branch-first-order",
     ),
 ]
@@ -210,8 +231,10 @@ def test_verify_catches_each_mutant(monkeypatch, function, old, new, failed):
     for module in (home, verify):
         if hasattr(module, function):
             monkeypatch.setattr(module, function, namespace[function])
-    report = run_verification(trials=16, seed=0)
-    assert {c.name for c in report.checks if not c.passed} == failed
+    # a fault is reported as failed lines, never raised
+    for (trials, seed), lines in failed.items():
+        report = run_verification(trials=trials, seed=seed)
+        assert {c.name for c in report.checks if not c.passed} == lines, (trials, seed)
 
 
 def test_run_verification_argument_contract():
