@@ -69,6 +69,7 @@ from .qstate import (
     density_matrices,
     outer,
     trace_distance,
+    validated_stack,
     von_neumann_entropy,
 )
 
@@ -262,9 +263,10 @@ def choi_states(attacks: list[AttackParams]) -> np.ndarray:
     return 0.5 * (c[:, :, None] * c[:, None, :]) * _overlap_values(overlaps)[:, _CHOI_TABLE]
 
 
-def omega_states(choi: np.ndarray) -> list[DensityMatrix]:
+def omega_states(choi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The state omega on key ox reference, dims (2, 2), of each (k, 4, 4)
-    Choi state, validated with one stacked eigensolver call.
+    Choi state: the validated (k, 4, 4) stack, with one stacked eigensolver
+    call, and its (k, 4) spectra, each descending and read-only.
 
     omega = (1/2) sum_kl |k><l| ox Tr_Q[(I ox Y^k) rho_RQ (I ox Y^l)^+] is
     the complement of rho_BE in a purification, so its four eigenvalues
@@ -273,7 +275,8 @@ def omega_states(choi: np.ndarray) -> list[DensityMatrix]:
     its bits do not depend on the BLAS kernel.
     """
     k = len(choi)
-    return density_matrices((choi.reshape(k, 16) @ _OMEGA_T).reshape(k, 4, 4), (2, 2))
+    omega, spectra = validated_stack((choi.reshape(k, 16) @ _OMEGA_T).reshape(k, 4, 4), (2, 2))
+    return omega, spectra[:, ::-1]
 
 
 def s_be_numeric(params: AttackParams) -> float:

@@ -7,8 +7,8 @@ Conventions used everywhere:
 * composite systems are ordered big-endian, so ``np.kron(a, b)`` puts
   system ``a`` on the most significant index,
 * spectra are returned sorted in descending order,
-* a stack of k matrices is a (k, d, d) array; ``density_matrices``
-  validates a whole stack with one Hermitian pass and one eigensolver call,
+* a stack of k matrices is a (k, d, d) array; ``validated_stack`` checks
+  it in one pass, and ``density_matrices`` wraps each matrix it accepts,
 * ``partial_trace`` reduces one density matrix; tracing out the most
   significant factor of a stack is the sum of its diagonal blocks, which
   is how ``keyrate.joint_states`` and ``keyrate.be_states`` drop the key
@@ -69,18 +69,18 @@ class DensityMatrix:
         return self._ascending[::-1]
 
 
-def density_matrices(stack: np.ndarray, dims: tuple[int, ...]) -> list[DensityMatrix]:
-    """Validate a (k, d, d) stack in one pass and wrap each matrix.
+def validated_stack(stack: np.ndarray, dims: tuple[int, ...]) -> tuple[np.ndarray, Spectrum]:
+    """Validate a (k, d, d) stack of density matrices in one pass: the
+    complex stack and its (k, d) spectra, ascending and read-only.
 
     The checks and tolerances are those of DensityMatrix. Each invariant is
     tested on the whole stack before the next, as "not within" so that a
     NaN entry fails, and its error names the index of the first matrix that
     breaks it. The spectra come from one stacked ``eigvalsh`` call, which
-    runs the same LAPACK routine on each matrix, so entry i equals the
-    DensityMatrix of matrix i built alone, bit for bit.
+    runs the same LAPACK routine on each matrix, so row i equals the
+    spectrum of matrix i validated alone, bit for bit.
     """
     stack = np.asarray(stack, dtype=complex)
-    dims = tuple(int(d) for d in dims)
     d = int(np.prod(dims))
     if stack.ndim != 3 or stack.shape[1:] != (d, d):
         raise NotDensityMatrixError(f"shape {stack.shape[1:]} does not match dims {dims}")
@@ -103,6 +103,13 @@ def density_matrices(stack: np.ndarray, dims: tuple[int, ...]) -> list[DensityMa
             f"matrix {i}: eigenvalue {spectra[i, 0]} below the {PSD_SLACK:g} positivity slack"
         )
     spectra.flags.writeable = False
+    return stack, spectra
+
+
+def density_matrices(stack: np.ndarray, dims: tuple[int, ...]) -> list[DensityMatrix]:
+    """Validate a (k, d, d) stack with validated_stack and wrap each matrix."""
+    dims = tuple(int(d) for d in dims)
+    stack, spectra = validated_stack(stack, dims)
     out = []
     for m, w in zip(stack, spectra):
         rho = object.__new__(DensityMatrix)

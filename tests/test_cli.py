@@ -537,7 +537,7 @@ def test_simulate_accepts_full_attack_document(tmp_path, capsys):
 def test_verify_command(capsys, monkeypatch):
     assert main(["verify", "--trials", "20"]) == 0
     out = capsys.readouterr().out
-    assert out.count("[PASS]") == 6
+    assert out.count("[PASS]") == 5
     assert "all checks passed" in out
     # one failing check: its line says FAIL, the summary counts it, exit 1
     deviations = verify._deviations
@@ -548,9 +548,9 @@ def test_verify_command(capsys, monkeypatch):
     monkeypatch.setattr(verify, "_deviations", nan_diagonal)
     assert main(["verify", "--trials", "4"]) == 1
     out = capsys.readouterr().out
-    assert out.count("[PASS]") == 5
+    assert out.count("[PASS]") == 4
     assert "\n[FAIL] diagonal-fidelity-identity: max deviation nan " in out
-    assert out.endswith("\nFAILED: 1 of 6 checks\n")
+    assert out.endswith("\nFAILED: 1 of 5 checks\n")
     assert "all checks passed" not in out
 
 

@@ -122,26 +122,29 @@ def test_choi_route_matches_the_realization_route():
     # on 256 draws and the named attacks (measure_z has c01 = 0): the Choi
     # state is the reference-qubit marginal of the realized branches, Tr_Q
     # of it is I/2, omega's spectrum is rho_be's four nonzero eigenvalues,
-    # and S(omega) is s_be_numeric
+    # and S(omega) is s_be_numeric; each spectrum of the stack is, bit for
+    # bit, that of its omega validated alone
     attacks = [sample_valid(seed, symmetric=bool(seed % 2)) for seed in range(256)]
     attacks += [named_attack(name) for name in ("identity", "measure_z", "measure_x")]
     attacks.append(named_attack("symmetric", e=0.1))
     choi = choi_states(attacks)
     assert choi.shape == (len(attacks), 4, 4)
-    omega = omega_states(choi)
+    omega, spectra = omega_states(choi)
+    assert omega.shape == (len(attacks), 4, 4) and spectra.shape == (len(attacks), 4)
+    assert not spectra.flags.writeable
     realized = be_stack(attacks)[1]
-    for params, rho, w, rho_be in zip(attacks, choi, omega, realized):
+    for params, rho, w, spectrum, rho_be in zip(attacks, choi, omega, spectra, realized):
         # (1/2) sum_e phi_r[a, e] conj(phi_r'[b, e]), phi_r = U(|r> ox |E>)
         phi = np.array(kron_branch_vectors(params)).reshape(2, 2, 4)
         explicit = 0.5 * np.einsum("rae,sbe->rasb", phi, phi.conj()).reshape(4, 4)
         assert np.max(np.abs(rho - explicit)) <= CHOI_ENTRY_ATOL
         marginal = partial_trace(DensityMatrix(rho, dims=(2, 2)), keep=(0,)).matrix
         assert np.max(np.abs(marginal - 0.5 * np.eye(2))) <= CHOI_MARGINAL_ATOL
+        assert spectrum.tobytes() == DensityMatrix(w, dims=(2, 2)).spectrum().tobytes()
         be = rho_be.spectrum()
-        assert w.dims == (2, 2)
-        assert np.max(np.abs(w.spectrum() - be[:4])) <= CHOI_ENTRY_ATOL
+        assert np.max(np.abs(spectrum - be[:4])) <= CHOI_ENTRY_ATOL
         assert np.max(np.abs(be[4:])) <= CHOI_ENTRY_ATOL
-        assert abs(von_neumann_entropy(w) - s_be_numeric(params)) <= CHOI_ENTROPY_ATOL
+        assert abs(entropy_bits(spectrum.tolist()) - s_be_numeric(params)) <= CHOI_ENTROPY_ATOL
 
 
 def test_stored_spectrum_matches_fresh_diagonalization():

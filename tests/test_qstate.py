@@ -87,7 +87,7 @@ def test_density_matrices_validate_a_stack_at_once():
 
 @pytest.mark.parametrize("bad, first", [((15, 16, 63), 15), ((16, 63), 16), ((63,), 63)])
 def test_hermitian_check_names_the_first_bad_matrix_of_a_stack(bad, first):
-    # a 64-matrix stack, the omega states of 16 draws and their neighbours,
+    # a 64-matrix stack, the omega states of 32 draws and their neighbours,
     # is checked in one pass: a skew entry anywhere, the last matrix
     # included, is found, and the error names the first such matrix
     stack = np.array([np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)] * 64)

@@ -13,7 +13,8 @@ import pytest
 from dqkd import attack, keyrate, verify
 from dqkd.attack import AMPLITUDE_ATOL, UNITARITY_ATOL, named_attack
 from dqkd.cli import main
-from dqkd.keyrate import choi_states, joint_states
+from dqkd.keyrate import choi_states
+from dqkd.qstate import NotDensityMatrixError, NotHermitianError
 from dqkd.rates import PSD_SLACK, be_spectrum_closed_form
 from dqkd.verify import VerificationCheck, VerificationReport, run_verification
 
@@ -27,7 +28,6 @@ def test_all_checks_pass():
         "choi-channel",
         "closed-form-spectrum",
         "diagonal-fidelity-identity",
-        "overlap-insensitivity",
         "general-attack-bound",
         "backward-indistinguishability",
     ]
@@ -55,12 +55,12 @@ def test_verification_is_deterministic():
 @pytest.mark.parametrize(
     "trials, seed, deviations",
     [
-        (16, 0, ("0x1.0000000000000p-53", "0x1.8000000000000p-53", "0x1.0000000000000p-53",
-                 "0x1.8000000000000p-53", "0x1.0000000000000p-51", "0x0.0p+0")),
+        (16, 0, ("0x1.0000000000000p-53", "0x1.4000000000000p-53", "0x1.0000000000000p-53",
+                 "0x1.0000000000000p-51", "0x0.0p+0")),
         (30, 7, ("0x1.0000000000000p-53", "0x1.0000000000000p-52", "0x1.0000000000000p-53",
-                 "0x1.8000000000000p-53", "0x1.0000000000000p-51", "0x0.0p+0")),
+                 "0x1.0000000000000p-51", "0x0.0p+0")),
         (200, 0, ("0x1.0000000000000p-53", "0x1.4000000000000p-52", "0x1.0000000000000p-53",
-                  "0x1.1000000000000p-52", "0x1.0000000000000p-51", "0x0.0p+0")),
+                  "0x1.0000000000000p-51", "0x0.0p+0")),
     ],
 )
 def test_pinned_deviations(trials, seed, deviations):
@@ -163,19 +163,18 @@ def test_channel_tolerance_covers_the_validation_slacks(capsys):
 
 
 def test_neighbours_share_their_draws_closed_form():
-    # the moves change only u, v, Re s and Re r, which the closed form never
-    # reads, so the closed form on a neighbour's row is its draw's, bit for
-    # bit, and each of its rows checks the brute-force spectrum against it
+    # the edge step changes only Re s, which the closed form never reads, so
+    # the closed form on a neighbour's row is its draw's, bit for bit, and
+    # each of its rows checks the brute-force spectrum against it
     for seed in _draws(64, 0):
-        draw, rng = verify._draw(seed, bool(seed % 2))
-        closed = be_spectrum_closed_form(draw)
-        for near in verify._neighbors(draw, rng):
-            assert be_spectrum_closed_form(near) == closed
+        draw = verify.sample_valid(seed, bool(seed % 2))
+        assert be_spectrum_closed_form(verify._edge(draw)) == be_spectrum_closed_form(draw)
 
 
 # each mutant, under a name of its own: the function of dqkd.attack or
 # dqkd.keyrate it edits, the source text it replaces, the replacement, and
-# the lines of run_verification it fails at each (trials, seed)
+# at each (trials, seed) the lines of run_verification it fails, or the
+# validator's error it raises
 MUTANTS = [
     pytest.param(
         "forward_fidelities", "c00 * c01 * params.s.real", "c00 * c01 * params.s.imag",
@@ -202,7 +201,8 @@ MUTANTS = [
     ),
     # the last LDL pivot with its d3 term halved admits Grams that are not
     # PSD; only the channel row reads positivity, as the spectral rows and
-    # the closed form read the same overlaps
+    # the closed form read the same overlaps, and it sees them only on the
+    # edge neighbours: every draw is interior
     pytest.param(
         "gram_pivots", "- (rr * rr + ri * ri) / d3", "- 0.5 * (rr * rr + ri * ri) / d3",
         {(16, 0): {"choi-channel"}, (200, 0): {"choi-channel"}},
@@ -216,6 +216,19 @@ MUTANTS = [
         "phi[:, 1] /= np.linalg.norm(phi[:, 1], axis=1, keepdims=True); return phi",
         {(16, 0): {"backward-indistinguishability"}, (200, 0): {"backward-indistinguishability"}},
         id="branch-first-order",
+    ),
+    # Choi-route faults that omega's validation rejects raise its typed
+    # error: unconjugated overlaps make omega not Hermitian, and a scaled
+    # Choi state gives omega a trace off 1
+    pytest.param(
+        "_overlap_values", "overlaps.conj()", "overlaps",
+        {(16, 0): NotHermitianError, (200, 0): NotHermitianError},
+        id="overlap-unconjugated",
+    ),
+    pytest.param(
+        "choi_states", "return 0.5 * (c[:, :, None]", "return (1 + 1e-9) * 0.5 * (c[:, :, None]",
+        {(16, 0): NotDensityMatrixError, (200, 0): NotDensityMatrixError},
+        id="choi-trace-scaled",
     ),
 ]
 
@@ -231,8 +244,13 @@ def test_verify_catches_each_mutant(monkeypatch, function, old, new, failed):
     for module in (home, verify):
         if hasattr(module, function):
             monkeypatch.setattr(module, function, namespace[function])
-    # a fault is reported as failed lines, never raised
+    # a fault that the validators let through is reported as failed lines,
+    # never raised; one that omega's validation rejects raises its error
     for (trials, seed), lines in failed.items():
+        if isinstance(lines, type):
+            with pytest.raises(lines):
+                run_verification(trials=trials, seed=seed)
+            continue
         report = run_verification(trials=trials, seed=seed)
         assert {c.name for c in report.checks if not c.passed} == lines, (trials, seed)
 
@@ -278,17 +296,17 @@ def test_eigensolver_census(monkeypatch, trials):
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     run_verification(trials=trials, seed=0)
-    # each chunk's stack is its draws and their three neighbours each; the
+    # each chunk's stack is its draws and the edge neighbour of each; the
     # backward check then realizes the identity attack once more and takes
     # the trace distance of its two 8x8 key blocks
     chunk = verify._SEED_CHUNK
-    sizes = [(4 * min(chunk, trials - i),) for i in range(0, trials, chunk)]
+    sizes = [(2 * min(chunk, trials - i),) for i in range(0, trials, chunk)]
     per_chunk = [call for size in sizes for call in (("eigvalsh", 4, size),) * 2]
     assert calls == per_chunk + [("eigh", 4, (1,)), ("eigvalsh", 8, ())]
 
 
 def test_every_stacked_attack_is_validated(monkeypatch):
-    # every attack of the one Choi stack, 40 draws and three neighbours to
+    # every attack of the one Choi stack, 40 draws and the edge neighbour of
     # each, is an object that validate accepted
     accepted = {}
     validate = attack.validate
@@ -308,26 +326,24 @@ def test_every_stacked_attack_is_validated(monkeypatch):
     monkeypatch.setattr(attack, "validate", recorded)
     monkeypatch.setattr(verify, "choi_states", captured)
     run_verification(trials=40, seed=3)
-    assert [len(stack) for stack in stacks] == [4 * 40]
+    assert [len(stack) for stack in stacks] == [2 * 40]
     assert [i for i, a in enumerate(stacks[0]) if accepted.get(id(a)) is not a] == []
 
 
-def test_every_draw_has_three_neighbours():
-    # a move with no valid step contributes the draw itself, and so does the
-    # u-v move when c01 c11 vanishes; the stand-in's deviation is exactly 0
-    rng = np.random.default_rng(0)  # neither attack draws a phase from it
-    identity = named_attack("identity")  # every Re s and Re r step leaves the disc
-    assert [n is identity for n in verify._neighbors(identity, rng)] == [True, True, True]
+def test_every_draw_has_an_edge_neighbour():
+    # an attack that accepts no step is its own neighbour, whose deviation
+    # is exactly its draw's; every other neighbour is a new attack that
+    # validate accepts, with only Re s moved
+    identity = named_attack("identity")  # every Re s step leaves the disc
+    assert verify._edge(identity) is identity
     measure_z = named_attack("measure_z")  # c01 = 0
-    near = verify._neighbors(measure_z, rng)
-    assert [n is measure_z for n in near] == [True, False, False]
-    assert (near[1].s, near[2].r) == (0.05, 0.05)
-    spectra = [b.rho_be.spectrum() for b in joint_states([measure_z] + near)]
-    assert spectra[1].tobytes() == spectra[0].tobytes()
+    near = verify._edge(measure_z)
+    assert near.s == 0.05 and near._replace(s=measure_z.s) == measure_z
     for seed in _draws(64, 0):
-        draw, rng = verify._draw(seed, bool(seed % 2))
-        near = verify._neighbors(draw, rng)
-        assert len(near) == 3 and all(n is not draw for n in near)
+        draw = verify.sample_valid(seed, bool(seed % 2))
+        near = verify._edge(draw)
+        assert near is not draw and attack.validate(near) is near
+        assert near.s.imag == draw.s.imag and near._replace(s=draw.s) == draw
 
 
 def _hexes(params) -> str:
@@ -339,22 +355,21 @@ def _hexes(params) -> str:
 
 
 # seed 6 rejects its first three tries, each for |u| > 1, before it keeps one
-PINNED_SAMPLES_SHA256 = "670f7366a567c7d53891b3d8d029befce3ba7a184009965c2d741878709cda25"
+PINNED_SAMPLES_SHA256 = "35f72fe47fe2422b5f717e0522aeeff879ac180d96e97285b5cd1b28cf52848b"
 
 
 def _draws_digest(seeds: list[int]) -> str:
-    """sha256 of the hexes of each seed's draw and its three neighbours."""
+    """sha256 of the hexes of each seed's draw and its edge neighbour."""
     lines = []
     for seed in seeds:
-        draw, rng = verify._draw(seed, bool(seed % 2))
-        assert draw == verify.sample_valid(seed, bool(seed % 2))
-        lines += [_hexes(a) for a in [draw] + verify._neighbors(draw, rng)]
+        draw = verify.sample_valid(seed, bool(seed % 2))
+        lines += [_hexes(draw), _hexes(verify._edge(draw))]
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 def test_pinned_draws_and_neighbours():
-    # every draw and neighbour, to the last bit: the first 256 child seeds
-    # of seed 0, then a seed whose first try is rejected
+    # every draw and edge neighbour, to the last bit: the first 256 child
+    # seeds of seed 0, then a seed whose first try is rejected
     assert _draws_digest(verify._child_seeds(0, 256) + [6]) == PINNED_SAMPLES_SHA256
 
 
@@ -381,14 +396,13 @@ def test_draws_do_not_depend_on_the_blas_kernel():
     # is set in the children's environment alone
     script = (
         "import hashlib\n"
-        "import numpy as np\n"
         "from dqkd import keyrate, verify\n"
         "from test_verify import _draws_digest\n"
         "seeds = verify._child_seeds(0, 256)\n"
         "devs = verify._deviations(seeds)\n"
         "rows = ('choi-channel', 'diagonal-fidelity-identity', 'general-attack-bound')\n"
         "choi = verify._Stack(seeds[:verify._SEED_CHUNK]).choi\n"
-        "omega = np.array([w.matrix for w in keyrate.omega_states(choi)])\n"
+        "omega = keyrate.omega_states(choi)[0]\n"
         "blobs = [devs[name].tobytes() for name in rows] + [choi.tobytes(), omega.tobytes()]\n"
         "print(_draws_digest(seeds + [6]), *(hashlib.sha256(b).hexdigest() for b in blobs))\n"
     )
