@@ -300,8 +300,24 @@ def forward_fidelities(params: AttackParams) -> ChannelFidelities:
     return ChannelFidelities(c00**2, c11**2, 0.5 * (1.0 + even + odd), 0.5 * (1.0 + even - odd))
 
 
+# the parameterless named attacks, each validated once by its constructor
+_FIXED_ATTACKS = {
+    "identity": AttackParams(
+        c00=1.0, c01=0.0, c11=1.0, c10=0.0,
+        s=1 + 0j, u=1 + 0j, p=1 + 0j, r=1 + 0j, v=1 + 0j, q=1 + 0j,
+    ),
+    "measure_z": AttackParams(c00=1.0, c01=0.0, c11=1.0, c10=0.0),
+    # all four amplitudes 1/sqrt(2)
+    "measure_x": AttackParams(*[1.0 / math.sqrt(2.0)] * 4, p=1 + 0j, q=1 + 0j),
+}
+
+
 def named_attack(name: str, e: float | None = None) -> AttackParams:
     """Reference attacks used across tests, demos and the CLI.
+
+    identity, measure_z and measure_x are module constants, validated once
+    at import, so every call returns the same object; only symmetric is
+    built, and validated, per call.
 
     Args:
         name: one of "identity", "measure_z", "measure_x", "symmetric".
@@ -312,36 +328,26 @@ def named_attack(name: str, e: float | None = None) -> AttackParams:
 
     Raises:
         TypeError: e is a bool or not a real number (a string included).
-        ValueError: an unknown name, or e missing, misplaced or out of range.
+        ValueError: an unknown name (one that is not a string included), or
+            e missing, misplaced or out of range.
     """
-    if e is not None and name != "symmetric" and name in NAMED_ATTACKS:
-        raise ValueError(f"the {name} attack takes no disturbance e, got e={e}")
-    if name == "identity":
-        params = AttackParams(
-            c00=1.0, c01=0.0, c11=1.0, c10=0.0,
-            s=1 + 0j, u=1 + 0j, p=1 + 0j, r=1 + 0j, v=1 + 0j, q=1 + 0j,
-        )
-    elif name == "measure_z":
-        params = AttackParams(c00=1.0, c01=0.0, c11=1.0, c10=0.0)
-    elif name == "measure_x":
-        a = 1.0 / math.sqrt(2.0)
-        params = AttackParams(c00=a, c01=a, c11=a, c10=a, p=1 + 0j, q=1 + 0j)
-    elif name == "symmetric":
-        if e is None:
-            raise ValueError("the symmetric attack needs a disturbance e")
-        if isinstance(e, bool) or not isinstance(e, (float, int, numbers.Real)):
-            raise TypeError(f"symmetric disturbance e must be a real number, got {e!r}")
-        e = float(e)
-        if not 0.0 <= e <= 0.5:
-            raise ValueError(f"symmetric disturbance e={e} outside [0, 1/2]")
-        c0 = math.sqrt(1.0 - e)
-        c1 = math.sqrt(e)
-        # q0 = 1 and the boundary identity 2 fpm - 1 = c0^2 p0 + c1^2 q0
-        # pin p0 so that fpm = f01 = 1 - e
-        p0 = (1.0 - 3.0 * e) / (1.0 - e)
-        params = AttackParams(
-            c00=c0, c01=c1, c11=c0, c10=c1, p=complex(p0), q=1 + 0j,
-        )
-    else:
+    # tuple membership first: a dict lookup would raise TypeError on a list
+    if name not in NAMED_ATTACKS:
         raise ValueError(f"unknown attack name {name!r}; expected one of {NAMED_ATTACKS}")
-    return params
+    if name != "symmetric":
+        if e is not None:
+            raise ValueError(f"the {name} attack takes no disturbance e, got e={e}")
+        return _FIXED_ATTACKS[name]
+    if e is None:
+        raise ValueError("the symmetric attack needs a disturbance e")
+    if isinstance(e, bool) or not isinstance(e, (float, int, numbers.Real)):
+        raise TypeError(f"symmetric disturbance e must be a real number, got {e!r}")
+    e = float(e)
+    if not 0.0 <= e <= 0.5:
+        raise ValueError(f"symmetric disturbance e={e} outside [0, 1/2]")
+    c0 = math.sqrt(1.0 - e)
+    c1 = math.sqrt(e)
+    # q0 = 1 and the boundary identity 2 fpm - 1 = c0^2 p0 + c1^2 q0
+    # pin p0 so that fpm = f01 = 1 - e
+    p0 = (1.0 - 3.0 * e) / (1.0 - e)
+    return AttackParams(c00=c0, c01=c1, c11=c0, c10=c1, p=complex(p0), q=1 + 0j)

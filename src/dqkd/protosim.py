@@ -43,6 +43,12 @@ from .rates import KeyRateReport, clears_boundary, final_rate
 STATE_LABELS = ("0", "1", "+", "-")
 BASIS_OF = {"0": "Z", "1": "Z", "+": "X", "-": "X"}
 COMPLEMENT = {"0": "1", "1": "0", "+": "-", "-": "+"}
+# the counts keys of each state's matching and missing consistent check, in state order
+_COUNT_KEYS = tuple(
+    f"{label}|{BASIS_OF[label]}|{outcome}"
+    for label in STATE_LABELS
+    for outcome in (label, COMPLEMENT[label])
+)
 
 
 class InsufficientDataError(ValueError):
@@ -70,45 +76,46 @@ class ProtocolConfig(_ConfigFields):
     or another field that is not a real number (a bool included), raises
     TypeError. The integer fields are stored as int and the real ones as
     float, whatever numeric type they were given in. _replace, _make, copy
-    and unpickling construct through the same checks.
+    and unpickling construct through the same checks. Arguments and
+    defaults are parsed as by the NamedTuple; the fields are then checked
+    in order, the first failure raising, and stored in one tuple.
     """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
-        fields = super().__new__(cls, *args, **kwargs)._asdict()
-        if not isinstance(fields["attack"], AttackParams):
-            raise TypeError(f"attack must be an AttackParams, got {fields['attack']!r}")
-        for name in ("n", "seed"):
-            value = fields[name]
+        fields = list(super().__new__(cls, *args, **kwargs))
+        if not isinstance(fields[0], AttackParams):
+            raise TypeError(f"attack must be an AttackParams, got {fields[0]!r}")
+        for k in (1, 5):  # n, seed
+            value = fields[k]
             if isinstance(value, bool) or not isinstance(value, (int, numbers.Integral)):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-            fields[name] = int(value)  # a numpy integer is not JSON
-        for name in ("check_fraction", "announce_fraction", "backward_noise", "abort_slack_z"):
-            value = fields[name]
+                raise TypeError(f"{cls._fields[k]} must be an integer, got {value!r}")
+            fields[k] = int(value)  # a numpy integer is not JSON
+        for k in (2, 3, 4, 6):  # check_fraction, announce_fraction, backward_noise, abort_slack_z
+            value = fields[k]
             # float and int first: they skip the abstract-class check, ~1 us each
             if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
-                raise TypeError(f"{name} must be a real number, got {value!r}")
+                raise TypeError(f"{cls._fields[k]} must be a real number, got {value!r}")
             try:
                 # nor is a numpy float, and a float32 would round the cells to its precision
-                fields[name] = float(value)
+                fields[k] = float(value)
             except OverflowError:
-                raise ValueError(f"{name}={value} does not fit in a float") from None
-        config = super().__new__(cls, **fields)
-        if config.seed < 0:
-            raise ValueError(f"seed={config.seed} must be non-negative")
+                raise ValueError(f"{cls._fields[k]}={value} does not fit in a float") from None
+        _, n, _, _, backward_noise, seed, abort_slack_z = fields
+        if seed < 0:
+            raise ValueError(f"seed={seed} must be non-negative")
         # numpy's multinomial draws n as a signed 64-bit integer
-        if not 1 <= config.n <= 2**63 - 1:
-            raise ValueError(f"n={config.n} outside [1, 2**63 - 1]")
-        for name in ("check_fraction", "announce_fraction"):
-            val = getattr(config, name)
-            if not 0.0 < val < 1.0:
-                raise ValueError(f"{name}={val} outside the open interval (0, 1)")
-        if not 0.0 <= config.backward_noise <= 0.5:
-            raise ValueError(f"backward_noise={config.backward_noise} outside [0, 1/2]")
-        if not 0.0 <= config.abort_slack_z < math.inf:
-            raise ValueError(f"abort_slack_z={config.abort_slack_z} must be finite and >= 0")
-        return config
+        if not 1 <= n <= 2**63 - 1:
+            raise ValueError(f"n={n} outside [1, 2**63 - 1]")
+        for k in (2, 3):  # check_fraction, announce_fraction
+            if not 0.0 < fields[k] < 1.0:
+                raise ValueError(f"{cls._fields[k]}={fields[k]} outside the open interval (0, 1)")
+        if not 0.0 <= backward_noise <= 0.5:
+            raise ValueError(f"backward_noise={backward_noise} outside [0, 1/2]")
+        if not 0.0 <= abort_slack_z < math.inf:
+            raise ValueError(f"abort_slack_z={abort_slack_z} must be finite and >= 0")
+        return tuple.__new__(cls, fields)
 
     @classmethod
     def _make(cls, iterable) -> "ProtocolConfig":
@@ -223,54 +230,35 @@ def run_protocol(config: ProtocolConfig) -> tuple[ProtocolStats, KeyRateReport]:
     import numpy as np
 
     cells = _cell_probabilities(config, forward_fidelities(config.attack))
-    rng = np.random.default_rng(config.seed)
-    tally = rng.multinomial(config.n, cells).tolist()
-    hits, misses, discarded, ann_err, ann_ok, raw = (tally[k::6] for k in range(6))
+    tally = np.random.default_rng(config.seed).multinomial(config.n, cells).tolist()
+    # per state: hit, miss, discarded, announced error, announced correct, raw key
+    (h0, w0, d0, x0, y0, r0, h1, w1, d1, x1, y1, r1,
+     h2, w2, d2, x2, y2, r2, h3, w3, d3, x3, y3, r3) = tally
+    counts = {key: c for key, c in zip(_COUNT_KEYS, (h0, w0, h1, w1, h2, w2, h3, w3)) if c}
+    est_f0, se_f0 = estimate_with_se(h0, h0 + w0)
+    est_f1, se_f1 = estimate_with_se(h1, h1 + w1)
+    est_fplus, se_fplus = estimate_with_se(h2, h2 + w2)
+    est_fminus, se_fminus = estimate_with_se(h3, h3 + w3)
 
-    counts: dict[str, int] = {}
-    for label, hit, miss in zip(STATE_LABELS, hits, misses):
-        basis = BASIS_OF[label]
-        if hit:
-            counts[f"{label}|{basis}|{label}"] = hit
-        if miss:
-            counts[f"{label}|{basis}|{COMPLEMENT[label]}"] = miss
-    est_f, se_f = zip(*(estimate_with_se(hit, hit + miss) for hit, miss in zip(hits, misses)))
+    errors = x0 + x1 + x2 + x3
+    n_announced = errors + y0 + y1 + y2 + y3
+    m = r0 + r1 + r2 + r3
+    est_e, se_e = estimate_with_se(errors, n_announced)
 
-    n_announced = sum(ann_err) + sum(ann_ok)
-    m = sum(raw)
-    est_e, se_e = estimate_with_se(sum(ann_err), n_announced)
-
-    est_xi = ChannelFidelities(*est_f).xi
-    se0, se1, se2, se3 = se_f
+    est_xi = ChannelFidelities(est_f0, est_f1, est_fplus, est_fminus).xi
     # summed in state order; float addition is not associative
-    se_xi = 0.5 * math.sqrt(se0 * se0 + se1 * se1 + se2 * se2 + se3 * se3)
+    se_xi = 0.5 * math.sqrt(se_f0 * se_f0 + se_f1 * se_f1 + se_fplus * se_fplus
+                            + se_fminus * se_fminus)
 
     # estimates lie in [0, 1], so est_xi is in [-1, 1] exactly; only e is capped
     report = final_rate(est_xi, min(est_e, 0.5))
     aborted = not clears_boundary(est_xi - config.abort_slack_z * se_xi)
     if aborted and report.boundary_ok:
         report = report._replace(r_pa=0.0, r_final=0.0, boundary_ok=False)
-    k_est = round(m * report.r_final)
 
     stats = ProtocolStats(
-        counts=counts,
-        n_check_consistent=sum(hits) + sum(misses),
-        n_check_discarded=sum(discarded),
-        n_announced=n_announced,
-        m=m,
-        est_f0=est_f[0],
-        se_f0=se0,
-        est_f1=est_f[1],
-        se_f1=se1,
-        est_fplus=est_f[2],
-        se_fplus=se2,
-        est_fminus=est_f[3],
-        se_fminus=se3,
-        est_e=est_e,
-        se_e=se_e,
-        est_xi=est_xi,
-        se_xi=se_xi,
-        k_est=k_est,
-        aborted=aborted,
+        counts, h0 + w0 + h1 + w1 + h2 + w2 + h3 + w3, d0 + d1 + d2 + d3, n_announced, m,
+        est_f0, se_f0, est_f1, se_f1, est_fplus, se_fplus, est_fminus, se_fminus,
+        est_e, se_e, est_xi, se_xi, round(m * report.r_final), aborted,
     )
     return stats, report

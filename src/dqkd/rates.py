@@ -216,24 +216,13 @@ def final_rate(xi: float, e: float) -> KeyRateReport:
         raise ValueError(f"e={e} outside [0, 1/2]")
     xi = min(max(xi, -1.0), 1.0)
     e = min(max(e, 0.0), 0.5)
-    r_bb84 = 1.0 - 2.0 * binary_entropy(e)
-    if xi >= 0.0:
-        r_final_raw = 1.0 - binary_entropy(xi) - binary_entropy(e)
-    else:
-        r_final_raw = math.nan
+    h_e = binary_entropy(e)
+    # h(xi), and with it the raw curve, is defined only for xi >= 0
+    r_pa = 1.0 - binary_entropy(xi) if xi >= 0.0 else math.nan
+    r_final_raw = r_pa - h_e
     boundary_ok = clears_boundary(xi)
     if boundary_ok:
-        r_pa = 1.0 - binary_entropy(xi)
         r_final = max(0.0, r_final_raw)
     else:
-        r_pa = 0.0
-        r_final = 0.0
-    return KeyRateReport(
-        xi=xi,
-        e=e,
-        r_pa=r_pa,
-        r_final=r_final,
-        r_final_raw=r_final_raw,
-        r_bb84=r_bb84,
-        boundary_ok=boundary_ok,
-    )
+        r_pa = r_final = 0.0
+    return KeyRateReport(xi, e, r_pa, r_final, r_final_raw, 1.0 - 2.0 * h_e, boundary_ok)

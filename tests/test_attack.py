@@ -19,6 +19,7 @@ from dqkd.attack import (
     named_attack,
     validate,
 )
+from dqkd import attack as attack_module
 from dqkd import verify
 from dqkd.keyrate import _gram_stack, attack_rows, realize_ancilla
 from dqkd.optimizer import FidelityConstraint
@@ -353,13 +354,29 @@ def test_symmetric_attack_family():
     assert named_attack("symmetric", e=0.0).c00 == 1.0
 
 
+def test_parameterless_named_attacks_are_validated_constants(monkeypatch):
+    # identity, measure_z and measure_x are validated once, at import, and
+    # shared; only the symmetric attack is built, and validated, per call
+    calls = []
+    check = attack_module.validate
+    monkeypatch.setattr(attack_module, "validate", lambda params: calls.append(params) or check(params))
+    for name in ("identity", "measure_z", "measure_x"):
+        assert named_attack(name) is named_attack(name)
+        assert type(named_attack(name)) is AttackParams
+    assert calls == []
+    named_attack("symmetric", 0.1)
+    assert len(calls) == 1
+
+
 def test_named_attack_errors():
     with pytest.raises(ValueError):
         named_attack("symmetric")  # e is required
     with pytest.raises(ValueError):
         named_attack("symmetric", e=0.6)
-    with pytest.raises(ValueError):
-        named_attack("bogus")
+    # a name that is not a string, hashable or not, is unknown too
+    for name in ("bogus", ["identity"], {}, None):
+        with pytest.raises(ValueError, match="unknown attack name"):
+            named_attack(name)
     for name in ("identity", "measure_z", "measure_x"):
         with pytest.raises(ValueError, match="takes no disturbance"):
             named_attack(name, e=0.3)

@@ -419,6 +419,11 @@ def test_simulate_config_errors(tmp_path, capsys):
     # no n anywhere
     assert main(["simulate", "--attack", "identity"]) == 1
     assert capsys.readouterr().err == "error: config field 'n': missing (no --n either)\n"
+    # a name that is not a string is unknown, even one a dict cannot hold as a key
+    for name in (["identity"], {}):
+        bad.write_text(json.dumps({"attack": {"name": name}, "n": 100}), encoding="utf-8")
+        assert main(["simulate", "--config", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith("error: unknown attack name")
     # symmetric as a bare name lacks its disturbance
     bad.write_text(json.dumps({"attack": "symmetric", "n": 100}), encoding="utf-8")
     assert main(["simulate", "--config", str(bad)]) == 1

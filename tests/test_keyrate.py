@@ -22,6 +22,7 @@ from dqkd.keyrate import (
     omega_states,
     s_be_numeric,
 )
+from dqkd import rates
 from dqkd.optimizer import FidelityConstraint, maximize_s_be
 from dqkd.qstate import (
     DensityMatrix,
@@ -401,6 +402,18 @@ def test_final_rate_abort_region():
     assert report.aborted
     assert math.isnan(report.r_final_raw)
     assert report.to_dict()["r_final_raw"] is None
+
+
+def test_final_rate_evaluates_each_entropy_once(monkeypatch):
+    # h(e) once, and h(xi) once where it is defined (xi >= 0), whether or
+    # not the run clears the boundary
+    calls = []
+    entropy = rates.binary_entropy
+    monkeypatch.setattr(rates, "binary_entropy", lambda x: calls.append(x) or entropy(x))
+    for xi, e, count in ((0.9, 0.05, 2), (0.5, 0.0, 2), (0.3, 0.1, 2), (-0.5, 0.1, 1)):
+        calls.clear()
+        final_rate(xi, e)
+        assert len(calls) == count, (xi, e, calls)
 
 
 def test_final_rate_domain_errors():

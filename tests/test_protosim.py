@@ -1,4 +1,6 @@
+import hashlib
 import json
+import math
 import re
 
 import numpy as np
@@ -14,7 +16,7 @@ from dqkd.protosim import (
     estimate_with_se,
     run_protocol,
 )
-from dqkd.rates import clears_boundary
+from dqkd.rates import BOUNDARY_ATOL, clears_boundary, final_rate
 from dqkd.verify import sample_valid
 
 def at_slack_attack() -> AttackParams:
@@ -352,3 +354,50 @@ def test_tallies_match_the_cell_model_at_the_largest_n():
             assert abs(count - config.n * p) <= bound, (config, count, p)
         compared += len(pairs)
     assert compared == 22_000
+
+
+def field_hex(value) -> str:
+    """One stats or report field as text that keeps every bit: a float as
+    float.hex, the counts as their items in insertion order, the rest by repr."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return repr(list(value.items()))
+    return repr(value)
+
+
+def outcome_hex(call) -> str:
+    """The fields of call()'s NamedTuples, or the name of the error it raised."""
+    try:
+        out = call()
+    except ValueError as exc:
+        return type(exc).__name__
+    return repr([[field_hex(v) for v in part] for part in out])
+
+
+def final_rate_grid() -> list[tuple[float, float]]:
+    """(xi, e) over both domains, their slack and a step past it: xi < 0, the
+    ladder of ulps around the abort rule's 1/2 - BOUNDARY_ATOL, e = 0 and 1/2."""
+    half = 0.5 - BOUNDARY_ATOL
+    ladder = [half, 0.5]
+    for _ in range(3):
+        ladder = [math.nextafter(ladder[0], 0.0), *ladder, math.nextafter(ladder[-1], 1.0)]
+    xis = [-1.0 - 2e-12, -1.0 - 1e-12, -1.0, -0.5, -5e-324, -0.0, 0.0, 1e-300, 0.25,
+           *ladder, 0.75, 0.9, 1.0 - 2.0**-53, 1.0, 1.0 + 1e-12, 1.0 + 2e-12, math.nan]
+    es = [-2e-12, -1e-12, -0.0, 0.0, 5e-324, 0.01, 0.11, 0.25, math.nextafter(0.5, 0.0), 0.5,
+          0.5 + 1e-12, 0.5 + 2e-12, math.nan]
+    return [(xi, e) for xi in xis for e in es]
+
+
+PINNED_RUN_AND_RATE_SHA256 = "b6f4d51ff2e89825d07bdf45a0b76f0573ebcc719de14b2abe9d018656faa610"
+
+
+def test_pinned_run_and_rate_bits():
+    # one sha256 over every field of every cloud run and of final_rate on a
+    # grid; the goldens print 12 digits, this reads the last bit
+    digest = hashlib.sha256()
+    for config in config_cloud():
+        digest.update(outcome_hex(lambda: run_protocol(config)).encode())
+    for xi, e in final_rate_grid():
+        digest.update(outcome_hex(lambda: (final_rate(xi, e),)).encode())
+    assert digest.hexdigest() == PINNED_RUN_AND_RATE_SHA256

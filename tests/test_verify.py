@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dqkd import attack, keyrate, verify
+from dqkd import attack, keyrate, rates, verify
 from dqkd.attack import AMPLITUDE_ATOL, UNITARITY_ATOL, named_attack
 from dqkd.cli import main
 from dqkd.keyrate import choi_states
@@ -230,12 +230,30 @@ MUTANTS = [
         {(16, 0): NotDensityMatrixError, (200, 0): NotDensityMatrixError},
         id="choi-trace-scaled",
     ),
+    # faults in the closed form's block B: the bound line's chain still
+    # closes (its terms telescope, and d_a >= |m| holds), so only the
+    # comparison with omega's diagonalized spectrum kills them
+    pytest.param(
+        "_block", "r.imag", "r.real",
+        {(16, 0): {"closed-form-spectrum"}, (200, 0): {"closed-form-spectrum"}},
+        id="block-r-real",
+    ),
+    pytest.param(
+        "_block", "abs(a - b)", "abs(a + b)",
+        {(16, 0): {"closed-form-spectrum"}, (200, 0): {"closed-form-spectrum"}},
+        id="block-delta-b-sum",
+    ),
+    pytest.param(
+        "_block", "(a + b) ** 2", "(a - b) ** 2",
+        {(16, 0): {"closed-form-spectrum"}, (200, 0): {"closed-form-spectrum"}},
+        id="block-delta-a-difference",
+    ),
 ]
 
 
 @pytest.mark.parametrize("function, old, new, failed", MUTANTS)
 def test_verify_catches_each_mutant(monkeypatch, function, old, new, failed):
-    home = next(module for module in (attack, keyrate) if hasattr(module, function))
+    home = next(module for module in (attack, keyrate, rates) if hasattr(module, function))
     source = inspect.getsource(getattr(home, function))
     assert source.count(old) == 1
     namespace = dict(vars(home))
